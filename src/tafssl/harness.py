@@ -28,11 +28,13 @@ from tafssl.classify import build_prototypes, center_and_normalize, l2_normalize
 from tafssl.cluster import BKM_DEFAULT_CLUSTERS, MSP_DEFAULT_ITERATIONS, MSP_DEFAULT_THRESHOLD, bkm, msp
 from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
 from tafssl.features_io import load_features
-from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, fit_ica, fit_pca
+from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, SubspaceProjection, fit_ica
 
 __all__ = [
     "BenchmarkConfig",
+    "EpisodeProjections",
     "MethodPipeline",
+    "ROTATION_INVARIANT_HEADS",
     "RunReport",
     "SWEEP_VALUES",
     "evaluate_episode",
@@ -186,14 +188,60 @@ def _confidence_interval(per_episode: np.ndarray) -> tuple[float, float]:
     return mean, half
 
 
-def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0) -> np.ndarray:
+# Inference heads whose decisions see the subspace only through distances
+# and means, so that no orthogonal rotation of it can change them.  FastICA's
+# unmixing is such a rotation of the whitened pool (symmetric decorrelation,
+# Hyvarinen & Oja 2000), so ``ica-*`` pipelines with these heads whiten and
+# stop there.  A head that is not rotation-invariant (one that ranks or
+# selects components, say) must stay out of this set, which sends its
+# ``ica-*`` pipelines back through the full ``fit_ica``.
+ROTATION_INVARIANT_HEADS = frozenset({"nn", "bkm", "msp"})
+
+
+class EpisodeProjections:
+    """The pool of one episode and every subspace projection fitted on it.
+
+    The pool is decomposed once, the first time a pipeline projects, to the
+    largest dimension ``r_max`` any pipeline asks for; each (projection, r)
+    is then built from that decomposition once and reused.  ``seed`` is the
+    episode's seed, which seeds a full ``fit_ica``.  Nothing outlives the
+    episode.
+    """
+
+    def __init__(self, episode: Episode, r_max: int, seed):
+        rest = episode.query if episode.unlabeled.shape[0] == 0 else episode.unlabeled
+        self.pool = np.vstack([episode.support, rest])
+        self.r_max = r_max
+        self.seed = seed
+        self._decomposition: PoolDecomposition | None = None
+        self._fits: dict[tuple[str, int], SubspaceProjection] = {}
+
+    def fit(self, pipeline: MethodPipeline) -> SubspaceProjection:
+        kind = pipeline.projection
+        if kind == "ica" and pipeline.inference in ROTATION_INVARIANT_HEADS:
+            kind = "whiten"
+        key = (kind, pipeline.r)
+        if key in self._fits:
+            return self._fits[key]
+        if kind == "ica":
+            fit = fit_ica(self.pool, pipeline.r, seed=_derive_seed(self.seed, 1))
+        else:
+            if self._decomposition is None:
+                self._decomposition = PoolDecomposition(self.pool, self.r_max)
+            fit = self._decomposition.pca(pipeline.r) if kind == "pca" else self._decomposition.whitening(pipeline.r)
+        self._fits[key] = fit
+        return fit
+
+
+def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, projections: EpisodeProjections | None = None) -> np.ndarray:
     """Run one pipeline on one episode; returns query predictions.
 
     Query labels are deliberately absent from this path: scoring happens in
     the caller.  ``seed`` feeds the seeded stages (ICA init, k-means init).
+    Pipelines run on the same episode share its ``projections``, made for
+    that episode and seed; without them the pipeline fits its own.
     """
     S, y_s, Q = episode.support, episode.support_labels, episode.query
-    transductive = episode.unlabeled.shape[0] == 0
 
     if pipeline.preproc != "none":
         if pipeline.projection != "none" or pipeline.inference != "nn":
@@ -214,10 +262,12 @@ def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0) -> np.n
             predictions, _ = nn_classify(l2_normalize_rows(Q), protos, pipeline.temperature)
             return predictions
 
-    pool = np.vstack([S, Q]) if transductive else np.vstack([S, episode.unlabeled])
+    if projections is None:
+        projections = EpisodeProjections(episode, pipeline.r or 0, seed)
+    pool = projections.pool
 
     if pipeline.projection != "none":
-        fit = fit_pca(pool, pipeline.r) if pipeline.projection == "pca" else fit_ica(pool, pipeline.r, seed=_derive_seed(seed, 1))
+        fit = projections.fit(pipeline)
         S, Q, pool = fit.apply(S), fit.apply(Q), fit.apply(pool)
 
     if pipeline.inference == "nn":
@@ -240,19 +290,25 @@ def _derive_seed(seed, salt: int):
 
 
 def _run_one_episode(store, config: BenchmarkConfig, pipelines, index: int):
-    """Sample episode ``index`` and score every pipeline on it."""
+    """Sample episode ``index`` and score every pipeline on it.
+
+    Returns (index, accuracies, seconds, warning counts), one entry per
+    pipeline.  The shared pool decomposition is timed, and its warnings
+    counted, in the first pipeline that projects.
+    """
     episode = sample_episode(store, config.episode_spec(index))
-    accs, times = [], []
-    n_warn = 0
+    seed = (config.seed, index)
+    projections = EpisodeProjections(episode, max((p.r for p in pipelines if p.projection != "none"), default=0), seed)
+    accs, times, warns = [], [], []
     for pipeline in pipelines:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             t0 = time.perf_counter()
-            predictions = evaluate_episode(episode, pipeline, seed=(config.seed, index))
+            predictions = evaluate_episode(episode, pipeline, seed=seed, projections=projections)
             times.append(time.perf_counter() - t0)
-        n_warn += len(caught)
+        warns.append(len(caught))
         accs.append(float((predictions == episode.query_labels).mean()))
-    return index, accs, times, n_warn
+    return index, accs, times, warns
 
 
 _POOL_STATE: dict = {}
@@ -306,7 +362,7 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
     results.sort(key=lambda r: r[0])
     acc = np.array([r[1] for r in results])  # episodes x methods
     times = np.array([r[2] for r in results])
-    n_warn = int(sum(r[3] for r in results))
+    warns = np.array([r[3] for r in results])
 
     reports = []
     for j, pipeline in enumerate(pipelines):
@@ -328,7 +384,7 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
                     "distractors": config.distractors,
                     "unbalanced_r": config.unbalanced_r,
                     "dim": pipeline.r,
-                    "warnings": n_warn,
+                    "warnings": int(warns[:, j].sum()),
                 },
             )
         )

@@ -1,11 +1,15 @@
 """Tests for pipeline assembly, the benchmark loop, sweeps, and CSV output."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from tafssl.episodes import EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, sample_episode
+from tafssl import harness
+from tafssl.episodes import EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
 from tafssl.harness import (
     BenchmarkConfig,
+    EpisodeProjections,
     evaluate_episode,
     format_reports,
     parse_config_file,
@@ -159,6 +163,61 @@ class TestRunBenchmark:
         rep = run_benchmark(cfg, store=noisy_store())[0]
         assert rep.mode == "semi"
         assert 0.0 <= rep.accuracy <= 100.0
+
+    def test_warnings_are_counted_per_method(self, monkeypatch):
+        original = harness.msp
+
+        def warning_msp(*args, **kwargs):
+            warnings.warn("degenerate round", UserWarning)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "msp", warning_msp)
+        cfg = BenchmarkConfig(method="nn,msp,pca-nn", episodes=3, seed=0)
+        reps = run_benchmark(cfg, store=noisy_store())
+        assert [r.metadata["warnings"] for r in reps] == [0, 3, 0]
+
+
+class TestIcaShortcut:
+    """``ica-*`` whitens and skips FastICA's unmixing rotation; that is sound
+    only while every head is rotation-invariant.  A head outside
+    ``ROTATION_INVARIANT_HEADS`` is sent back through the full ``fit_ica``."""
+
+    HEADS = ("nn", "bkm", "msp")
+
+    @staticmethod
+    def episodes():
+        ref = reference_store()
+        for i in range(100):
+            yield sample_episode(ref, EpisodeSpec(seed=(31, i))), (31, i)
+        wide = generate_mog_store(MoGSpec(m=1024, signal_dims=32, sigma_between=2.0), 10, 40, seed=1)
+        for i in range(10):
+            ep = sample_episode(wide, EpisodeSpec(seed=(32, i)))
+            assert ep.query.shape == (75, 1024)
+            yield ep, (32, i)
+
+    def predictions(self, ep, seed):
+        pipes = [parse_method(f"ica-{head}") for head in self.HEADS]
+        projections = EpisodeProjections(ep, 10, seed)
+        return [evaluate_episode(ep, p, seed=seed, projections=projections) for p in pipes]
+
+    def test_heads_decide_identically_with_and_without_unmixing(self, monkeypatch):
+        cases = list(self.episodes())
+        with monkeypatch.context() as m:
+            m.setattr(harness, "fit_ica", None)  # the shortcut never reaches FastICA
+            shortcut = [self.predictions(ep, seed) for ep, seed in cases]
+        monkeypatch.setattr(harness, "ROTATION_INVARIANT_HEADS", frozenset())
+        full = [self.predictions(ep, seed) for ep, seed in cases]
+        for (ep, seed), fast, slow in zip(cases, shortcut, full):
+            for head, a, b in zip(self.HEADS, fast, slow):
+                assert np.array_equal(a, b), f"ica-{head} differs on episode {seed}"
+
+    def test_projection_is_shared_within_an_episode(self):
+        ep = sample_episode(noisy_store(), EpisodeSpec(seed=2))
+        projections = EpisodeProjections(ep, 10, (0, 2))
+        assert projections.fit(parse_method("ica-nn")) is projections.fit(parse_method("ica-msp"))
+        assert projections.fit(parse_method("pca-nn")) is projections.fit(parse_method("pca-bkm"))
+        assert projections.fit(parse_method("pca-nn")).method == "pca"
+        assert projections.fit(parse_method("ica-bkm")).method == "whiten"
 
 
 class TestSweeps:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from tafssl.linalg import pairwise_sqdist
-from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, fit_ica, fit_pca, whiten
+from tafssl import subspace
+from tafssl.linalg import RANK_EPS, pairwise_sqdist
+from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, fit_ica, fit_pca, whiten
 
 
 def mixed_uniform_sources(seed, n=1500):
@@ -173,3 +174,92 @@ class TestIca:
         proj = fit_ica(rng.standard_normal((8, 20)), 10, seed=0)
         assert proj.r == 7
         assert proj.meta["r_reduced"]["used"] == 7
+
+
+def wide_pool(seed, n, m, rank=None):
+    """An anisotropic, off-center pool; of the given rank when ``rank`` is set."""
+    rng = np.random.default_rng((21, seed))
+    if rank is None:
+        return rng.standard_normal((n, m)) * rng.uniform(0.5, 3.0, size=m) + rng.normal(size=m)
+    return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m)) + rng.normal(size=m)
+
+
+ROUTE_SHAPES = [((80, 1024), "gram"), ((805, 64), "scatter"), ((80, 64), "svd")]
+
+
+def decompose_by(monkeypatch, route, X, r):
+    monkeypatch.setattr(subspace, "_decomposition_method", lambda n, m: route)
+    return subspace._decompose(X, r)
+
+
+class TestDecompositionRoutes:
+    """Every route of the pool decomposition against the thin SVD."""
+
+    @pytest.mark.parametrize("shape,route", ROUTE_SHAPES)
+    def test_shape_picks_route(self, shape, route):
+        assert subspace._decomposition_method(*shape) == route
+
+    @pytest.mark.parametrize("shape", [s for s, _ in ROUTE_SHAPES])
+    @pytest.mark.parametrize("route", ["gram", "scatter"])
+    def test_eigenvalues_and_distances_match_svd(self, monkeypatch, shape, route):
+        X = wide_pool(0, *shape)
+        r = 10
+        mean, evals, axes = decompose_by(monkeypatch, route, X, r)
+        mean_ref, evals_ref, axes_ref = decompose_by(monkeypatch, "svd", X, r)
+        np.testing.assert_array_equal(mean, mean_ref)
+        assert evals.shape == evals_ref.shape and axes.shape == axes_ref.shape == (r, shape[1])
+        assert (evals > RANK_EPS).sum() == (evals_ref > RANK_EPS).sum()
+        live = evals_ref > RANK_EPS
+        assert np.abs(evals[live] / evals_ref[live] - 1.0).max() <= 1e-9
+        Y, Y_ref = (X - mean) @ axes.T, (X - mean) @ axes_ref.T
+        D, D_ref = pairwise_sqdist(Y, Y), pairwise_sqdist(Y_ref, Y_ref)
+        assert np.abs(D - D_ref).max() <= 1e-9 * D_ref.max()
+
+    def test_wide_whitened_covariance_is_identity(self):
+        X = wide_pool(1, 80, 1024)
+        for r in (10, 79):
+            Xw, _ = whiten(X, r)
+            np.testing.assert_allclose((Xw.T @ Xw) / len(Xw), np.eye(r), atol=1e-6)
+
+    @pytest.mark.parametrize("shape,route", ROUTE_SHAPES)
+    def test_shared_decomposition_matches_single_fits(self, shape, route):
+        X = wide_pool(2, *shape)
+        shared = PoolDecomposition(X, 10)
+        for r in (4, 10):
+            np.testing.assert_allclose(shared.pca(r).W, fit_pca(X, r).W, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(shared.whitening(r).W, whiten(X, r)[1].W, rtol=1e-12, atol=0)
+        with pytest.raises(ValueError, match="holds 10 axes, 11 requested"):
+            shared.pca(11)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    @pytest.mark.parametrize("route", ["gram", "scatter", "svd"])
+    @pytest.mark.parametrize("shape", [s for s, _ in ROUTE_SHAPES])
+    def test_rank_deficient_pool_still_raises(self, monkeypatch, shape, route, scale):
+        # At large feature scales the squared-matrix routes' rounding noise
+        # exceeds RANK_EPS; it must still count as zero.
+        monkeypatch.setattr(subspace, "_decomposition_method", lambda n, m: route)
+        X = wide_pool(3, *shape, rank=3) * scale
+        with pytest.raises(ValueError, match="rank deficient: requested 4, available 3"):
+            fit_pca(X, 4)
+        with pytest.raises(ValueError, match="rank deficient: requested 4, available 3"):
+            whiten(X, 4)
+        assert fit_pca(X, 3).r == 3
+        n = shape[0]
+        if n < shape[1]:
+            Xs = wide_pool(3, *shape) * scale  # full rank: the centered pool spans n - 1
+            with pytest.raises(ValueError, match=f"rank deficient: requested {n}, available {n - 1}"):
+                whiten(Xs, n)
+
+    @pytest.mark.parametrize("route", ["gram", "scatter", "svd"])
+    def test_small_pool_reduces_or_raises(self, monkeypatch, route):
+        monkeypatch.setattr(subspace, "_decomposition_method", lambda n, m: route)
+        X = wide_pool(4, 4, 1024)
+        p = fit_pca(X, 8)
+        assert p.r == 3 and p.meta["r_reduced"] == {"requested": 8, "used": 3}
+        assert PoolDecomposition(X, 8).whitening(8).meta["r_reduced"] == {"requested": 8, "used": 3}
+        with pytest.raises(ValueError, match="rank deficient: requested 8, available 3"):
+            whiten(X, 8)
+        with pytest.raises(ValueError, match="rank deficient: requested 100, available 64"):
+            fit_pca(wide_pool(5, 805, 64), 100)
+        with pytest.raises(ValueError, match="insufficient samples"):
+            fit_pca(X[:1], 2)
