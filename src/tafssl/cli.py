@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from tafssl.harness import (
     METHOD_NAMES,
     SWEEP_VALUES,
     BenchmarkConfig,
+    boolean,
     format_reports,
     parse_config_file,
     run_ablation,
@@ -22,8 +24,16 @@ from tafssl.harness import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises flag errors as ValueError, so they share the one-line
+    ``error: ...`` report and exit status 1 of every other error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tafssl",
         description="Few-shot classification benchmarks over precomputed features: "
         "task-adaptive PCA/ICA subspaces with nearest-prototype, Bayesian k-means, "
@@ -49,46 +59,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sub-normalize-first",
         dest="sub_normalize_first",
-        choices=["true", "false"],
+        type=boolean,
+        metavar="{true,false}",
         help="sub/sub-star baselines: L2-normalize samples before prototype averaging (default true)",
     )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> BenchmarkConfig:
-    values: dict = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    for key in (
-        "method",
-        "mode",
-        "ways",
-        "shots",
-        "queries",
-        "unlabeled",
-        "distractors",
-        "unbalanced_r",
-        "episodes",
-        "seed",
-        "dim",
-        "features",
-        "synthetic",
-        "sweep",
-        "out",
-        "workers",
-    ):
-        arg = getattr(args, key)
+    values = parse_config_file(args.config) if args.config else {}
+    for f in fields(BenchmarkConfig):
+        arg = getattr(args, f.name)
         if arg is not None:
-            values[key] = arg
-    if args.sub_normalize_first is not None:
-        values["sub_normalize_first"] = args.sub_normalize_first == "true"
+            values[f.name] = arg
     return BenchmarkConfig(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
         if config.sweep:
             table = run_ablation(config)
             sweep = config.sweep

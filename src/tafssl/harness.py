@@ -20,11 +20,11 @@ import csv
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from tafssl.classify import build_prototypes, center_and_normalize, l2_normalize_rows, nn_classify
+from tafssl.classify import build_prototypes, l2_normalize_rows, nn_classify
 from tafssl.cluster import BKM_DEFAULT_CLUSTERS, MSP_DEFAULT_ITERATIONS, MSP_DEFAULT_THRESHOLD, bkm, msp
 from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
 from tafssl.features_io import load_features
@@ -37,6 +37,7 @@ __all__ = [
     "ROTATION_INVARIANT_HEADS",
     "RunReport",
     "SWEEP_VALUES",
+    "boolean",
     "evaluate_episode",
     "format_reports",
     "load_store",
@@ -68,6 +69,9 @@ SWEEP_VALUES = {
     "unbalance": [0, 10, 20, 30, 40, 50],
 }
 
+# The BenchmarkConfig field each sweep varies.
+_SWEEP_FIELDS = {"queries": "queries", "noise": "distractors", "dim": "dim", "unbalance": "unbalanced_r"}
+
 
 @dataclass(frozen=True)
 class MethodPipeline:
@@ -78,7 +82,6 @@ class MethodPipeline:
     r: int | None = None
     preproc: str = "none"  # none | sub | sub_star
     inference: str = "nn"  # nn | bkm | msp
-    temperature: float = 1.0
     msp_threshold: float = MSP_DEFAULT_THRESHOLD
     msp_iterations: int = MSP_DEFAULT_ITERATIONS
     bkm_clusters: int = BKM_DEFAULT_CLUSTERS
@@ -139,14 +142,18 @@ class BenchmarkConfig:
         return [m.strip() for m in self.method.split(",") if m.strip()]
 
     def pipelines(self) -> list[MethodPipeline]:
+        """The configured pipelines.  This is the one check a config gets
+        before a run: it raises ValueError for any setting the run would
+        reject, without touching the feature source."""
+        if self.episodes < 1:
+            raise ValueError("episodes must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.episode_spec(0)  # EpisodeSpec holds the protocol and mode rules
         pipes = [parse_method(m, self.dim, self.sub_normalize_first) for m in self.methods()]
         for p in pipes:
             if p.preproc != "none" and self.mode != "transductive":
                 raise ValueError(f"method {p.name!r} is defined on the support+query pool and requires transductive mode")
-        if self.mode == "semi" and self.unlabeled < 1:
-            raise ValueError("semi mode needs --unlabeled >= 1")
-        if self.mode == "transductive" and (self.unlabeled or self.distractors):
-            raise ValueError("transductive mode uses queries as the pool; --unlabeled/--distractors must be 0")
         if not pipes:
             raise ValueError("no method given")
         return pipes
@@ -156,8 +163,8 @@ class BenchmarkConfig:
             n_way=self.ways,
             k_shot=self.shots,
             queries_per_class=self.queries,
-            unlabeled_per_class=self.unlabeled if self.mode == "semi" else 0,
-            distractor_classes=self.distractors if self.mode == "semi" else 0,
+            unlabeled_per_class=self.unlabeled,
+            distractor_classes=self.distractors,
             unbalanced_r=self.unbalanced_r,
             mode=self.mode,
             seed=(self.seed, index),
@@ -246,21 +253,19 @@ def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, project
     if pipeline.preproc != "none":
         if pipeline.projection != "none" or pipeline.inference != "nn":
             raise ValueError("sub/sub-star preprocessing pairs only with plain nearest-prototype inference")
-        mode = "joint" if pipeline.preproc == "sub" else "separate"
-        if pipeline.sub_normalize_first:
-            S, Q = center_and_normalize(S, Q, mode)
+        # sub centers on the mean of S and Q together, sub-star on each set's own.
+        if pipeline.preproc == "sub":
+            mu = np.vstack([S, Q]).mean(axis=0)
+            S, Q = S - mu, Q - mu
         else:
-            # Toggle: average prototypes before normalizing. Centering still
-            # happens per set here; normalization moves to the prototypes.
-            if mode == "joint":
-                mu = np.vstack([S, Q]).mean(axis=0)
-                S, Q = S - mu, Q - mu
-            else:
-                S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
+            S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
+        if pipeline.sub_normalize_first:
+            protos = build_prototypes(l2_normalize_rows(S), y_s)
+        else:
             protos = build_prototypes(S, y_s)
             protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
-            predictions, _ = nn_classify(l2_normalize_rows(Q), protos, pipeline.temperature)
-            return predictions
+        predictions, _ = nn_classify(l2_normalize_rows(Q), protos)
+        return predictions
 
     if projections is None:
         projections = EpisodeProjections(episode, pipeline.r or 0, seed)
@@ -271,7 +276,7 @@ def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, project
         S, Q, pool = fit.apply(S), fit.apply(Q), fit.apply(pool)
 
     if pipeline.inference == "nn":
-        predictions, _ = nn_classify(Q, build_prototypes(S, y_s), pipeline.temperature)
+        predictions, _ = nn_classify(Q, build_prototypes(S, y_s))
     elif pipeline.inference == "bkm":
         posterior = bkm(S, y_s, Q, pool, k=pipeline.bkm_clusters, seed=_derive_seed(seed, 2))
         predictions = np.unique(y_s)[np.argmax(posterior, axis=1)]
@@ -345,8 +350,6 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
     pipelines = config.pipelines()
     if store is None:
         store = load_store(config)
-    if config.episodes < 1:
-        raise ValueError("episodes must be >= 1")
 
     indices = range(config.episodes)
     if config.workers > 1:
@@ -419,21 +422,33 @@ def run_ablation(
         store = load_store(config)
     table = []
     for value in values:
-        if sweep == "queries":
-            cfg = replace(config, queries=int(value))
-        elif sweep == "noise":
-            cfg = replace(config, distractors=int(value))
-        elif sweep == "dim":
-            cfg = replace(config, dim=int(value))
-        else:
-            cfg = replace(config, unbalanced_r=int(value))
+        cfg = replace(config, **{_SWEEP_FIELDS[sweep]: int(value)})
         table.append((int(value), run_benchmark(cfg, store=store)))
     return table
 
 
-def parse_config_file(path) -> dict:
-    """Parse a flat ``key=value`` config file (``#`` starts a comment)."""
-    known = {f.name: f for f in fields(BenchmarkConfig)}
+def boolean(value: str) -> bool:
+    """Parse a config-file or flag boolean: true/1/yes or false/0/no, any case."""
+    lowered = value.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true/1/yes or false/0/no, got {value!r}")
+
+
+_PARSERS = {"int": int, "float": float, "str": str, "bool": boolean}
+
+
+def _field_parsers(cls) -> dict:
+    """One value parser per field of the dataclass ``cls``, chosen by its
+    annotation (a string, under ``from __future__ import annotations``)."""
+    return {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(cls)}
+
+
+def _read_key_values(path, parsers: dict) -> dict:
+    """Read a flat ``key=value`` file (``#`` starts a comment), parsing each
+    value with ``parsers[key]``.  Every error names ``path:line``."""
     out: dict = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -444,54 +459,28 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in known:
+            if key not in parsers:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _coerce(key, value)
+            try:
+                out[key] = parsers[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
-def _coerce(key: str, value: str):
-    if key in ("method", "mode", "features", "synthetic", "sweep", "out"):
-        return value
-    if key == "sub_normalize_first":
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"bad boolean {value!r} for {key}")
-    return int(value)
-
-
-MOG_CONFIG_KEYS = {
-    "m": int,
-    "signal_dims": int,
-    "rho_signal": float,
-    "mu_noise": float,
-    "sigma_noise": float,
-    "sigma_between": float,
-    "sigma_signal": float,
-    "classes": int,
-    "per_class": int,
-    "seed": int,
-}
+def parse_config_file(path) -> dict:
+    """Parse a run-config file; its keys are the BenchmarkConfig fields."""
+    return _read_key_values(path, _field_parsers(BenchmarkConfig))
 
 
 def _store_from_mog_config(path) -> FeatureStore:
-    """Build a synthetic store from a key=value mixture config file."""
-    raw: dict = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in MOG_CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = MOG_CONFIG_KEYS[key](value)
-    for required in ("m", "signal_dims", "classes", "per_class"):
-        if required not in raw:
-            raise ValueError(f"{path}: missing required key {required!r}")
+    """Build a synthetic store from a mixture config file: the MoGSpec fields
+    plus the store's ``classes``, ``per_class`` and ``seed``."""
+    raw = _read_key_values(path, {**_field_parsers(MoGSpec), "classes": int, "per_class": int, "seed": int})
+    required = [f.name for f in fields(MoGSpec) if f.default is MISSING] + ["classes", "per_class"]
+    for key in required:
+        if key not in raw:
+            raise ValueError(f"{path}: missing required key {key!r}")
     n_classes = raw.pop("classes")
     per_class = raw.pop("per_class")
     seed = raw.pop("seed", 0)

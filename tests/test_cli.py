@@ -1,13 +1,24 @@
 """End-to-end CLI tests: flags, config files, CSV output, exit codes."""
 
+import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tafssl
+from tafssl.cli import build_parser, config_from_args
 from tafssl.episodes import MoGSpec, generate_mog_store
 from tafssl.features_io import save_features
+from tafssl.harness import BenchmarkConfig
+
+
+# The CLI runs in a child process, which must import the same package as
+# the tests, installed or not.
+SRC = str(Path(tafssl.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
@@ -15,6 +26,7 @@ def run_cli(*args):
         [sys.executable, "-m", "tafssl.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
     )
 
 
@@ -63,6 +75,22 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.startswith("error: ")
         assert len(r.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [("--ways", "x"), ("--mode", "bogus"), ("--bogus", "3")], ids=["bad-int", "bad-choice", "unknown-flag"])
+    def test_flag_errors_exit_1_with_one_line(self, flags):
+        r = run_cli("--synthetic", "reference", "--episodes", "1", *flags)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_every_config_field_has_a_flag(self):
+        dests = {action.dest for action in build_parser()._actions}
+        assert {f.name for f in fields(BenchmarkConfig)} <= dests
+
+    @pytest.mark.parametrize("value,expected", [("true", True), ("yes", True), ("1", True), ("false", False), ("No", False), ("0", False)])
+    def test_sub_normalize_first_takes_the_file_spellings(self, value, expected):
+        args = build_parser().parse_args(["--sub-normalize-first", value])
+        assert config_from_args(args).sub_normalize_first is expected
 
     def test_unknown_method_errors(self, feature_file):
         r = run_cli("--features", str(feature_file), "--method", "xyz")

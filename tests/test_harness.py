@@ -1,17 +1,22 @@
 """Tests for pipeline assembly, the benchmark loop, sweeps, and CSV output."""
 
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tafssl import harness
-from tafssl.episodes import EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
+from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
 from tafssl.harness import (
     BenchmarkConfig,
     EpisodeProjections,
     evaluate_episode,
     format_reports,
+    load_store,
     parse_config_file,
     parse_method,
     run_ablation,
@@ -67,7 +72,6 @@ class TestParseMethod:
 
     def test_default_hyperparams(self):
         p = parse_method("ica-msp")
-        assert p.temperature == 1.0
         assert p.msp_threshold == 0.3
         assert p.msp_iterations == 4
         assert p.bkm_clusters == 5
@@ -91,6 +95,16 @@ class TestConfigValidation:
         cfg = BenchmarkConfig(method="nn", distractors=2)
         with pytest.raises(ValueError, match="transductive"):
             cfg.pipelines()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            BenchmarkConfig(method="nn", workers=workers).pipelines()
+
+    def test_episode_count_checked_before_store_loads(self, tmp_path):
+        cfg = BenchmarkConfig(method="nn", episodes=0, features=str(tmp_path / "missing.feats"))
+        with pytest.raises(ValueError, match="episodes"):
+            run_benchmark(cfg)
 
     def test_invalid_combination_fails_before_running(self):
         cfg = BenchmarkConfig(method="sub", mode="semi", unlabeled=5, episodes=10)
@@ -126,6 +140,48 @@ class TestEvaluateEpisode:
             raw = evaluate_episode(ep, parse_method("nn"), seed=(5, i))
             full = evaluate_episode(ep, parse_method("pca-nn", dim=store.m), seed=(5, i))
             assert np.array_equal(raw, full)
+
+
+class TestSubBaselines:
+    """sub / sub-star against a plain numpy reference, under both settings of
+    ``sub_normalize_first``: L2-normalize the support rows before averaging
+    them into prototypes, or normalize the averaged prototypes."""
+
+    @staticmethod
+    def reference(ep, joint, normalize_first):
+        S, Q = ep.support, ep.query
+        if joint:
+            mu = np.vstack([S, Q]).mean(axis=0)
+            S, Q = S - mu, Q - mu
+        else:
+            S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
+
+        def unit(X):
+            return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+        if normalize_first:
+            S = unit(S)
+        classes = np.unique(ep.support_labels)
+        protos = np.stack([S[ep.support_labels == c].mean(axis=0) for c in classes])
+        if not normalize_first:
+            protos = unit(protos)
+        sq = ((unit(Q)[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
+        return classes[np.argmin(sq, axis=1)]
+
+    @pytest.mark.parametrize("name", ["sub", "sub-star"])
+    def test_matches_reference_under_both_settings(self, name):
+        store = noisy_store()
+        disagreements = 0
+        for i in range(20):
+            ep = sample_episode(store, EpisodeSpec(k_shot=3, seed=(8, i)))
+            preds = {}
+            for normalize_first in (True, False):
+                pipe = parse_method(name, sub_normalize_first=normalize_first)
+                preds[normalize_first] = evaluate_episode(ep, pipe, seed=(8, i))
+                expected = self.reference(ep, name == "sub", normalize_first)
+                assert np.array_equal(preds[normalize_first], expected), (name, normalize_first, i)
+            disagreements += int((preds[True] != preds[False]).sum())
+        assert disagreements > 0  # the two settings are different classifiers
 
 
 class TestRunBenchmark:
@@ -220,6 +276,47 @@ class TestIcaShortcut:
         assert projections.fit(parse_method("ica-bkm")).method == "whiten"
 
 
+class TestHeadInvariance:
+    """The property behind ``ROTATION_INVARIANT_HEADS``: every head in it
+    decides the same after the whole episode (support, queries and pool) is
+    rotated by an orthogonal matrix and translated."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.integers(2, 12),
+        st.integers(0, 4),
+    )
+    def test_decisions_survive_rotation_and_translation(self, seed, n_way, k_shot, queries, m, unlabeled):
+        rng = np.random.default_rng(seed)
+        means = rng.normal(0.0, 2.0, size=(n_way, m))
+
+        def draw(per_class):
+            labels = np.repeat(np.arange(n_way), per_class)
+            return means[labels] + rng.normal(size=(labels.size, m)), labels
+
+        support, support_labels = draw(k_shot)
+        query, query_labels = draw(queries)
+        pool_extra, pool_labels = draw(unlabeled)
+        ep = Episode(support, support_labels, query, query_labels, pool_extra, pool_labels, list(range(n_way)))
+        rotation, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        shift = rng.normal(0.0, 3.0, size=m)
+        moved = replace(
+            ep,
+            support=support @ rotation + shift,
+            query=query @ rotation + shift,
+            unlabeled=pool_extra @ rotation + shift,
+        )
+        for head in sorted(harness.ROTATION_INVARIANT_HEADS):
+            pipe = parse_method(head)
+            before = evaluate_episode(ep, pipe, seed=(seed, 0))
+            after = evaluate_episode(moved, pipe, seed=(seed, 0))
+            assert np.array_equal(before, after), head
+
+
 class TestSweeps:
     def test_queries_sweep(self):
         cfg = BenchmarkConfig(method="nn", episodes=3, seed=0)
@@ -307,6 +404,49 @@ class TestConfigFile:
         p.write_text("episodes\n")
         with pytest.raises(ValueError, match="key=value"):
             parse_config_file(p)
+
+    @pytest.mark.parametrize("line,key", [("dim=", "dim"), ("sub_normalize_first=maybe", "sub_normalize_first")])
+    def test_bad_value_names_path_and_line(self, tmp_path, line, key):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"method=nn\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: {key}")):
+            parse_config_file(p)
+
+    @pytest.mark.parametrize("value,expected", [("true", True), ("YES", True), ("1", True), ("false", False), ("no", False), ("0", False)])
+    def test_boolean_spellings(self, tmp_path, value, expected):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"sub_normalize_first={value}\n")
+        assert parse_config_file(p) == {"sub_normalize_first": expected}
+
+
+class TestMixtureConfigFile:
+    def test_reads_mixture_keys(self, tmp_path):
+        p = tmp_path / "mog.cfg"
+        p.write_text("m=6\nsignal_dims=3  # leading dims\nrho_signal=0.5\nclasses=4\nper_class=10\nseed=2\n")
+        store = load_store(BenchmarkConfig(synthetic=str(p)))
+        expected = generate_mog_store(MoGSpec(m=6, signal_dims=3, rho_signal=0.5), 4, 10, seed=2)
+        assert sorted(store.classes) == sorted(expected.classes)
+        assert all(np.array_equal(store.classes[c], expected.classes[c]) for c in expected.classes)
+
+    @pytest.mark.parametrize(
+        "text,line,match",
+        [
+            ("m=6\nsignal_dims\n", 2, "expected key=value"),
+            ("m=6\nsignal_dims=3\nrho_signal=high\n", 3, "rho_signal"),
+            ("m=6\nclasses=4\nbogus=1\n", 3, "unknown key 'bogus'"),
+        ],
+    )
+    def test_errors_name_path_and_line(self, tmp_path, text, line, match):
+        p = tmp_path / "mog.cfg"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{p}:{line}: {match}")):
+            load_store(BenchmarkConfig(synthetic=str(p)))
+
+    def test_missing_required_key_names_path(self, tmp_path):
+        p = tmp_path / "mog.cfg"
+        p.write_text("m=6\nsignal_dims=3\nper_class=10\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: missing required key 'classes'")):
+            load_store(BenchmarkConfig(synthetic=str(p)))
 
 
 class TestLabelHygiene:
