@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields
 
 from tafssl.harness import (
-    METHOD_NAMES,
+    METHODS,
     SWEEP_VALUES,
     BenchmarkConfig,
     boolean,
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         "or mean-shift propagation inference.",
     )
     parser.add_argument("--config", metavar="PATH", help="key=value config file; CLI flags override it")
-    parser.add_argument("--method", help=f"comma-separated list from: {', '.join(METHOD_NAMES)}")
+    parser.add_argument("--method", help=f"comma-separated list from: {', '.join(METHODS)}")
     parser.add_argument("--mode", choices=["transductive", "semi"], help="unlabeled pool source (default transductive)")
     parser.add_argument("--ways", type=int, help="classes per episode (default 5)")
     parser.add_argument("--shots", type=int, help="support samples per class (default 1)")

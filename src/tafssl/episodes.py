@@ -102,6 +102,9 @@ class EpisodeSpec:
             raise ValueError("n_way must be >= 2")
         if self.k_shot < 1 or self.queries_per_class < 1:
             raise ValueError("k_shot and queries_per_class must be >= 1")
+        for name in ("distractor_classes", "unbalanced_r"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.mode not in ("transductive", "semi"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "transductive" and (self.unlabeled_per_class or self.distractor_classes):

@@ -33,6 +33,7 @@ from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition,
 __all__ = [
     "BenchmarkConfig",
     "EpisodeProjections",
+    "METHODS",
     "MethodPipeline",
     "ROTATION_INVARIANT_HEADS",
     "RunReport",
@@ -48,19 +49,21 @@ __all__ = [
     "write_csv",
 ]
 
-METHOD_NAMES = [
-    "nn",
-    "sub",
-    "sub-star",
-    "pca-nn",
-    "ica-nn",
-    "pca-bkm",
-    "ica-bkm",
-    "pca-msp",
-    "ica-msp",
-    "bkm",
-    "msp",
-]
+# CLI method name -> (projection, preprocessing, inference head).
+METHODS = {
+    "nn": ("none", "none", "nn"),
+    "sub": ("none", "sub", "nn"),
+    "sub-star": ("none", "sub_star", "nn"),
+    "pca-nn": ("pca", "none", "nn"),
+    "ica-nn": ("ica", "none", "nn"),
+    "pca-bkm": ("pca", "none", "bkm"),
+    "ica-bkm": ("ica", "none", "bkm"),
+    "pca-msp": ("pca", "none", "msp"),
+    "ica-msp": ("ica", "none", "msp"),
+    "bkm": ("none", "none", "bkm"),
+    "msp": ("none", "none", "msp"),
+}
+_DEFAULT_DIMS = {"pca": PCA_DEFAULT_DIM, "ica": ICA_DEFAULT_DIM}
 
 SWEEP_VALUES = {
     "queries": [2, 5, 10, 15, 20, 30, 50],
@@ -87,33 +90,21 @@ class MethodPipeline:
     bkm_clusters: int = BKM_DEFAULT_CLUSTERS
     sub_normalize_first: bool = True
 
+    def __post_init__(self):
+        if self.preproc != "none" and (self.projection != "none" or self.inference != "nn"):
+            raise ValueError("sub/sub-star preprocessing pairs only with plain nearest-prototype inference")
+
 
 def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = True) -> MethodPipeline:
-    """Build a pipeline from a CLI method name like ``pca-bkm``."""
-    if name not in METHOD_NAMES:
-        raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHOD_NAMES)}")
-    projection, preproc, inference = "none", "none", "nn"
-    if name == "sub":
-        preproc = "sub"
-    elif name == "sub-star":
-        preproc = "sub_star"
-    elif "-" in name:
-        projection, inference = name.split("-")
-    else:
-        inference = name  # bare nn / bkm / msp
-    r = None
-    if projection == "pca":
-        r = dim if dim is not None else PCA_DEFAULT_DIM
-    elif projection == "ica":
-        r = dim if dim is not None else ICA_DEFAULT_DIM
-    return MethodPipeline(
-        name=name,
-        projection=projection,
-        r=r,
-        preproc=preproc,
-        inference=inference,
-        sub_normalize_first=sub_normalize_first,
-    )
+    """Build a pipeline from a CLI method name like ``pca-bkm``; ``dim``
+    overrides the default subspace size of its projection."""
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)}")
+    if dim is not None and dim < 1:
+        raise ValueError("dim must be >= 1")
+    projection, preproc, inference = METHODS[name]
+    r = None if projection == "none" else dim or _DEFAULT_DIMS[projection]
+    return MethodPipeline(name, projection, r, preproc, inference, sub_normalize_first=sub_normalize_first)
 
 
 @dataclass
@@ -206,86 +197,93 @@ ROTATION_INVARIANT_HEADS = frozenset({"nn", "bkm", "msp"})
 
 
 class EpisodeProjections:
-    """The pool of one episode and every subspace projection fitted on it.
+    """One episode's sets and every subspace view of them.
 
-    The pool is decomposed once, the first time a pipeline projects, to the
-    largest dimension ``r_max`` any pipeline asks for; each (projection, r)
-    is then built from that decomposition once and reused.  ``seed`` is the
-    episode's seed, which seeds a full ``fit_ica``.  Nothing outlives the
-    episode.
+    :meth:`view` hands a pipeline the (support, queries, pool) its head
+    sees: the raw sets when it does not project, otherwise the sets mapped
+    into its subspace.  The pool is decomposed once, the first time a
+    pipeline projects, to the largest dimension any of ``pipelines`` asks
+    for; each (projection, r) subspace is then fitted once and applied once
+    to each set, and every pipeline that shares it shares its view.
+    ``seed`` is the episode's seed, which seeds a full ``fit_ica``.  Nothing
+    outlives the episode.
     """
 
-    def __init__(self, episode: Episode, r_max: int, seed):
+    def __init__(self, episode: Episode, pipelines, seed):
         rest = episode.query if episode.unlabeled.shape[0] == 0 else episode.unlabeled
-        self.pool = np.vstack([episode.support, rest])
-        self.r_max = r_max
+        self.raw = (episode.support, episode.query, np.vstack([episode.support, rest]))
+        self.r_max = max((p.r for p in pipelines if p.projection != "none"), default=0)
         self.seed = seed
         self._decomposition: PoolDecomposition | None = None
-        self._fits: dict[tuple[str, int], SubspaceProjection] = {}
+        self._views: dict = {}
 
-    def fit(self, pipeline: MethodPipeline) -> SubspaceProjection:
+    def view(self, pipeline: MethodPipeline) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if pipeline.projection == "none":
+            return self.raw
         kind = pipeline.projection
         if kind == "ica" and pipeline.inference in ROTATION_INVARIANT_HEADS:
             kind = "whiten"
         key = (kind, pipeline.r)
-        if key in self._fits:
-            return self._fits[key]
+        if key not in self._views:
+            fit = self._fit(kind, pipeline.r)
+            self._views[key] = tuple(fit.apply(X) for X in self.raw)
+        return self._views[key]
+
+    def _fit(self, kind: str, r: int) -> SubspaceProjection:
         if kind == "ica":
-            fit = fit_ica(self.pool, pipeline.r, seed=_derive_seed(self.seed, 1))
-        else:
-            if self._decomposition is None:
-                self._decomposition = PoolDecomposition(self.pool, self.r_max)
-            fit = self._decomposition.pca(pipeline.r) if kind == "pca" else self._decomposition.whitening(pipeline.r)
-        self._fits[key] = fit
-        return fit
+            return fit_ica(self.raw[2], r, seed=_derive_seed(self.seed, 1))
+        if self._decomposition is None:
+            self._decomposition = PoolDecomposition(self.raw[2], self.r_max)
+        return self._decomposition.pca(r) if kind == "pca" else self._decomposition.whitening(r)
+
+
+def _preprocess(S: np.ndarray, Q: np.ndarray, pipeline: MethodPipeline) -> tuple[np.ndarray, np.ndarray]:
+    """sub / sub-star: center on the mean of S and Q together (sub) or on
+    each set's own (sub-star), then L2-normalize the queries and, with
+    ``sub_normalize_first``, the support rows (else the nn head normalizes
+    the prototypes)."""
+    if pipeline.preproc == "none":
+        return S, Q
+    if pipeline.preproc == "sub":
+        mu = np.vstack([S, Q]).mean(axis=0)
+        S, Q = S - mu, Q - mu
+    else:
+        S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
+    if pipeline.sub_normalize_first:
+        S = l2_normalize_rows(S)
+    return S, l2_normalize_rows(Q)
+
+
+def _infer(S, y_s, Q, pool, pipeline: MethodPipeline, seed) -> np.ndarray:
+    """The pipeline's inference head: query predictions from S, its labels, Q and the pool."""
+    if pipeline.inference == "nn":
+        protos = build_prototypes(S, y_s)
+        if pipeline.preproc != "none" and not pipeline.sub_normalize_first:
+            protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
+        return nn_classify(Q, protos)[0]
+    if pipeline.inference == "bkm":
+        posterior = bkm(S, y_s, Q, pool, k=pipeline.bkm_clusters, seed=_derive_seed(seed, 2))
+        return np.unique(y_s)[np.argmax(posterior, axis=1)]
+    if pipeline.inference == "msp":
+        return msp(S, y_s, Q, pool, threshold=pipeline.msp_threshold, iterations=pipeline.msp_iterations).predictions
+    raise ValueError(f"unknown inference {pipeline.inference!r}")
 
 
 def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, projections: EpisodeProjections | None = None) -> np.ndarray:
     """Run one pipeline on one episode; returns query predictions.
 
-    Query labels are deliberately absent from this path: scoring happens in
-    the caller.  ``seed`` feeds the seeded stages (ICA init, k-means init).
-    Pipelines run on the same episode share its ``projections``, made for
-    that episode and seed; without them the pipeline fits its own.
+    The stages are project (the pipeline's view of the episode), preprocess
+    (sub/sub-star) and infer (the head).  Query labels are deliberately
+    absent from this path: scoring happens in the caller.  ``seed`` feeds
+    the seeded stages (ICA init, k-means init).  Pipelines run on the same
+    episode share its ``projections``, made for that episode and seed;
+    without them the pipeline fits its own.
     """
-    S, y_s, Q = episode.support, episode.support_labels, episode.query
-
-    if pipeline.preproc != "none":
-        if pipeline.projection != "none" or pipeline.inference != "nn":
-            raise ValueError("sub/sub-star preprocessing pairs only with plain nearest-prototype inference")
-        # sub centers on the mean of S and Q together, sub-star on each set's own.
-        if pipeline.preproc == "sub":
-            mu = np.vstack([S, Q]).mean(axis=0)
-            S, Q = S - mu, Q - mu
-        else:
-            S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
-        if pipeline.sub_normalize_first:
-            protos = build_prototypes(l2_normalize_rows(S), y_s)
-        else:
-            protos = build_prototypes(S, y_s)
-            protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
-        predictions, _ = nn_classify(l2_normalize_rows(Q), protos)
-        return predictions
-
     if projections is None:
-        projections = EpisodeProjections(episode, pipeline.r or 0, seed)
-    pool = projections.pool
-
-    if pipeline.projection != "none":
-        fit = projections.fit(pipeline)
-        S, Q, pool = fit.apply(S), fit.apply(Q), fit.apply(pool)
-
-    if pipeline.inference == "nn":
-        predictions, _ = nn_classify(Q, build_prototypes(S, y_s))
-    elif pipeline.inference == "bkm":
-        posterior = bkm(S, y_s, Q, pool, k=pipeline.bkm_clusters, seed=_derive_seed(seed, 2))
-        predictions = np.unique(y_s)[np.argmax(posterior, axis=1)]
-    elif pipeline.inference == "msp":
-        result = msp(S, y_s, Q, pool, threshold=pipeline.msp_threshold, iterations=pipeline.msp_iterations)
-        predictions = result.predictions
-    else:
-        raise ValueError(f"unknown inference {pipeline.inference!r}")
-    return predictions
+        projections = EpisodeProjections(episode, [pipeline], seed)
+    S, Q, pool = projections.view(pipeline)
+    S, Q = _preprocess(S, Q, pipeline)
+    return _infer(S, episode.support_labels, Q, pool, pipeline, seed)
 
 
 def _derive_seed(seed, salt: int):
@@ -298,12 +296,12 @@ def _run_one_episode(store, config: BenchmarkConfig, pipelines, index: int):
     """Sample episode ``index`` and score every pipeline on it.
 
     Returns (index, accuracies, seconds, warning counts), one entry per
-    pipeline.  The shared pool decomposition is timed, and its warnings
-    counted, in the first pipeline that projects.
+    pipeline.  A shared view, and the pool decomposition, are timed and
+    their warnings counted in the first pipeline that needs them.
     """
     episode = sample_episode(store, config.episode_spec(index))
     seed = (config.seed, index)
-    projections = EpisodeProjections(episode, max((p.r for p in pipelines if p.projection != "none"), default=0), seed)
+    projections = EpisodeProjections(episode, pipelines, seed)
     accs, times, warns = [], [], []
     for pipeline in pipelines:
         with warnings.catch_warnings(record=True) as caught:

@@ -59,9 +59,9 @@ class SubspaceProjection:
     """An affine map ``x -> W @ (x - center)`` into an r-dimensional subspace.
 
     ``meta`` carries fit diagnostics: eigenvalues for PCA/whitening, the
-    orthogonal unmixing matrix and convergence flag for ICA, and an
-    ``r_reduced`` note when the requested dimension had to shrink because
-    the pool was too small.
+    convergence flag and iteration count for ICA, and an ``r_reduced`` note
+    when the requested dimension had to shrink because the pool was too
+    small.
     """
 
     W: np.ndarray
@@ -271,8 +271,5 @@ def fit_ica(X, r: int = ICA_DEFAULT_DIM, seed: int = 0) -> SubspaceProjection:
 
     # Sign convention on the full map keeps outputs deterministic; flipping a
     # row flips the corresponding component, which ICA leaves unidentified.
-    # The unmixing rows take the signs the full map's rows were given.
-    unsigned = W_unmix @ white.W
-    W = flip_signs(unsigned.T).T
-    meta["unmixing"] = W_unmix * np.sign(np.einsum("ij,ij->i", W, unsigned))[:, None]
+    W = flip_signs((W_unmix @ white.W).T).T
     return SubspaceProjection(W=W, center=white.center, method="ica", meta=meta)

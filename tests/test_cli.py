@@ -83,6 +83,11 @@ class TestCli:
         assert r.stderr.startswith("error: ")
         assert len(r.stderr.strip().splitlines()) == 1
 
+    def test_negative_unbalance_exits_1_naming_the_setting(self):
+        r = run_cli("--synthetic", "reference", "--method", "nn", "--episodes", "1", "--unbalanced-r", "-3")
+        assert r.returncode == 1
+        assert r.stderr.strip() == "error: unbalanced_r must be >= 0"
+
     def test_every_config_field_has_a_flag(self):
         dests = {action.dest for action in build_parser()._actions}
         assert {f.name for f in fields(BenchmarkConfig)} <= dests

@@ -83,6 +83,11 @@ class TestSampleEpisode:
         with pytest.raises(ValueError, match="transductive"):
             EpisodeSpec(unlabeled_per_class=3)
 
+    @pytest.mark.parametrize("setting", ["distractor_classes", "unbalanced_r"])
+    def test_negative_counts_rejected(self, setting):
+        with pytest.raises(ValueError, match=f"{setting} must be >= 0"):
+            EpisodeSpec(mode="semi", unlabeled_per_class=2, **{setting: -1})
+
     def test_insufficient_samples_names_class(self):
         store = FeatureStore(classes={i: np.random.default_rng(i).normal(size=(10, 3)) for i in range(6)})
         with pytest.raises(ValueError, match="class "):

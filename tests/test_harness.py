@@ -14,6 +14,7 @@ from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generat
 from tafssl.harness import (
     BenchmarkConfig,
     EpisodeProjections,
+    MethodPipeline,
     evaluate_episode,
     format_reports,
     load_store,
@@ -23,6 +24,8 @@ from tafssl.harness import (
     run_benchmark,
     write_csv,
 )
+from tafssl.linalg import covariance
+from tafssl.subspace import SubspaceProjection
 
 
 def separable_store(n_classes=8, per_class=40, m=6, spread=60.0):
@@ -66,6 +69,11 @@ class TestParseMethod:
     def test_dim_override(self):
         assert parse_method("ica-nn", dim=7).r == 7
 
+    @pytest.mark.parametrize("fields", [{"projection": "pca", "r": 4}, {"inference": "bkm"}])
+    def test_sub_pairs_only_with_plain_nn(self, fields):
+        with pytest.raises(ValueError, match="pairs only"):
+            MethodPipeline(name="x", preproc="sub", **fields)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             parse_method("svm")
@@ -100,6 +108,12 @@ class TestConfigValidation:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             BenchmarkConfig(method="nn", workers=workers).pipelines()
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_checked_before_store_loads(self, tmp_path, dim):
+        cfg = BenchmarkConfig(method="nn,pca-nn", dim=dim, features=str(tmp_path / "missing.feats"))
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            run_benchmark(cfg)
 
     def test_episode_count_checked_before_store_loads(self, tmp_path):
         cfg = BenchmarkConfig(method="nn", episodes=0, features=str(tmp_path / "missing.feats"))
@@ -183,6 +197,13 @@ class TestSubBaselines:
             disagreements += int((preds[True] != preds[False]).sum())
         assert disagreements > 0  # the two settings are different classifiers
 
+    def test_sub_centers_on_support_and_queries_not_the_pool(self):
+        ep = sample_episode(noisy_store(), EpisodeSpec(k_shot=3, seed=6))
+        ep = replace(ep, unlabeled=ep.query[:10] + 50.0)  # hand-built: the pool holds far-off rows
+        for normalize_first in (True, False):
+            preds = evaluate_episode(ep, parse_method("sub", sub_normalize_first=normalize_first), seed=(0, 6))
+            assert np.array_equal(preds, self.reference(ep, True, normalize_first))
+
 
 class TestRunBenchmark:
     def test_separable_store_is_perfect(self):
@@ -253,7 +274,7 @@ class TestIcaShortcut:
 
     def predictions(self, ep, seed):
         pipes = [parse_method(f"ica-{head}") for head in self.HEADS]
-        projections = EpisodeProjections(ep, 10, seed)
+        projections = EpisodeProjections(ep, pipes, seed)
         return [evaluate_episode(ep, p, seed=seed, projections=projections) for p in pipes]
 
     def test_heads_decide_identically_with_and_without_unmixing(self, monkeypatch):
@@ -267,13 +288,43 @@ class TestIcaShortcut:
             for head, a, b in zip(self.HEADS, fast, slow):
                 assert np.array_equal(a, b), f"ica-{head} differs on episode {seed}"
 
-    def test_projection_is_shared_within_an_episode(self):
+
+class TestEpisodeStaging:
+    """Each (projection, r) subspace of an episode is fitted once and applied
+    once to each of S, Q and the pool; pipelines that share it share the view."""
+
+    def test_views_are_shared_within_an_episode(self):
         ep = sample_episode(noisy_store(), EpisodeSpec(seed=2))
-        projections = EpisodeProjections(ep, 10, (0, 2))
-        assert projections.fit(parse_method("ica-nn")) is projections.fit(parse_method("ica-msp"))
-        assert projections.fit(parse_method("pca-nn")) is projections.fit(parse_method("pca-bkm"))
-        assert projections.fit(parse_method("pca-nn")).method == "pca"
-        assert projections.fit(parse_method("ica-bkm")).method == "whiten"
+        pipes = {name: parse_method(name) for name in ("nn", "pca-nn", "pca-bkm", "ica-nn", "ica-msp")}
+        projections = EpisodeProjections(ep, list(pipes.values()), (0, 2))
+        view = {name: projections.view(p) for name, p in pipes.items()}
+        assert view["ica-nn"] is view["ica-msp"]
+        assert view["pca-nn"] is view["pca-bkm"]
+        S, Q, pool = view["nn"]
+        assert S is ep.support and Q is ep.query
+        assert np.array_equal(pool, np.vstack([ep.support, ep.query]))
+        assert [X.shape[1] for X in view["pca-nn"] + view["ica-nn"]] == [4] * 3 + [10] * 3
+        np.testing.assert_allclose(covariance(view["ica-nn"][2]), np.eye(10), atol=1e-6)  # whitened pool
+
+    @pytest.mark.parametrize(
+        "method,settings,per_episode",
+        [
+            ("nn,pca-nn,pca-bkm,ica-bkm", {}, 6),
+            ("nn,pca-nn,ica-nn,ica-msp", {}, 6),
+            ("bkm,msp,pca-bkm,pca-msp", {"mode": "semi", "unlabeled": 6, "distractors": 1}, 3),
+        ],
+    )
+    def test_each_subspace_is_applied_once_per_set(self, monkeypatch, method, settings, per_episode):
+        calls = []
+        original = SubspaceProjection.apply
+
+        def counted(self, X):
+            calls.append(X.shape)
+            return original(self, X)
+
+        monkeypatch.setattr(SubspaceProjection, "apply", counted)
+        run_benchmark(BenchmarkConfig(method=method, episodes=4, seed=0, **settings), store=noisy_store())
+        assert len(calls) == 4 * per_episode
 
 
 class TestHeadInvariance:
