@@ -60,11 +60,12 @@ def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.
     """k-means++-style greedy seeding: random first centroid, then repeatedly
     the point farthest from the chosen set.  Deterministic given the seed
     (argmax ties resolve to the lowest row index)."""
+    x_sq = (X * X).sum(axis=1)
     chosen = [int(rng.integers(X.shape[0]))]
-    min_sq = pairwise_sqdist(X, X[chosen[-1]][None, :])[:, 0]
+    min_sq = pairwise_sqdist(X, X[chosen[-1]][None, :], x_sq)[:, 0]
     while len(chosen) < k:
         chosen.append(int(np.argmax(min_sq)))
-        min_sq = np.minimum(min_sq, pairwise_sqdist(X, X[chosen[-1]][None, :])[:, 0])
+        min_sq = np.minimum(min_sq, pairwise_sqdist(X, X[chosen[-1]][None, :], x_sq)[:, 0])
     return X[chosen].copy()
 
 
@@ -85,22 +86,27 @@ def kmeans(pool, k: int, seed: int = 0) -> Clustering:
 
     rng = np.random.default_rng(seed)
     centroids = _farthest_point_init(pool, k, rng)
+    pool_sq = (pool * pool).sum(axis=1)
     assign = np.full(pool.shape[0], -1)
     for _ in range(KMEANS_MAX_ITER):
-        new_assign = np.argmin(pairwise_sqdist(pool, centroids), axis=1)
+        new_assign = np.argmin(pairwise_sqdist(pool, centroids, pool_sq), axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
+        # Members of each cluster as one contiguous run, in pool order, so
+        # each mean is bit-identical to the mean over a boolean mask.
+        members = pool[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(np.bincount(assign, minlength=k))
         for j in range(k):
-            members = assign == j
-            if members.any():
-                centroids[j] = pool[members].mean(axis=0)
+            start = ends[j - 1] if j else 0
+            if ends[j] > start:
+                centroids[j] = members[start : ends[j]].mean(axis=0)
             else:
                 # Re-seed an empty cluster at the point farthest from its
                 # assigned centroid; keeps every centroid meaningful.
                 to_own = ((pool - centroids[assign]) ** 2).sum(axis=1)
                 centroids[j] = pool[int(np.argmax(to_own))]
-    assign_probs = softmax_rows(-pairwise_sqdist(pool, centroids))
+    assign_probs = softmax_rows(-pairwise_sqdist(pool, centroids, pool_sq))
     return Clustering(k=k, centroids=centroids, assign_probs=assign_probs, meta=meta)
 
 
@@ -182,25 +188,26 @@ def msp(
     vectors = protos.vectors.copy()
     n_classes = protos.n
 
+    pool_sq = (pool * pool).sum(axis=1)
+    rows = np.arange(pool.shape[0])
     k_history: list[int] = []
     for _ in range(iterations):
-        sq = pairwise_sqdist(pool, vectors)
+        sq = pairwise_sqdist(pool, vectors, pool_sq)
         posterior = softmax_rows(-sq)
         predicted = np.argmin(sq, axis=1)  # == posterior argmax, ties to lowest class
-        confidence = posterior[np.arange(pool.shape[0]), predicted]
+        confidence = posterior[rows, predicted]
 
-        counts = np.array(
-            [int(((predicted == i) & (confidence > threshold)).sum()) for i in range(n_classes)]
-        )
+        counts = np.bincount(predicted[confidence > threshold], minlength=n_classes)
         k = int(counts.min())
         k_history.append(k)
         if k == 0:
             continue
+        # Grouped by predicted class; within a class by decreasing
+        # confidence, pool index breaking ties.
+        order = np.lexsort((rows, -confidence, predicted))
+        starts = np.searchsorted(predicted[order], np.arange(n_classes))
         for i in range(n_classes):
-            members = np.flatnonzero(predicted == i)
-            # Sort by decreasing confidence, pool index breaking ties.
-            order = members[np.lexsort((members, -posterior[members, i]))]
-            vectors[i] = pool[order[:k]].mean(axis=0)
+            vectors[i] = pool[order[starts[i] : starts[i] + k]].mean(axis=0)
 
     final = Prototypes(vectors=vectors, class_ids=protos.class_ids)
     predictions, posterior = nn_classify(queries, final)

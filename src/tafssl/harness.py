@@ -28,6 +28,7 @@ from tafssl.classify import build_prototypes, l2_normalize_rows, nn_classify
 from tafssl.cluster import BKM_DEFAULT_CLUSTERS, MSP_DEFAULT_ITERATIONS, MSP_DEFAULT_THRESHOLD, bkm, msp
 from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
 from tafssl.features_io import load_features
+from tafssl.linalg import set_blas_threads, single_blas_thread
 from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, SubspaceProjection, fit_ica
 
 __all__ = [
@@ -318,6 +319,9 @@ _POOL_STATE: dict = {}
 
 
 def _pool_init(store, config, pipelines):
+    # One BLAS thread per worker, for the worker's life; the parent warns
+    # once per run if BLAS cannot be pinned.
+    set_blas_threads(1)
     _POOL_STATE["args"] = (store, config, pipelines)
 
 
@@ -343,22 +347,25 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
     """Run every configured method over the episode batch; one report each.
 
     All methods see the same episodes (episode i is determined by (seed, i)
-    alone), so cross-method comparisons are paired.
+    alone), so cross-method comparisons are paired.  The episode loop, and
+    each pool worker, runs on one BLAS thread; the process's BLAS thread
+    count is restored when the run ends.
     """
     pipelines = config.pipelines()
     if store is None:
         store = load_store(config)
 
     indices = range(config.episodes)
-    if config.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=config.workers,
-            initializer=_pool_init,
-            initargs=(store, config, pipelines),
-        ) as pool:
-            results = list(pool.map(_pool_eval, indices, chunksize=max(1, config.episodes // (4 * config.workers))))
-    else:
-        results = [_run_one_episode(store, config, pipelines, i) for i in indices]
+    with single_blas_thread():
+        if config.workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=config.workers,
+                initializer=_pool_init,
+                initargs=(store, config, pipelines),
+            ) as pool:
+                results = list(pool.map(_pool_eval, indices, chunksize=max(1, config.episodes // (4 * config.workers))))
+        else:
+            results = [_run_one_episode(store, config, pipelines, i) for i in indices]
 
     results.sort(key=lambda r: r[0])
     acc = np.array([r[1] for r in results])  # episodes x methods

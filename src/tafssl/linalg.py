@@ -2,7 +2,8 @@
 
 Everything here operates on plain float64 numpy arrays and is a pure
 function of its inputs, so all routines are safe to call concurrently from
-parallel episode workers.
+parallel episode workers.  The exception is the BLAS thread control at the
+end (:func:`single_blas_thread`), which sets a process-wide count.
 
 Convention: covariances use the population divisor ``n`` (not ``n - 1``).
 Eigenvalues quoted anywhere in this package follow that convention, which
@@ -11,14 +12,25 @@ matters when comparing against per-dimension variances.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 
 __all__ = [
+    "BlasThreadWarning",
     "NumericalWarning",
     "as_matrix",
+    "blas_threads",
     "column_mean",
     "covariance",
     "pairwise_sqdist",
+    "set_blas_threads",
+    "single_blas_thread",
     "softmax_rows",
     "sym_eig",
 ]
@@ -100,15 +112,19 @@ def flip_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-def pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def pairwise_sqdist(A: np.ndarray, B: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between rows of ``A`` and rows of ``B``.
 
     Computed from the expansion |a|^2 - 2 a.b + |b|^2 with a clamp at zero,
-    so tiny negative values from cancellation never leak out.
+    so tiny negative values from cancellation never leak out.  ``a_sq`` is
+    ``A``'s squared row norms, ``(A * A).sum(axis=1)``, for callers that
+    measure many ``B`` against one ``A``; the result is bit-identical.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    sq = (A * A).sum(axis=1)[:, None] - 2.0 * (A @ B.T) + (B * B).sum(axis=1)[None, :]
+    if a_sq is None:
+        a_sq = (A * A).sum(axis=1)
+    sq = a_sq[:, None] - 2.0 * (A @ B.T) + (B * B).sum(axis=1)[None, :]
     return np.maximum(sq, 0.0)
 
 
@@ -118,3 +134,87 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+class BlasThreadWarning(RuntimeWarning):
+    """No OpenBLAS thread control was found; BLAS keeps its own thread count."""
+
+
+# (get, set) symbol pairs of the OpenBLAS builds numpy ships or links:
+# scipy-openblas wheels, ILP64 builds and plain builds.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_paths() -> list[str]:
+    """Candidate files of the OpenBLAS numpy loaded: the libraries its wheel
+    bundles, then any mapped into this process (where /proc lists them)."""
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+    paths += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as f:
+            paths += [line.split()[-1] for line in f if "openblas" in line.rsplit("/", 1)[-1]]
+    return list(dict.fromkeys(paths))
+
+
+@functools.cache
+def _find_blas():
+    """The (get, set) thread-count functions of the loaded OpenBLAS, or None.
+
+    Libraries are opened with ``RTLD_NOLOAD``, so only one already in the
+    process can match; nothing new is loaded.
+    """
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """The loaded OpenBLAS's thread count, or None when it is not controllable."""
+    blas = _find_blas()
+    return None if blas is None else int(blas[0]())
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Set the loaded OpenBLAS's thread count to ``n`` (process-wide) and
+    return the previous count; None, changing nothing, when no controllable
+    OpenBLAS is found."""
+    blas = _find_blas()
+    if blas is None:
+        return None
+    previous = int(blas[0]())
+    blas[1](n)
+    return previous
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block on one BLAS thread and restore the previous count on
+    exit, also when the block raises.
+
+    On the small matrices of an episode, a second BLAS thread only spins
+    beside the first, and in a process pool it competes with the other
+    workers.  Without a controllable OpenBLAS the block runs unchanged, with
+    a :class:`BlasThreadWarning`.
+    """
+    previous = set_blas_threads(1)
+    if previous is None:
+        warnings.warn("no controllable OpenBLAS found; BLAS keeps its own thread count", BlasThreadWarning, stacklevel=3)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)

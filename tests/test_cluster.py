@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from tafssl.classify import build_prototypes, nn_classify
-from tafssl.cluster import bkm, bkm_from_centroids, kmeans, msp
-from tafssl.linalg import NumericalWarning
+from tafssl.classify import Prototypes, build_prototypes, nn_classify
+from tafssl.cluster import KMEANS_MAX_ITER, _farthest_point_init, bkm, bkm_from_centroids, kmeans, msp
+from tafssl.linalg import NumericalWarning, as_matrix, softmax_rows
 
 
 def soft_nn_oracle(support, labels, queries, class_ids):
@@ -188,3 +188,184 @@ class TestMsp:
         res = msp(support, labels, queries, pool)
         np.testing.assert_allclose(res.posterior.sum(axis=1), 1.0, atol=1e-9)
         assert np.isfinite(res.posterior).all()
+
+
+# The k-means, seeding and MSP loops as they stood before the pool's row
+# norms were hoisted and the per-cluster / per-class mask loops replaced by
+# one sort.  Kept verbatim (with the distance helper they called) as the
+# oracle the rewrite must match bit for bit.
+def _ref_pairwise_sqdist(A, B):
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    sq = (A * A).sum(axis=1)[:, None] - 2.0 * (A @ B.T) + (B * B).sum(axis=1)[None, :]
+    return np.maximum(sq, 0.0)
+
+
+def _ref_farthest_point_init(X, k, rng):
+    chosen = [int(rng.integers(X.shape[0]))]
+    min_sq = _ref_pairwise_sqdist(X, X[chosen[-1]][None, :])[:, 0]
+    while len(chosen) < k:
+        chosen.append(int(np.argmax(min_sq)))
+        min_sq = np.minimum(min_sq, _ref_pairwise_sqdist(X, X[chosen[-1]][None, :])[:, 0])
+    return X[chosen].copy()
+
+
+def _ref_kmeans(pool, k, seed=0):
+    pool = as_matrix(pool, "pool")
+    meta = {}
+    if pool.shape[0] < k:
+        meta["k_reduced"] = {"requested": k, "used": pool.shape[0]}
+        k = pool.shape[0]
+
+    rng = np.random.default_rng(seed)
+    centroids = _ref_farthest_point_init(pool, k, rng)
+    assign = np.full(pool.shape[0], -1)
+    for _ in range(KMEANS_MAX_ITER):
+        new_assign = np.argmin(_ref_pairwise_sqdist(pool, centroids), axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                centroids[j] = pool[members].mean(axis=0)
+            else:
+                to_own = ((pool - centroids[assign]) ** 2).sum(axis=1)
+                centroids[j] = pool[int(np.argmax(to_own))]
+    assign_probs = softmax_rows(-_ref_pairwise_sqdist(pool, centroids))
+    return k, centroids, assign_probs, meta
+
+
+def _ref_msp(support, support_labels, queries, pool, threshold=0.3, iterations=4):
+    support = as_matrix(support, "support")
+    queries = as_matrix(queries, "queries")
+    pool = as_matrix(pool, "pool")
+    protos = build_prototypes(support, support_labels)
+    vectors = protos.vectors.copy()
+    n_classes = protos.n
+
+    k_history = []
+    for _ in range(iterations):
+        sq = _ref_pairwise_sqdist(pool, vectors)
+        posterior = softmax_rows(-sq)
+        predicted = np.argmin(sq, axis=1)
+        confidence = posterior[np.arange(pool.shape[0]), predicted]
+
+        counts = np.array(
+            [int(((predicted == i) & (confidence > threshold)).sum()) for i in range(n_classes)]
+        )
+        k = int(counts.min())
+        k_history.append(k)
+        if k == 0:
+            continue
+        for i in range(n_classes):
+            members = np.flatnonzero(predicted == i)
+            order = members[np.lexsort((members, -posterior[members, i]))]
+            vectors[i] = pool[order[:k]].mean(axis=0)
+
+    final = Prototypes(vectors=vectors, class_ids=protos.class_ids)
+    predictions, posterior = nn_classify(queries, final)
+    return vectors, protos.class_ids, posterior, predictions, k_history
+
+
+def _episode_sets(seed, n_pool, m, n_way=5, spread=1.0):
+    """A 1-shot episode whose pool holds the supports plus class-drawn rows."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, spread, size=(n_way, m))
+    support = means + rng.normal(size=(n_way, m))
+    labels = np.arange(n_way) * 3 + 1  # class ids that are not 0..n-1
+    queries = means[rng.integers(n_way, size=40)] + rng.normal(size=(40, m))
+    rest = means[rng.integers(n_way, size=n_pool - n_way)] + rng.normal(size=(n_pool - n_way, m))
+    return support, labels, queries, np.vstack([support, rest])
+
+
+def _mirrored_pairs(seed):
+    """Supports with last coordinate 0, and a pool of row pairs that differ
+    only in that coordinate's sign, each pair also present twice: every
+    pool row ties exactly in confidence with its mirror, and only the pool
+    index decides which of the two a top-K cut keeps."""
+    rng = np.random.default_rng(seed)
+    support = np.hstack([rng.normal(0.0, 2.0, size=(3, 3)), np.zeros((3, 1))])
+    base = support[rng.integers(3, size=15)] + np.hstack([rng.normal(size=(15, 3)), rng.uniform(0.5, 1.5, size=(15, 1))])
+    mirror = base * np.array([1.0, 1.0, 1.0, -1.0])
+    pool = np.vstack([support, np.repeat(np.stack([base, mirror], axis=1).reshape(30, 4), 2, axis=0)])
+    return support, np.arange(3), base[:6], pool
+
+
+ORACLE_SHAPES = [(805, 64), (805, 4), (80, 10), (80, 1024)]
+
+
+class TestMatchesLoopReference:
+    """kmeans, its seeding and msp are bit-identical to the loops above."""
+
+    def assert_kmeans_matches(self, pool, k, seed):
+        got = kmeans(pool, k, seed=seed)
+        ref_k, centroids, assign_probs, meta = _ref_kmeans(pool, k, seed=seed)
+        assert got.k == ref_k
+        assert np.array_equal(got.centroids, centroids)
+        assert np.array_equal(got.assign_probs, assign_probs)
+        assert got.meta == meta
+
+    def assert_msp_matches(self, support, labels, queries, pool, **kwargs):
+        got = msp(support, labels, queries, pool, **kwargs)
+        vectors, class_ids, posterior, predictions, k_history = _ref_msp(support, labels, queries, pool, **kwargs)
+        assert np.array_equal(got.prototypes, vectors)
+        assert np.array_equal(got.class_ids, class_ids)
+        assert np.array_equal(got.posterior, posterior)
+        assert np.array_equal(got.predictions, predictions)
+        assert got.k_history == k_history
+        return got
+
+    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_kmeans(self, n, m, k):
+        for seed in range(3):
+            pool = _episode_sets((n, m, seed), n, m, spread=2.0)[3]
+            self.assert_kmeans_matches(pool, k, seed=(seed, 2))
+
+    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
+    def test_farthest_point_init(self, n, m):
+        pool = _episode_sets((n, m), n, m)[3]
+        got = _farthest_point_init(pool, 7, np.random.default_rng(4))
+        assert np.array_equal(got, _ref_farthest_point_init(pool, 7, np.random.default_rng(4)))
+
+    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
+    @pytest.mark.parametrize("threshold", [0.3, 0.9])
+    def test_msp(self, n, m, threshold):
+        for seed in range(3):
+            sets = _episode_sets((n, m, seed), n, m, spread=0.3)
+            self.assert_msp_matches(*sets, threshold=threshold)
+
+    def test_kmeans_on_fewer_rows_than_k(self):
+        pool = _episode_sets(5, 5, 3)[3][:3]
+        self.assert_kmeans_matches(pool, 5, seed=1)
+        assert kmeans(pool, 5, seed=1).meta["k_reduced"] == {"requested": 5, "used": 3}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kmeans_reseeds_empty_clusters(self, seed):
+        # Fewer distinct rows than k: seeding repeats a row, so the later
+        # copies of a centroid own no row and take the re-seed branch.
+        rng = np.random.default_rng(seed)
+        for distinct in (2, 3):
+            pool = rng.normal(size=(distinct, 6))[rng.integers(distinct, size=30)]
+            self.assert_kmeans_matches(pool, 5, seed=seed)
+
+    def test_msp_breaks_confidence_ties_by_pool_index(self):
+        differs = []
+        for seed in range(6):
+            support, labels, queries, pool = _mirrored_pairs(seed)
+            got = self.assert_msp_matches(support, labels, queries, pool, iterations=1)
+            # Swapping the rows of each mirrored pair moves every tie.
+            swapped = np.vstack([pool[:3], pool[3:].reshape(15, 2, 2, 4)[:, ::-1].reshape(60, 4)])
+            moved = self.assert_msp_matches(support, labels, queries, swapped, iterations=1)
+            differs.append(not np.array_equal(got.prototypes, moved.prototypes))
+        # Where a top-K cut splits a tied group, the pool index decides it
+        # and the prototypes differ; the seeds include such cuts.
+        assert any(differs)
+
+    def test_msp_keeps_prototypes_through_zero_rounds(self):
+        # 1.0 is out of reach; 0.9 is not, but one class of this pool has no row above it.
+        sets = _episode_sets(7, 80, 10, spread=0.3)
+        assert self.assert_msp_matches(*sets, threshold=1.0).k_history == [0, 0, 0, 0]
+        sets = _episode_sets(7, 80, 4, spread=0.5)
+        assert self.assert_msp_matches(*sets, threshold=0.9).k_history == [0, 0, 0, 0]

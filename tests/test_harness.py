@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,8 @@ from tafssl.harness import (
     run_benchmark,
     write_csv,
 )
-from tafssl.linalg import covariance
+from tafssl import linalg
+from tafssl.linalg import BlasThreadWarning, blas_threads, covariance, set_blas_threads
 from tafssl.subspace import SubspaceProjection
 
 
@@ -366,6 +368,92 @@ class TestHeadInvariance:
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
             after = evaluate_episode(moved, pipe, seed=(seed, 0))
             assert np.array_equal(before, after), head
+
+
+class TestClassRelabelling:
+    """Every head's decisions follow any relabelling of the class ids: the
+    class-keyed sorts and tables inside the heads carry no label order."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.integers(2, 12),
+        st.integers(0, 4),
+    )
+    def test_predictions_permute_with_the_labels(self, seed, n_way, k_shot, queries, m, unlabeled):
+        rng = np.random.default_rng(seed)
+        means = rng.normal(0.0, 2.0, size=(n_way, m))
+        ids = np.sort(rng.choice(100, size=n_way, replace=False))
+        relabel = dict(zip(ids.tolist(), rng.permutation(ids).tolist()))
+
+        def draw(per_class):
+            index = np.repeat(np.arange(n_way), per_class)
+            return means[index] + rng.normal(size=(index.size, m)), ids[index]
+
+        support, support_labels = draw(k_shot)
+        query, query_labels = draw(queries)
+        pool_extra, pool_labels = draw(unlabeled)
+        ep = Episode(support, support_labels, query, query_labels, pool_extra, pool_labels, ids.tolist())
+        relabelled = replace(ep, support_labels=np.array([relabel[c] for c in support_labels.tolist()]))
+        for head in ("nn", "bkm", "msp"):
+            pipe = parse_method(head)
+            before = evaluate_episode(ep, pipe, seed=(seed, 0))
+            after = evaluate_episode(relabelled, pipe, seed=(seed, 0))
+            assert np.array_equal(after, [relabel[c] for c in before.tolist()]), head
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Start the test at two BLAS threads, so a pin to one shows; restore after."""
+    if blas_threads() is None:
+        pytest.skip("no controllable OpenBLAS")
+    original = set_blas_threads(2)
+    yield 2
+    set_blas_threads(original)
+
+
+class TestBlasThreads:
+    """The episode loop runs on one BLAS thread and leaves the count as found."""
+
+    def test_loop_runs_on_one_thread_and_restores(self, monkeypatch, two_blas_threads):
+        seen = []
+        original = harness.evaluate_episode
+
+        def recording(*args, **kwargs):
+            seen.append(blas_threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_episode", recording)
+        run_benchmark(BenchmarkConfig(method="nn,msp", episodes=3, seed=0), store=noisy_store())
+        assert seen and set(seen) == {1}
+        assert blas_threads() == two_blas_threads
+
+    def test_restores_after_an_episode_raises(self, monkeypatch, two_blas_threads):
+        def failing(*args, **kwargs):
+            raise RuntimeError("episode failed")
+
+        monkeypatch.setattr(harness, "evaluate_episode", failing)
+        with pytest.raises(RuntimeError, match="episode failed"):
+            run_benchmark(BenchmarkConfig(method="nn", episodes=3, seed=0), store=noisy_store())
+        assert blas_threads() == two_blas_threads
+
+    def test_pool_worker_runs_on_one_thread(self, two_blas_threads):
+        cfg = BenchmarkConfig(method="nn", episodes=2)
+        with ProcessPoolExecutor(max_workers=1, initializer=harness._pool_init, initargs=(noisy_store(), cfg, cfg.pipelines())) as pool:
+            assert pool.submit(blas_threads).result() == 1
+
+    def test_no_controllable_blas_warns_once_and_changes_nothing(self, monkeypatch):
+        cfg = BenchmarkConfig(method="nn,bkm,msp", episodes=4, seed=3)
+        expected = run_benchmark(cfg, store=noisy_store())
+        monkeypatch.setattr(linalg, "_find_blas", lambda: None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run_benchmark(cfg, store=noisy_store())
+        assert [w.category for w in caught] == [BlasThreadWarning]
+        assert [(r.accuracy, r.ci95, r.metadata) for r in got] == [(r.accuracy, r.ci95, r.metadata) for r in expected]
 
 
 class TestSweeps:

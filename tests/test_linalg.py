@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from tafssl.linalg import as_matrix, column_mean, covariance, pairwise_sqdist, softmax_rows, sym_eig
+from tafssl import linalg
+from tafssl.linalg import (
+    BlasThreadWarning,
+    as_matrix,
+    blas_threads,
+    column_mean,
+    covariance,
+    pairwise_sqdist,
+    set_blas_threads,
+    single_blas_thread,
+    softmax_rows,
+    sym_eig,
+)
 
 
 def cov_bruteforce(X):
@@ -121,6 +133,11 @@ class TestHelpers:
         X = np.tile([[1e8, -1e8]], (3, 1))
         assert pairwise_sqdist(X, X).min() >= 0.0
 
+    def test_pairwise_sqdist_with_given_row_norms_is_bit_identical(self):
+        rng = np.random.default_rng(6)
+        A, B = rng.standard_normal((80, 10)), rng.standard_normal((5, 10))
+        assert np.array_equal(pairwise_sqdist(A, B, (A * A).sum(axis=1)), pairwise_sqdist(A, B))
+
     def test_softmax_rows(self):
         P = softmax_rows(np.array([[0.0, 0.0], [1000.0, 0.0]]))
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
@@ -130,3 +147,41 @@ class TestHelpers:
     def test_as_matrix_rejects_1d(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             as_matrix([1.0, 2.0])
+
+
+class TestSingleBlasThread:
+    @pytest.fixture
+    def start(self):
+        if blas_threads() is None:
+            pytest.skip("no controllable OpenBLAS")
+        original = set_blas_threads(2)
+        yield 2
+        set_blas_threads(original)
+
+    def test_pins_one_thread_and_restores(self, start):
+        with single_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == start
+
+    def test_restores_when_the_block_raises(self, start):
+        with pytest.raises(KeyError):
+            with single_blas_thread():
+                raise KeyError("boom")
+        assert blas_threads() == start
+
+    def test_nested_blocks_restore_the_outer_count(self, start):
+        with single_blas_thread():
+            with single_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == start
+
+    def test_without_openblas_warns_and_runs_the_block(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_find_blas", lambda: None)
+        ran = False
+        with pytest.warns(BlasThreadWarning, match="no controllable OpenBLAS"):
+            with single_blas_thread():
+                ran = True
+        assert ran
+        assert blas_threads() is None
+        assert set_blas_threads(1) is None
