@@ -53,12 +53,16 @@ def build_prototypes(support, labels, class_ids=None) -> Prototypes:
         class_ids = np.unique(labels)
     else:
         class_ids = np.asarray(sorted(class_ids))
+    # Rows grouped by class, in row order: each run averages as its boolean-mask selection.
+    order = np.argsort(labels, kind="stable")
+    grouped, sorted_labels = support[order], labels[order]
+    starts = np.searchsorted(sorted_labels, class_ids, side="left")
+    ends = np.searchsorted(sorted_labels, class_ids, side="right")
     vectors = np.empty((len(class_ids), support.shape[1]))
-    for i, cid in enumerate(class_ids):
-        mask = labels == cid
-        if not mask.any():
+    for i, (cid, start, end) in enumerate(zip(class_ids, starts, ends)):
+        if start == end:
             raise ValueError(f"class {cid} has no support samples")
-        vectors[i] = support[mask].mean(axis=0)
+        vectors[i] = grouped[start:end].mean(axis=0)
     return Prototypes(vectors=vectors, class_ids=class_ids)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,12 +38,17 @@ KMEANS_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class Clustering:
-    """Hard k-means centroids plus soft membership probabilities."""
+    """Hard k-means centroids of ``pool``, plus its soft memberships, computed on first read."""
 
     k: int
     centroids: np.ndarray
-    assign_probs: np.ndarray
+    pool: np.ndarray = field(repr=False)
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def assign_probs(self) -> np.ndarray:
+        """softmax(-d^2) of the pool rows against the centroids; ``bkm`` never reads it."""
+        return softmax_rows(-pairwise_sqdist(self.pool, self.centroids))
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,8 @@ def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def kmeans(pool, k: int, seed: int = 0) -> Clustering:
-    """Hard Lloyd iterations to an assignment fixpoint (at most 100 rounds),
-    followed by a soft assignment softmax(-d^2) against the final centroids.
+    """Hard Lloyd iterations to an assignment fixpoint (at most 100 rounds);
+    the result's ``assign_probs`` soft-assigns the pool to the final centroids.
 
     If the pool has fewer than ``k`` rows, k is reduced to the row count and
     the reduction recorded in ``meta``.
@@ -106,8 +112,7 @@ def kmeans(pool, k: int, seed: int = 0) -> Clustering:
                 # assigned centroid; keeps every centroid meaningful.
                 to_own = ((pool - centroids[assign]) ** 2).sum(axis=1)
                 centroids[j] = pool[int(np.argmax(to_own))]
-    assign_probs = softmax_rows(-pairwise_sqdist(pool, centroids, pool_sq))
-    return Clustering(k=k, centroids=centroids, assign_probs=assign_probs, meta=meta)
+    return Clustering(k=k, centroids=centroids, pool=pool, meta=meta)
 
 
 def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarray:
@@ -123,18 +128,22 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
     queries = as_matrix(queries, "queries")
     centroids = as_matrix(centroids, "centroids")
     labels = np.asarray(support_labels)
-    class_ids = np.unique(labels)
+    class_ids, counts = np.unique(labels, return_counts=True)
 
-    member_q = softmax_rows(-pairwise_sqdist(queries, centroids))  # queries x k
+    q_sq = (queries * queries).sum(axis=1)
+    member_q = softmax_rows(-pairwise_sqdist(queries, centroids, q_sq))  # queries x k
     member_s = softmax_rows(-pairwise_sqdist(support, centroids))  # supports x k
 
     # Support affinities exp(-d^2), max-subtracted per query; the common
     # factor cancels in the conditional ratio so this is exact.
-    neg_sq = -pairwise_sqdist(queries, support)
+    neg_sq = -pairwise_sqdist(queries, support, q_sq)
     affinity = np.exp(neg_sq - neg_sq.max(axis=1, keepdims=True))  # queries x supports
 
     denom = affinity @ member_s  # queries x k
-    numer = np.stack([affinity[:, labels == cid] @ member_s[labels == cid] for cid in class_ids], axis=1)
+    # Supports grouped by class, in row order: each slice is its class's boolean-mask selection.
+    order = np.argsort(labels, kind="stable")
+    affinity, member_s, ends = affinity[:, order], member_s[order], np.cumsum(counts)
+    numer = np.stack([affinity[:, e - c : e] @ member_s[e - c : e] for c, e in zip(counts, ends)], axis=1)
     # queries x classes x k
 
     degenerate = denom <= 0.0

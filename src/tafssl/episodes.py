@@ -18,7 +18,8 @@ that makes signal dimensions class-discriminative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +128,14 @@ class Episode:
     unlabeled_labels: np.ndarray
     class_ids: list[int]
 
+    @cached_property
+    def pool(self) -> np.ndarray:
+        """Support rows, then queries (transductive) or unlabeled rows (semi).
+        A sampled episode's sets are row views of this buffer; any other
+        episode (``dataclasses.replace`` too) stacks its own on first read."""
+        rest = self.query if self.unlabeled.shape[0] == 0 else self.unlabeled
+        return np.vstack([self.support, rest])
+
 
 @dataclass(frozen=True)
 class MoGSpec:
@@ -209,7 +218,9 @@ def sample_episode(store: FeatureStore, spec: EpisodeSpec) -> Episode:
     The seed feeds two independent streams: one for class choice and
     per-class sample permutations, one for the unbalanced extra-query
     draws.  Runs differing only in ``unbalanced_r`` therefore share classes
-    and support samples, and their per-class query sets are nested.
+    and support samples, and their per-class query sets are nested.  Rows
+    are gathered straight into the :attr:`Episode.pool` buffer; semi-mode
+    queries get a buffer of their own.
     """
     structure, unbalance = [np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(2)]
     all_ids = sorted(store.classes)
@@ -220,42 +231,44 @@ def sample_episode(store: FeatureStore, spec: EpisodeSpec) -> Episode:
     task_ids = [all_ids[i] for i in chosen[: spec.n_way]]
     distractor_ids = [all_ids[i] for i in chosen[spec.n_way :]]
 
-    sup, squery, unlab = [], [], []
-    sup_y, query_y, unlab_y = [], [], []
-    for local, cid in enumerate(task_ids):
+    u = spec.unlabeled_per_class  # 0 in transductive mode
+    sup, squery, unlab = [], [], []  # (class rows, row indices) per class, task classes first
+    for i, cid in enumerate(task_ids + distractor_ids):
         X = store.classes[cid]
         perm = structure.permutation(X.shape[0])
-        n_q = spec.queries_per_class
-        if spec.unbalanced_r:
+        k, n_q = (spec.k_shot, spec.queries_per_class) if i < spec.n_way else (0, 0)  # distractors: unlabeled only
+        if i < spec.n_way and spec.unbalanced_r:
             n_q += int(unbalance.integers(0, spec.unbalanced_r + 1))
-        need = spec.k_shot + n_q + (spec.unlabeled_per_class if spec.mode == "semi" else 0)
-        if X.shape[0] < need:
-            raise ValueError(f"class {cid}: episode needs {need} samples, class has {X.shape[0]}")
-        sup.append(X[perm[: spec.k_shot]])
-        sup_y.append(np.full(spec.k_shot, local))
-        squery.append(X[perm[spec.k_shot : spec.k_shot + n_q]])
-        query_y.append(np.full(n_q, local))
-        if spec.mode == "semi":
-            unlab.append(X[perm[spec.k_shot + n_q : need]])
-            unlab_y.append(np.full(spec.unlabeled_per_class, local))
-    for cid in distractor_ids:
-        X = store.classes[cid]
-        perm = structure.permutation(X.shape[0])
-        if X.shape[0] < spec.unlabeled_per_class:
-            raise ValueError(f"class {cid}: episode needs {spec.unlabeled_per_class} samples, class has {X.shape[0]}")
-        unlab.append(X[perm[: spec.unlabeled_per_class]])
-        unlab_y.append(np.full(spec.unlabeled_per_class, DISTRACTOR_LABEL))
+        if X.shape[0] < k + n_q + u:
+            raise ValueError(f"class {cid}: episode needs {k + n_q + u} samples, class has {X.shape[0]}")
+        sup.append((X, perm[:k]))
+        squery.append((X, perm[k : k + n_q]))
+        unlab.append((X, perm[k + n_q : k + n_q + u]))
 
-    empty = np.empty((0, store.m))
-    return Episode(
-        support=np.vstack(sup),
-        support_labels=np.concatenate(sup_y),
-        query=np.vstack(squery),
-        query_labels=np.concatenate(query_y),
-        unlabeled=np.vstack(unlab) if unlab else empty,
-        unlabeled_labels=np.concatenate(unlab_y) if unlab_y else np.empty(0, dtype=int),
+    semi = spec.mode == "semi"
+    n_s = spec.n_way * spec.k_shot
+    pool = _gather(sup + (unlab if semi else squery), store.m)
+    class_labels = np.concatenate([np.arange(spec.n_way), np.full(len(distractor_ids), DISTRACTOR_LABEL)])
+    episode = Episode(
+        support=pool[:n_s],
+        support_labels=np.repeat(class_labels, [idx.size for _, idx in sup]),
+        query=_gather(squery, store.m) if semi else pool[n_s:],
+        query_labels=np.repeat(class_labels, [idx.size for _, idx in squery]),
+        unlabeled=pool[n_s:] if semi else np.empty((0, store.m)),
+        unlabeled_labels=np.repeat(class_labels, [idx.size for _, idx in unlab]),
         class_ids=task_ids,
     )
+    object.__setattr__(episode, "pool", pool)  # seeds the cached property
+    return episode
+
+
+def _gather(parts, m: int) -> np.ndarray:
+    """Copy each (class rows, row indices) part into consecutive rows of one new buffer."""
+    out = np.empty((sum(idx.size for _, idx in parts), m))
+    for (X, idx), end in zip(parts, np.cumsum([idx.size for _, idx in parts])):
+        # "clip" never clips a permutation's indices; it lets numpy write into ``out`` directly.
+        np.take(X, idx, axis=0, out=out[end - idx.size : end], mode="clip")
+    return out
 
 
 def _entropy(counts: np.ndarray) -> float:

@@ -29,14 +29,14 @@ from tafssl.cluster import BKM_DEFAULT_CLUSTERS, MSP_DEFAULT_ITERATIONS, MSP_DEF
 from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
 from tafssl.features_io import load_features
 from tafssl.linalg import set_blas_threads, single_blas_thread
-from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, SubspaceProjection, fit_ica
+# ``fit_ica`` is not called here; perfbench's tracer test patches it as ``harness.fit_ica``.
+from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, fit_ica
 
 __all__ = [
     "BenchmarkConfig",
     "EpisodeProjections",
     "METHODS",
     "MethodPipeline",
-    "ROTATION_INVARIANT_HEADS",
     "RunReport",
     "SWEEP_VALUES",
     "boolean",
@@ -50,21 +50,23 @@ __all__ = [
     "write_csv",
 ]
 
-# CLI method name -> (projection, preprocessing, inference head).
+# CLI method name -> (projection, preprocessing, inference head).  ``ica-*``
+# whitens: FastICA's unmixing only rotates the whitened pool (Hyvarinen & Oja
+# 2000), and every head decides from distances and means, which no rotation changes.
 METHODS = {
     "nn": ("none", "none", "nn"),
     "sub": ("none", "sub", "nn"),
     "sub-star": ("none", "sub_star", "nn"),
     "pca-nn": ("pca", "none", "nn"),
-    "ica-nn": ("ica", "none", "nn"),
+    "ica-nn": ("whiten", "none", "nn"),
     "pca-bkm": ("pca", "none", "bkm"),
-    "ica-bkm": ("ica", "none", "bkm"),
+    "ica-bkm": ("whiten", "none", "bkm"),
     "pca-msp": ("pca", "none", "msp"),
-    "ica-msp": ("ica", "none", "msp"),
+    "ica-msp": ("whiten", "none", "msp"),
     "bkm": ("none", "none", "bkm"),
     "msp": ("none", "none", "msp"),
 }
-_DEFAULT_DIMS = {"pca": PCA_DEFAULT_DIM, "ica": ICA_DEFAULT_DIM}
+_DEFAULT_DIMS = {"pca": PCA_DEFAULT_DIM, "whiten": ICA_DEFAULT_DIM}
 
 SWEEP_VALUES = {
     "queries": [2, 5, 10, 15, 20, 30, 50],
@@ -82,7 +84,7 @@ class MethodPipeline:
     """One classification pipeline: projection, preprocessing, inference."""
 
     name: str
-    projection: str = "none"  # none | pca | ica
+    projection: str = "none"  # none | pca | whiten
     r: int | None = None
     preproc: str = "none"  # none | sub | sub_star
     inference: str = "nn"  # nn | bkm | msp
@@ -187,55 +189,44 @@ def _confidence_interval(per_episode: np.ndarray) -> tuple[float, float]:
     return mean, half
 
 
-# Inference heads whose decisions see the subspace only through distances
-# and means, so that no orthogonal rotation of it can change them.  FastICA's
-# unmixing is such a rotation of the whitened pool (symmetric decorrelation,
-# Hyvarinen & Oja 2000), so ``ica-*`` pipelines with these heads whiten and
-# stop there.  A head that is not rotation-invariant (one that ranks or
-# selects components, say) must stay out of this set, which sends its
-# ``ica-*`` pipelines back through the full ``fit_ica``.
-ROTATION_INVARIANT_HEADS = frozenset({"nn", "bkm", "msp"})
-
-
 class EpisodeProjections:
     """One episode's sets and every subspace view of them.
 
     :meth:`view` hands a pipeline the (support, queries, pool) its head
-    sees: the raw sets when it does not project, otherwise the sets mapped
-    into its subspace.  The pool is decomposed once, the first time a
-    pipeline projects, to the largest dimension any of ``pipelines`` asks
-    for; each (projection, r) subspace is then fitted once and applied once
-    to each set, and every pipeline that shares it shares its view.
-    ``seed`` is the episode's seed, which seeds a full ``fit_ica``.  Nothing
-    outlives the episode.
+    sees: the raw sets (the pool is the episode's own buffer) when it does
+    not project, otherwise the sets mapped into its subspace.  The first
+    pipeline that projects decomposes the pool, to the largest r any of
+    ``pipelines`` asks for, and centers each set once: S, and Q in
+    transductive mode, are row slices of the centered pool.  A (projection,
+    r) view is then one product per set, shared by every pipeline using it.
     """
 
-    def __init__(self, episode: Episode, pipelines, seed):
-        rest = episode.query if episode.unlabeled.shape[0] == 0 else episode.unlabeled
-        self.raw = (episode.support, episode.query, np.vstack([episode.support, rest]))
+    def __init__(self, episode: Episode, pipelines):
+        self.raw = (episode.support, episode.query, episode.pool)
+        self.transductive = episode.unlabeled.shape[0] == 0
         self.r_max = max((p.r for p in pipelines if p.projection != "none"), default=0)
-        self.seed = seed
         self._decomposition: PoolDecomposition | None = None
+        self._centered: tuple = ()
         self._views: dict = {}
 
     def view(self, pipeline: MethodPipeline) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if pipeline.projection == "none":
             return self.raw
-        kind = pipeline.projection
-        if kind == "ica" and pipeline.inference in ROTATION_INVARIANT_HEADS:
-            kind = "whiten"
-        key = (kind, pipeline.r)
+        key = (pipeline.projection, pipeline.r)
         if key not in self._views:
-            fit = self._fit(kind, pipeline.r)
-            self._views[key] = tuple(fit.apply(X) for X in self.raw)
+            decomposition = self._decompose()
+            fit = decomposition.pca(pipeline.r) if pipeline.projection == "pca" else decomposition.whitening(pipeline.r)
+            # One product per set: rows sliced from the projected pool differ in the last bits.
+            self._views[key] = tuple(X @ fit.W.T for X in self._centered)
         return self._views[key]
 
-    def _fit(self, kind: str, r: int) -> SubspaceProjection:
-        if kind == "ica":
-            return fit_ica(self.raw[2], r, seed=_derive_seed(self.seed, 1))
+    def _decompose(self) -> PoolDecomposition:
         if self._decomposition is None:
-            self._decomposition = PoolDecomposition(self.raw[2], self.r_max)
-        return self._decomposition.pca(r) if kind == "pca" else self._decomposition.whitening(r)
+            S, Q, pool = self.raw
+            d = self._decomposition = PoolDecomposition(pool, self.r_max)
+            n_s = S.shape[0]
+            self._centered = (d.centered[:n_s], d.centered[n_s:] if self.transductive else d.center(Q), d.centered)
+        return self._decomposition
 
 
 def _preprocess(S: np.ndarray, Q: np.ndarray, pipeline: MethodPipeline) -> tuple[np.ndarray, np.ndarray]:
@@ -276,12 +267,12 @@ def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, project
     The stages are project (the pipeline's view of the episode), preprocess
     (sub/sub-star) and infer (the head).  Query labels are deliberately
     absent from this path: scoring happens in the caller.  ``seed`` feeds
-    the seeded stages (ICA init, k-means init).  Pipelines run on the same
-    episode share its ``projections``, made for that episode and seed;
-    without them the pipeline fits its own.
+    the seeded stage (k-means init).  Pipelines run on the same episode
+    share its ``projections``, made for that episode; without them the
+    pipeline fits its own.
     """
     if projections is None:
-        projections = EpisodeProjections(episode, [pipeline], seed)
+        projections = EpisodeProjections(episode, [pipeline])
     S, Q, pool = projections.view(pipeline)
     S, Q = _preprocess(S, Q, pipeline)
     return _infer(S, episode.support_labels, Q, pool, pipeline, seed)
@@ -302,7 +293,7 @@ def _run_one_episode(store, config: BenchmarkConfig, pipelines, index: int):
     """
     episode = sample_episode(store, config.episode_spec(index))
     seed = (config.seed, index)
-    projections = EpisodeProjections(episode, pipelines, seed)
+    projections = EpisodeProjections(episode, pipelines)
     accs, times, warns = [], [], []
     for pipeline in pipelines:
         with warnings.catch_warnings(record=True) as caught:
@@ -384,13 +375,7 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
                 ci95=half,
                 seconds_per_episode=float(times[:, j].mean()),
                 metadata={
-                    "seed": config.seed,
-                    "ways": config.ways,
-                    "shots": config.shots,
-                    "queries": config.queries,
-                    "unlabeled": config.unlabeled,
-                    "distractors": config.distractors,
-                    "unbalanced_r": config.unbalanced_r,
+                    **{key: getattr(config, key) for key in ("seed", *_PROTOCOL_FIELDS)},
                     "dim": pipeline.r,
                     "warnings": int(warns[:, j].sum()),
                 },
@@ -518,23 +503,9 @@ def format_reports(table: list[tuple[int | None, list[RunReport]]], sweep: str |
     return "\n".join(lines)
 
 
-CSV_COLUMNS = [
-    "sweep",
-    "value",
-    "method",
-    "mode",
-    "ways",
-    "shots",
-    "queries",
-    "unlabeled",
-    "distractors",
-    "unbalanced_r",
-    "episodes",
-    "seed",
-    "dim",
-    "accuracy",
-    "ci95",
-]
+# BenchmarkConfig fields copied into every report's metadata and CSV row.
+_PROTOCOL_FIELDS = ("ways", "shots", "queries", "unlabeled", "distractors", "unbalanced_r")
+CSV_COLUMNS = ["sweep", "value", "method", "mode", *_PROTOCOL_FIELDS, "episodes", "seed", "dim", "accuracy", "ci95"]
 
 
 def write_csv(path, table: list[tuple[int | None, list[RunReport]]], sweep: str | None = None) -> None:
@@ -546,23 +517,15 @@ def write_csv(path, table: list[tuple[int | None, list[RunReport]]], sweep: str 
         writer.writerow(CSV_COLUMNS)
         for value, reports in table:
             for rep in reports:
-                md = rep.metadata
-                writer.writerow(
-                    [
-                        sweep or "",
-                        "" if value is None else value,
-                        rep.method,
-                        rep.mode,
-                        md["ways"],
-                        md["shots"],
-                        md["queries"],
-                        md["unlabeled"],
-                        md["distractors"],
-                        md["unbalanced_r"],
-                        rep.episodes,
-                        md["seed"],
-                        "" if md["dim"] is None else md["dim"],
-                        f"{rep.accuracy:.6f}",
-                        f"{rep.ci95:.6f}",
-                    ]
-                )
+                row = {
+                    **rep.metadata,
+                    "sweep": sweep or "",
+                    "value": "" if value is None else value,
+                    "method": rep.method,
+                    "mode": rep.mode,
+                    "episodes": rep.episodes,
+                    "dim": "" if rep.metadata["dim"] is None else rep.metadata["dim"],
+                    "accuracy": f"{rep.accuracy:.6f}",
+                    "ci95": f"{rep.ci95:.6f}",
+                }
+                writer.writerow([row[column] for column in CSV_COLUMNS])

@@ -94,8 +94,8 @@ def _decomposition_method(n: int, m: int) -> str:
     return "svd"
 
 
-def _decompose(X: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center ``X`` and return (mean, eigenvalues desc, leading axes as rows).
+def _decompose(Xc: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Return (eigenvalues desc, leading axes as rows) of the centered pool ``Xc``.
 
     The eigenvalues are all min(n, m) eigenvalues of the divisor-n
     covariance.  At most ``r`` sign-fixed principal axes are returned; the
@@ -106,9 +106,7 @@ def _decompose(X: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     * ``scatter``: ``eigh`` of the m x m scatter matrix;
     * ``svd``: thin SVD of the centered pool.
     """
-    n, m = X.shape
-    mean = X.mean(axis=0)
-    Xc = X - mean
+    n, m = Xc.shape
     method = _decomposition_method(n, m)
     if method == "svd":
         _, svals, vt = np.linalg.svd(Xc, full_matrices=False)
@@ -125,7 +123,7 @@ def _decompose(X: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
             vecs = (Xc.T @ V[:, :k]) / np.sqrt(w[:k])
         else:
             vecs = V[:, :r]
-    return mean, w[: min(n, m)] / n, flip_signs(vecs).T
+    return w[: min(n, m)] / n, flip_signs(vecs).T
 
 
 def _effective_dim(requested: int, n_rows: int, meta: dict) -> int:
@@ -145,10 +143,11 @@ def _effective_dim(requested: int, n_rows: int, meta: dict) -> int:
 class PoolDecomposition:
     """One decomposition of a sample pool, shared by all of its projections.
 
-    Holds the pool mean, the descending covariance eigenvalues and the
-    leading sign-fixed principal axes, up to the ``r`` it was built for.
-    :meth:`pca` and :meth:`whitening` then build a projection of any
-    dimension up to ``r`` without touching the pool again.
+    Holds the pool mean, the centered pool, the descending covariance
+    eigenvalues and the leading sign-fixed principal axes, up to the ``r``
+    it was built for.  :meth:`pca` and :meth:`whitening` then build a
+    projection of any dimension up to ``r`` without touching the pool
+    again; ``centered @ P.W.T`` is ``P.apply(pool)`` bit for bit.
     """
 
     def __init__(self, X, r: int):
@@ -156,7 +155,16 @@ class PoolDecomposition:
         if X.shape[0] < 2:
             raise ValueError("insufficient samples")
         self.n_rows = X.shape[0]
-        self.mean, self.eigenvalues, self.axes = _decompose(X, r)
+        self.mean = X.mean(axis=0)
+        self.centered = X - self.mean
+        self.eigenvalues, self.axes = _decompose(self.centered, r)
+
+    def center(self, X) -> np.ndarray:
+        """Rows of ``X`` minus the pool mean, checked as ``SubspaceProjection.apply`` does."""
+        X = as_matrix(X)
+        if X.shape[1] != self.mean.shape[0]:
+            raise ValueError(f"dimension mismatch: the pool has {self.mean.shape[0]} columns, got {X.shape[1]}")
+        return X - self.mean
 
     def pca(self, r: int) -> SubspaceProjection:
         """What ``fit_pca(pool, r)`` returns."""

@@ -162,3 +162,43 @@ class TestCenterAndNormalize:
             Y = l2_normalize_rows(X)
         np.testing.assert_allclose(Y[0], [0.6, 0.8])
         np.testing.assert_allclose(Y[1], [0.0, 0.0])
+
+
+def _ref_build_prototypes(support, labels, class_ids=None):
+    """build_prototypes as it stood before its per-class boolean masks were
+    replaced by one stable grouping; the oracle it must match bit for bit."""
+    support = np.asarray(support, dtype=np.float64)
+    labels = np.asarray(labels)
+    if class_ids is None:
+        class_ids = np.unique(labels)
+    else:
+        class_ids = np.asarray(sorted(class_ids))
+    vectors = np.empty((len(class_ids), support.shape[1]))
+    for i, cid in enumerate(class_ids):
+        mask = labels == cid
+        if not mask.any():
+            raise ValueError(f"class {cid} has no support samples")
+        vectors[i] = support[mask].mean(axis=0)
+    return vectors, class_ids
+
+
+class TestBuildPrototypesMatchesLoopReference:
+    @pytest.mark.parametrize("m", [4, 64, 1024])
+    @pytest.mark.parametrize("counts", [[1] * 5, [3] * 5, [5] * 5, [1, 4, 2, 7, 3]])
+    def test_prototypes(self, m, counts):
+        for seed in range(3):
+            rng = np.random.default_rng((m, seed))
+            labels = rng.permutation(np.repeat(np.arange(len(counts)), counts)) * 3 + 5
+            support = rng.normal(size=(labels.size, m)) * rng.uniform(0.1, 100.0, size=m)
+            got = build_prototypes(support, labels)
+            vectors, class_ids = _ref_build_prototypes(support, labels)
+            assert np.array_equal(got.vectors, vectors) and np.array_equal(got.class_ids, class_ids)
+
+    def test_declared_classes(self):
+        rng = np.random.default_rng(1)
+        support, labels = rng.normal(size=(9, 3)), np.array([4, 0, 9, 4, 9, 0, 2, 4, 9])
+        got = build_prototypes(support, labels, class_ids=[9, 0, 4])  # class 2's row is left out
+        vectors, class_ids = _ref_build_prototypes(support, labels, class_ids=[9, 0, 4])
+        assert np.array_equal(got.vectors, vectors) and np.array_equal(got.class_ids, class_ids)
+        with pytest.raises(ValueError, match="class 3 has no support"):
+            build_prototypes(support, labels, class_ids=[0, 3, 4])

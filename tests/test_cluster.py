@@ -1,8 +1,11 @@
 """Tests for k-means, Bayesian k-means, and mean-shift propagation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from tafssl import cluster
 from tafssl.classify import Prototypes, build_prototypes, nn_classify
 from tafssl.cluster import KMEANS_MAX_ITER, _farthest_point_init, bkm, bkm_from_centroids, kmeans, msp
 from tafssl.linalg import NumericalWarning, as_matrix, softmax_rows
@@ -369,3 +372,84 @@ class TestMatchesLoopReference:
         assert self.assert_msp_matches(*sets, threshold=1.0).k_history == [0, 0, 0, 0]
         sets = _episode_sets(7, 80, 4, spread=0.5)
         assert self.assert_msp_matches(*sets, threshold=0.9).k_history == [0, 0, 0, 0]
+
+
+# bkm_from_centroids as it stood before the queries' squared norms were
+# shared and the per-class boolean masks replaced by one stable grouping.
+# Kept verbatim as the oracle the rewrite must match bit for bit.
+def _ref_bkm_from_centroids(support, support_labels, queries, centroids):
+    support = as_matrix(support, "support")
+    queries = as_matrix(queries, "queries")
+    centroids = as_matrix(centroids, "centroids")
+    labels = np.asarray(support_labels)
+    class_ids = np.unique(labels)
+
+    member_q = softmax_rows(-_ref_pairwise_sqdist(queries, centroids))
+    member_s = softmax_rows(-_ref_pairwise_sqdist(support, centroids))
+
+    neg_sq = -_ref_pairwise_sqdist(queries, support)
+    affinity = np.exp(neg_sq - neg_sq.max(axis=1, keepdims=True))
+
+    denom = affinity @ member_s
+    numer = np.stack([affinity[:, labels == cid] @ member_s[labels == cid] for cid in class_ids], axis=1)
+
+    degenerate = denom <= 0.0
+    if degenerate.any():
+        numer[np.broadcast_to(degenerate[:, None, :], numer.shape)] = 1.0
+        denom = np.where(degenerate, float(len(class_ids)), denom)
+
+    conditional = numer / denom[:, None, :]
+    posterior = np.einsum("qik,qk->qi", conditional, member_q)
+    return posterior / posterior.sum(axis=1, keepdims=True)
+
+
+def _shuffled_shots(seed, m, shots, n_way=5):
+    """Supports of ``shots`` rows per class (a list gives per-class counts),
+    rows in random order, class ids not 0..n-1; queries; and the k-means
+    centroids of their pool."""
+    rng = np.random.default_rng(seed)
+    counts = [shots] * n_way if isinstance(shots, int) else shots
+    scale = 3.0 / np.sqrt(m)  # squared distances of order 10 at every m: no memberships underflow
+    means = rng.normal(0.0, 2.0 * scale, size=(n_way, m))
+    index = rng.permutation(np.repeat(np.arange(n_way), counts))
+    support = means[index] + rng.normal(0.0, scale, size=(index.size, m))
+    queries = means[rng.integers(n_way, size=75)] + rng.normal(0.0, scale, size=(75, m))
+    centroids = kmeans(np.vstack([support, queries]), 5, seed=seed).centroids
+    return support, index * 4 + 2, queries, centroids
+
+
+class TestBkmMatchesLoopReference:
+    """bkm_from_centroids is bit-identical to the masked loop above, and bkm
+    never computes the soft assignment it does not use."""
+
+    @pytest.mark.parametrize("m", [4, 10, 64, 1024])
+    @pytest.mark.parametrize("shots", [1, 3, 5, [1, 4, 2, 1, 3]])
+    def test_posteriors(self, m, shots):
+        for seed in range(3):
+            sets = _shuffled_shots((m, seed), m, shots)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the degenerate-denominator branch has its own test
+                got = bkm_from_centroids(*sets)
+            assert np.array_equal(got, _ref_bkm_from_centroids(*sets))
+
+    def test_degenerate_denominators(self):
+        support, labels, queries = np.array([[0.0], [1.0], [0.2]]), np.array([3, 1, 3]), np.array([[0.5], [0.1]])
+        centroids = np.array([[0.5], [1000.0]])
+        with pytest.warns(NumericalWarning, match="degenerate"):
+            got = bkm_from_centroids(support, labels, queries, centroids)
+        assert np.array_equal(got, _ref_bkm_from_centroids(support, labels, queries, centroids))
+
+    def test_bkm_skips_the_soft_assignment(self, monkeypatch):
+        made = []
+
+        def spy(*args, **kwargs):
+            made.append(kmeans(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cluster, "kmeans", spy)
+        support, labels, queries, _ = _shuffled_shots(9, 64, 1)
+        pool = np.vstack([support, queries])
+        post = bkm(support, labels, queries, pool, k=5, seed=(9, 2))
+        assert "assign_probs" not in vars(made[0])
+        assert np.array_equal(post, bkm_from_centroids(support, labels, queries, made[0].centroids))
+        assert np.array_equal(made[0].assign_probs, _ref_kmeans(pool, 5, seed=(9, 2))[2])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tafssl import harness
-from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
+from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_mog_spec, reference_store, sample_episode
 from tafssl.harness import (
     BenchmarkConfig,
     EpisodeProjections,
@@ -27,7 +27,10 @@ from tafssl.harness import (
 )
 from tafssl import linalg
 from tafssl.linalg import BlasThreadWarning, blas_threads, covariance, set_blas_threads
-from tafssl.subspace import SubspaceProjection
+from tafssl import subspace
+from tafssl.classify import build_prototypes, nn_classify
+from tafssl.cluster import bkm, msp
+from tafssl.subspace import PoolDecomposition, fit_ica
 
 
 def separable_store(n_classes=8, per_class=40, m=6, spread=60.0):
@@ -53,7 +56,7 @@ class TestParseMethod:
             ("sub", "none", "sub", "nn"),
             ("sub-star", "none", "sub_star", "nn"),
             ("pca-nn", "pca", "none", "nn"),
-            ("ica-bkm", "ica", "none", "bkm"),
+            ("ica-bkm", "whiten", "none", "bkm"),
             ("pca-msp", "pca", "none", "msp"),
             ("bkm", "none", "none", "bkm"),
             ("msp", "none", "none", "msp"),
@@ -257,9 +260,8 @@ class TestRunBenchmark:
 
 
 class TestIcaShortcut:
-    """``ica-*`` whitens and skips FastICA's unmixing rotation; that is sound
-    only while every head is rotation-invariant.  A head outside
-    ``ROTATION_INVARIANT_HEADS`` is sent back through the full ``fit_ica``."""
+    """``ica-*`` whitens and skips FastICA's unmixing rotation; every head
+    must decide exactly as it does on the full ``fit_ica`` subspace."""
 
     HEADS = ("nn", "bkm", "msp")
 
@@ -274,31 +276,55 @@ class TestIcaShortcut:
             assert ep.query.shape == (75, 1024)
             yield ep, (32, i)
 
-    def predictions(self, ep, seed):
+    def shortcut(self, ep, seed):
         pipes = [parse_method(f"ica-{head}") for head in self.HEADS]
-        projections = EpisodeProjections(ep, pipes, seed)
+        projections = EpisodeProjections(ep, pipes)
         return [evaluate_episode(ep, p, seed=seed, projections=projections) for p in pipes]
+
+    def full(self, ep, seed):
+        """``fit_ica`` on the pool, then each head called directly."""
+        fit = fit_ica(ep.pool, 10, seed=(*seed, 1))
+        S, Q, pool = (fit.apply(X) for X in (ep.support, ep.query, ep.pool))
+        y = ep.support_labels
+        return [
+            nn_classify(Q, build_prototypes(S, y))[0],
+            np.unique(y)[np.argmax(bkm(S, y, Q, pool, k=5, seed=(*seed, 2)), axis=1)],
+            msp(S, y, Q, pool).predictions,
+        ]
 
     def test_heads_decide_identically_with_and_without_unmixing(self, monkeypatch):
         cases = list(self.episodes())
         with monkeypatch.context() as m:
-            m.setattr(harness, "fit_ica", None)  # the shortcut never reaches FastICA
-            shortcut = [self.predictions(ep, seed) for ep, seed in cases]
-        monkeypatch.setattr(harness, "ROTATION_INVARIANT_HEADS", frozenset())
-        full = [self.predictions(ep, seed) for ep, seed in cases]
-        for (ep, seed), fast, slow in zip(cases, shortcut, full):
+            m.setattr(subspace, "fit_ica", None)  # the shortcut never reaches FastICA
+            m.setattr(harness, "fit_ica", None)
+            shortcut = [self.shortcut(ep, seed) for ep, seed in cases]
+        for (ep, seed), fast, slow in zip(cases, shortcut, (self.full(ep, seed) for ep, seed in cases)):
             for head, a, b in zip(self.HEADS, fast, slow):
                 assert np.array_equal(a, b), f"ica-{head} differs on episode {seed}"
 
 
+def semi_wide_store():
+    """Reference-spec classes with room for 100 unlabeled rows each: 805x64 semi pools."""
+    return generate_mog_store(reference_mog_spec(), 20, 120, seed=5)
+
+
+SEMI_805 = {"mode": "semi", "unlabeled_per_class": 100, "distractor_classes": 3}
+
+
+def copy_sets(ep):
+    """The same episode built by hand, with fresh copies of its sets."""
+    return Episode(ep.support.copy(), ep.support_labels, ep.query.copy(), ep.query_labels, ep.unlabeled.copy(), ep.unlabeled_labels, ep.class_ids)
+
+
 class TestEpisodeStaging:
-    """Each (projection, r) subspace of an episode is fitted once and applied
-    once to each of S, Q and the pool; pipelines that share it share the view."""
+    """The episode's pool is one buffer that the sets are views of; it is
+    decomposed and centered once, and each (projection, r) subspace is
+    fitted once, its view shared by every pipeline that uses it."""
 
     def test_views_are_shared_within_an_episode(self):
         ep = sample_episode(noisy_store(), EpisodeSpec(seed=2))
         pipes = {name: parse_method(name) for name in ("nn", "pca-nn", "pca-bkm", "ica-nn", "ica-msp")}
-        projections = EpisodeProjections(ep, list(pipes.values()), (0, 2))
+        projections = EpisodeProjections(ep, list(pipes.values()))
         view = {name: projections.view(p) for name, p in pipes.items()}
         assert view["ica-nn"] is view["ica-msp"]
         assert view["pca-nn"] is view["pca-bkm"]
@@ -308,31 +334,84 @@ class TestEpisodeStaging:
         assert [X.shape[1] for X in view["pca-nn"] + view["ica-nn"]] == [4] * 3 + [10] * 3
         np.testing.assert_allclose(covariance(view["ica-nn"][2]), np.eye(10), atol=1e-6)  # whitened pool
 
+    @pytest.mark.parametrize("mode", ["transductive", "semi"])
+    def test_sets_are_views_of_one_pool_buffer(self, mode):
+        spec = EpisodeSpec(seed=4, **(SEMI_805 if mode == "semi" else {}))
+        ep = sample_episode(semi_wide_store(), spec)
+        assert ep.pool.flags.c_contiguous and np.shares_memory(ep.pool, ep.support)
+        rest = ep.unlabeled if mode == "semi" else ep.query
+        assert np.shares_memory(ep.pool, rest) and np.array_equal(ep.pool, np.vstack([ep.support, rest]))
+        assert np.shares_memory(ep.pool, ep.query) == (mode == "transductive")
+
+    def test_projections_make_no_pool_copy(self):
+        ep = sample_episode(noisy_store(), EpisodeSpec(seed=2))
+        projections = EpisodeProjections(ep, [parse_method("nn"), parse_method("pca-nn")])
+        assert projections.view(parse_method("nn"))[2] is ep.pool
+        projections.view(parse_method("pca-nn"))
+        assert all(np.shares_memory(X, projections._decomposition.centered) for X in projections._centered)
+
     @pytest.mark.parametrize(
-        "method,settings,per_episode",
+        "method,settings",
         [
-            ("nn,pca-nn,pca-bkm,ica-bkm", {}, 6),
-            ("nn,pca-nn,ica-nn,ica-msp", {}, 6),
-            ("bkm,msp,pca-bkm,pca-msp", {"mode": "semi", "unlabeled": 6, "distractors": 1}, 3),
+            ("nn,pca-nn,pca-bkm,ica-bkm", {}),
+            ("nn,pca-nn,ica-nn,ica-msp", {}),
+            ("bkm,msp,pca-bkm,pca-msp", {"mode": "semi", "unlabeled": 6, "distractors": 1}),
         ],
     )
-    def test_each_subspace_is_applied_once_per_set(self, monkeypatch, method, settings, per_episode):
-        calls = []
-        original = SubspaceProjection.apply
+    def test_one_decomposition_per_episode(self, monkeypatch, method, settings):
+        built = []
 
-        def counted(self, X):
-            calls.append(X.shape)
-            return original(self, X)
+        class Counted(PoolDecomposition):
+            def __init__(self, X, r):
+                built.append(X.shape)
+                super().__init__(X, r)
 
-        monkeypatch.setattr(SubspaceProjection, "apply", counted)
+        monkeypatch.setattr(harness, "PoolDecomposition", Counted)
         run_benchmark(BenchmarkConfig(method=method, episodes=4, seed=0, **settings), store=noisy_store())
-        assert len(calls) == 4 * per_episode
+        assert len(built) == 4
+
+    @pytest.mark.parametrize(
+        "store,spec",
+        [
+            (reference_store, {}),  # 80x64
+            (lambda: generate_mog_store(MoGSpec(m=1024, signal_dims=32, sigma_between=2.0), 10, 40, seed=1), {}),
+            (semi_wide_store, SEMI_805),  # 805x64 pool, separate queries
+        ],
+        ids=["80x64", "80x1024", "805x64-semi"],
+    )
+    def test_staged_views_equal_applied_projections(self, store, spec):
+        store = store()
+        pipes = [parse_method(name) for name in ("pca-nn", "ica-nn", "ica-bkm")]
+        for i in range(3):
+            ep = sample_episode(store, EpisodeSpec(seed=(8, i), **spec))
+            projections = EpisodeProjections(ep, pipes)
+            pool = np.vstack([ep.support, ep.unlabeled if spec else ep.query])
+            decomposition = PoolDecomposition(pool, 10)
+            for fit, pipe in ((decomposition.pca(4), pipes[0]), (decomposition.whitening(10), pipes[1])):
+                for got, X in zip(projections.view(pipe), (ep.support, ep.query, pool)):
+                    assert np.array_equal(got, fit.apply(X))
+
+    def test_hand_built_and_replaced_episodes_get_their_own_pool(self):
+        rng = np.random.default_rng(0)
+        S, Q, U = rng.normal(size=(4, 6)), rng.normal(size=(8, 6)), rng.normal(size=(5, 6))
+        labels = np.array([0, 0, 1, 1])
+        transductive = Episode(S, labels, Q, np.zeros(8, int), np.empty((0, 6)), np.empty(0, int), [0, 1])
+        semi = replace(transductive, unlabeled=U, unlabeled_labels=np.zeros(5, int))
+        assert np.array_equal(transductive.pool, np.vstack([S, Q]))
+        assert np.array_equal(semi.pool, np.vstack([S, U]))
+        sampled = sample_episode(noisy_store(), EpisodeSpec(seed=2))
+        for changed in ({"support": sampled.support + 1.0}, {"query": sampled.query[:10]}):
+            moved = replace(sampled, **changed)
+            assert not np.shares_memory(moved.pool, sampled.pool)
+            assert np.array_equal(moved.pool, np.vstack([moved.support, moved.query]))
+            for pipe in (parse_method("pca-nn"), parse_method("ica-msp")):
+                assert np.array_equal(evaluate_episode(moved, pipe, seed=(0, 2)), evaluate_episode(copy_sets(moved), pipe, seed=(0, 2)))
 
 
 class TestHeadInvariance:
-    """The property behind ``ROTATION_INVARIANT_HEADS``: every head in it
-    decides the same after the whole episode (support, queries and pool) is
-    rotated by an orthogonal matrix and translated."""
+    """The property behind ``ica-*`` whitening: every head decides the same
+    after the whole episode (support, queries and pool) is rotated by an
+    orthogonal matrix and translated."""
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -363,7 +442,7 @@ class TestHeadInvariance:
             query=query @ rotation + shift,
             unlabeled=pool_extra @ rotation + shift,
         )
-        for head in sorted(harness.ROTATION_INVARIANT_HEADS):
+        for head in ("nn", "bkm", "msp"):
             pipe = parse_method(head)
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
             after = evaluate_episode(moved, pipe, seed=(seed, 0))

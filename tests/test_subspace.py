@@ -190,7 +190,8 @@ ROUTE_SHAPES = [((80, 1024), "gram"), ((805, 64), "scatter"), ((80, 64), "svd")]
 
 def decompose_by(monkeypatch, route, X, r):
     monkeypatch.setattr(subspace, "_decomposition_method", lambda n, m: route)
-    return subspace._decompose(X, r)
+    mean = X.mean(axis=0)
+    return (mean, *subspace._decompose(X - mean, r))
 
 
 class TestDecompositionRoutes:
