@@ -65,13 +65,19 @@ class MspResult:
 def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++-style greedy seeding: random first centroid, then repeatedly
     the point farthest from the chosen set.  Deterministic given the seed
-    (argmax ties resolve to the lowest row index)."""
+    (argmax ties resolve to the lowest row index).  Stops short of ``k``
+    centroids when the farthest row equals a chosen one, so the centroids
+    returned are distinct rows of ``X``."""
     x_sq = (X * X).sum(axis=1)
     chosen = [int(rng.integers(X.shape[0]))]
     min_sq = pairwise_sqdist(X, X[chosen[-1]][None, :], x_sq)[:, 0]
     while len(chosen) < k:
-        chosen.append(int(np.argmax(min_sq)))
-        min_sq = np.minimum(min_sq, pairwise_sqdist(X, X[chosen[-1]][None, :], x_sq)[:, 0])
+        far = int(np.argmax(min_sq))
+        # Compared exactly: the expanded distance of a row to itself need not be 0.
+        if (X[chosen] == X[far]).all(axis=1).any():
+            break
+        chosen.append(far)
+        min_sq = np.minimum(min_sq, pairwise_sqdist(X, X[far][None, :], x_sq)[:, 0])
     return X[chosen].copy()
 
 
@@ -79,19 +85,17 @@ def kmeans(pool, k: int, seed: int = 0) -> Clustering:
     """Hard Lloyd iterations to an assignment fixpoint (at most 100 rounds);
     the result's ``assign_probs`` soft-assigns the pool to the final centroids.
 
-    If the pool has fewer than ``k`` rows, k is reduced to the row count and
-    the reduction recorded in ``meta``.
+    If the pool has fewer than ``k`` distinct rows, seeding stops at distinct
+    rows, k is reduced to their count and the reduction recorded in ``meta``.
     """
     pool = as_matrix(pool, "pool")
     if pool.shape[0] < 1:
         raise ValueError("empty pool")
+    centroids = _farthest_point_init(pool, k, np.random.default_rng(seed))
     meta: dict = {}
-    if pool.shape[0] < k:
-        meta["k_reduced"] = {"requested": k, "used": pool.shape[0]}
-        k = pool.shape[0]
-
-    rng = np.random.default_rng(seed)
-    centroids = _farthest_point_init(pool, k, rng)
+    if centroids.shape[0] < k:
+        meta["k_reduced"] = {"requested": k, "used": centroids.shape[0]}
+        k = centroids.shape[0]
     pool_sq = (pool * pool).sum(axis=1)
     assign = np.full(pool.shape[0], -1)
     for _ in range(KMEANS_MAX_ITER):
@@ -194,7 +198,7 @@ def msp(
     queries = as_matrix(queries, "queries")
     pool = as_matrix(pool, "pool")
     protos = build_prototypes(support, support_labels)
-    vectors = protos.vectors.copy()
+    vectors = protos.vectors
     n_classes = protos.n
 
     pool_sq = (pool * pool).sum(axis=1)
@@ -215,8 +219,8 @@ def msp(
         # confidence, pool index breaking ties.
         order = np.lexsort((rows, -confidence, predicted))
         starts = np.searchsorted(predicted[order], np.arange(n_classes))
-        for i in range(n_classes):
-            vectors[i] = pool[order[starts[i] : starts[i] + k]].mean(axis=0)
+        # Each class's K top rows, gathered classes x K x m: one mean per class, as over its slice.
+        vectors = pool[order[starts[:, None] + np.arange(k)]].mean(axis=1)
 
     final = Prototypes(vectors=vectors, class_ids=protos.class_ids)
     predictions, posterior = nn_classify(queries, final)

@@ -107,7 +107,7 @@ class EpisodeSpec:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.mode not in ("transductive", "semi"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown mode {self.mode!r}; choose from transductive, semi")
         if self.mode == "transductive" and (self.unlabeled_per_class or self.distractor_classes):
             raise ValueError("transductive mode uses queries as the unlabeled pool; unlabeled_per_class and distractor_classes must be 0")
         if self.mode == "semi" and self.unlabeled_per_class < 1:

@@ -9,9 +9,8 @@ normal-approximation confidence interval.
 
 Determinism contract: (config, seed) fully determines every number in the
 reports and in the CSV output, independent of the worker count.  Episode i
-draws its randomness from (seed, i) alone, per-episode results are sorted
-by episode index before aggregation, and wall-clock timings stay out of the
-CSV.
+draws its randomness from (seed, i) alone, per-episode results are
+aggregated in episode order, and wall-clock timings stay out of the CSV.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ __all__ = [
     "SWEEP_VALUES",
     "boolean",
     "evaluate_episode",
+    "field_parsers",
     "format_reports",
     "load_store",
     "parse_config_file",
@@ -110,27 +110,33 @@ def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = 
     return MethodPipeline(name, projection, r, preproc, inference, sub_normalize_first=sub_normalize_first)
 
 
+def _setting(default, help_text: str):
+    """A BenchmarkConfig field: its default, and the help text of its flag."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class BenchmarkConfig:
-    """Flat run configuration; every field is mirrored by a CLI flag."""
+    """Flat run configuration.  Each field is one config-file key and one CLI
+    flag of the same name (``-`` for ``_``), both parsed by :func:`field_parsers`."""
 
-    method: str = "nn"
-    mode: str = "transductive"
-    ways: int = 5
-    shots: int = 1
-    queries: int = 15
-    unlabeled: int = 0
-    distractors: int = 0
-    unbalanced_r: int = 0
-    episodes: int = 10000
-    seed: int = 0
-    dim: int | None = None
-    features: str | None = None
-    synthetic: str | None = None
-    sweep: str | None = None
-    out: str | None = None
-    workers: int = 1
-    sub_normalize_first: bool = True
+    method: str = _setting("nn", f"comma-separated list from: {', '.join(METHODS)}")
+    mode: str = _setting("transductive", "unlabeled pool source: transductive or semi")
+    ways: int = _setting(5, "classes per episode")
+    shots: int = _setting(1, "support samples per class")
+    queries: int = _setting(15, "query samples per class")
+    unlabeled: int = _setting(0, "semi mode: unlabeled samples per class")
+    distractors: int = _setting(0, "semi mode: extra unlabeled-only classes")
+    unbalanced_r: int = _setting(0, "per-class extra queries ~ uniform[0,R]")
+    episodes: int = _setting(10000, "episode count")
+    seed: int = _setting(0, "master seed")
+    dim: int | None = _setting(None, f"subspace dimension; when unset, pca {PCA_DEFAULT_DIM} and ica {ICA_DEFAULT_DIM}")
+    features: str | None = _setting(None, "feature store file, .csv or binary")
+    synthetic: str | None = _setting(None, "mixture-of-Gaussians config file path, or 'reference'")
+    sweep: str | None = _setting(None, f"run an ablation sweep instead of a single benchmark: {', '.join(SWEEP_VALUES)}")
+    out: str | None = _setting(None, "results CSV path")
+    workers: int = _setting(1, "parallel episode workers")
+    sub_normalize_first: bool = _setting(True, "sub/sub-star baselines: L2-normalize samples before prototype averaging")
 
     def methods(self) -> list[str]:
         return [m.strip() for m in self.method.split(",") if m.strip()]
@@ -287,8 +293,7 @@ def _derive_seed(seed, salt: int):
 def _run_one_episode(store, config: BenchmarkConfig, pipelines, index: int):
     """Sample episode ``index`` and score every pipeline on it.
 
-    Returns (index, accuracies, seconds, warning counts), one entry per
-    pipeline.  A shared view, and the pool decomposition, are timed and
+    Returns (accuracies, seconds, warning counts), one entry per pipeline.  A shared view, and the pool decomposition, are timed and
     their warnings counted in the first pipeline that needs them.
     """
     episode = sample_episode(store, config.episode_spec(index))
@@ -303,7 +308,7 @@ def _run_one_episode(store, config: BenchmarkConfig, pipelines, index: int):
             times.append(time.perf_counter() - t0)
         warns.append(len(caught))
         accs.append(float((predictions == episode.query_labels).mean()))
-    return index, accs, times, warns
+    return accs, times, warns
 
 
 _POOL_STATE: dict = {}
@@ -358,10 +363,8 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
         else:
             results = [_run_one_episode(store, config, pipelines, i) for i in indices]
 
-    results.sort(key=lambda r: r[0])
-    acc = np.array([r[1] for r in results])  # episodes x methods
-    times = np.array([r[2] for r in results])
-    warns = np.array([r[3] for r in results])
+    # Both loops return results in episode order.
+    acc, times, warns = (np.array(column) for column in zip(*results))  # each episodes x methods
 
     reports = []
     for j, pipeline in enumerate(pipelines):
@@ -401,10 +404,11 @@ def run_ablation(
         raise ValueError(f"unknown sweep {sweep!r}; choose from {', '.join(SWEEP_VALUES)}")
     if values is None:
         values = SWEEP_VALUES[sweep]
+    pipelines = config.pipelines()  # every setting is checked before the store loads
     if sweep == "noise" and config.mode != "semi":
         raise ValueError("the noise sweep varies distractor classes and requires --mode semi")
     if sweep == "dim":
-        bad = [p.name for p in config.pipelines() if p.projection == "none"]
+        bad = [p.name for p in pipelines if p.projection == "none"]
         if bad:
             raise ValueError(f"the dim sweep needs a projection method; {', '.join(bad)} has none")
 
@@ -430,7 +434,7 @@ def boolean(value: str) -> bool:
 _PARSERS = {"int": int, "float": float, "str": str, "bool": boolean}
 
 
-def _field_parsers(cls) -> dict:
+def field_parsers(cls) -> dict:
     """One value parser per field of the dataclass ``cls``, chosen by its
     annotation (a string, under ``from __future__ import annotations``)."""
     return {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(cls)}
@@ -460,13 +464,13 @@ def _read_key_values(path, parsers: dict) -> dict:
 
 def parse_config_file(path) -> dict:
     """Parse a run-config file; its keys are the BenchmarkConfig fields."""
-    return _read_key_values(path, _field_parsers(BenchmarkConfig))
+    return _read_key_values(path, field_parsers(BenchmarkConfig))
 
 
 def _store_from_mog_config(path) -> FeatureStore:
     """Build a synthetic store from a mixture config file: the MoGSpec fields
     plus the store's ``classes``, ``per_class`` and ``seed``."""
-    raw = _read_key_values(path, {**_field_parsers(MoGSpec), "classes": int, "per_class": int, "seed": int})
+    raw = _read_key_values(path, {**field_parsers(MoGSpec), "classes": int, "per_class": int, "seed": int})
     required = [f.name for f in fields(MoGSpec) if f.default is MISSING] + ["classes", "per_class"]
     for key in required:
         if key not in raw:

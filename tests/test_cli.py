@@ -13,7 +13,7 @@ import tafssl
 from tafssl.cli import build_parser, config_from_args
 from tafssl.episodes import MoGSpec, generate_mog_store
 from tafssl.features_io import save_features
-from tafssl.harness import BenchmarkConfig
+from tafssl.harness import BenchmarkConfig, boolean, field_parsers
 
 
 # The CLI runs in a child process, which must import the same package as
@@ -87,6 +87,30 @@ class TestCli:
         r = run_cli("--synthetic", "reference", "--method", "nn", "--episodes", "1", "--unbalanced-r", "-3")
         assert r.returncode == 1
         assert r.stderr.strip() == "error: unbalanced_r must be >= 0"
+
+    @pytest.mark.parametrize("flag", ["--mode", "--sweep"])
+    def test_bad_mode_or_sweep_exits_before_the_source_is_read(self, flag):
+        r = run_cli("--features", "/nonexistent/path.feats", "--episodes", "1", flag, "bogus")
+        assert r.returncode == 1
+        valid = "transductive, semi" if flag == "--mode" else "queries, noise, dim, unbalance"
+        assert r.stderr.strip() == f"error: unknown {flag[2:]} 'bogus'; choose from {valid}"
+
+    def test_help_shows_each_default(self):
+        r = run_cli("--help")
+        assert r.returncode == 0, r.stderr
+        text = " ".join(r.stdout.split())  # undo argparse's line wrapping
+        for f in fields(BenchmarkConfig):
+            assert f"--{f.name.replace('_', '-')}" in text
+            assert f"{f.metadata['help']} (default {f.default})" in text
+
+    @pytest.mark.parametrize("f", fields(BenchmarkConfig), ids=lambda f: f.name)
+    def test_flag_and_config_line_give_the_same_value(self, f, tmp_path):
+        text = {int: "7", boolean: "no", str: "pca-nn"}[field_parsers(BenchmarkConfig)[f.name]]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{f.name}={text}\n")
+        from_flag = config_from_args(build_parser().parse_args([f"--{f.name.replace('_', '-')}", text]))
+        from_file = config_from_args(build_parser().parse_args(["--config", str(cfg)]))
+        assert from_flag == from_file != BenchmarkConfig()
 
     def test_every_config_field_has_a_flag(self):
         dests = {action.dest for action in build_parser()._actions}

@@ -346,12 +346,19 @@ class TestMatchesLoopReference:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kmeans_reseeds_empty_clusters(self, seed):
-        # Fewer distinct rows than k: seeding repeats a row, so the later
-        # copies of a centroid own no row and take the re-seed branch.
+        # Fewer distinct rows than k, the pools that once seeded a row twice
+        # and left its copies empty: seeding now stops at the distinct rows,
+        # k drops to their count, and the run is the loop's at that k.
         rng = np.random.default_rng(seed)
         for distinct in (2, 3):
             pool = rng.normal(size=(distinct, 6))[rng.integers(distinct, size=30)]
-            self.assert_kmeans_matches(pool, 5, seed=seed)
+            got = kmeans(pool, 5, seed=seed)
+            assert got.k == distinct
+            assert np.unique(got.centroids, axis=0).shape[0] == distinct
+            assert got.meta["k_reduced"] == {"requested": 5, "used": distinct}
+            _, centroids, assign_probs, _ = _ref_kmeans(pool, distinct, seed=seed)
+            assert np.array_equal(got.centroids, centroids)
+            assert np.array_equal(got.assign_probs, assign_probs)
 
     def test_msp_breaks_confidence_ties_by_pool_index(self):
         differs = []
