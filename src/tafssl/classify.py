@@ -42,8 +42,8 @@ def build_prototypes(support, labels, class_ids=None) -> Prototypes:
     """Average the support rows of each class into a prototype.
 
     ``class_ids`` may declare the expected classes explicitly; a declared
-    class with no support rows is an error.  Without it the classes are the
-    sorted distinct labels.
+    class with no support rows, or a label not declared, is an error.
+    Without it the classes are the sorted distinct labels.
     """
     support = as_matrix(support, "support")
     labels = np.asarray(labels)
@@ -63,6 +63,8 @@ def build_prototypes(support, labels, class_ids=None) -> Prototypes:
         if start == end:
             raise ValueError(f"class {cid} has no support samples")
         vectors[i] = grouped[start:end].mean(axis=0)
+    if (ends - starts).sum() < labels.shape[0]:
+        raise ValueError(f"support labels {np.setdiff1d(labels, class_ids).tolist()} are not among the declared class_ids")
     return Prototypes(vectors=vectors, class_ids=class_ids)
 
 

@@ -91,6 +91,8 @@ def kmeans(pool, k: int, seed: int = 0) -> Clustering:
     pool = as_matrix(pool, "pool")
     if pool.shape[0] < 1:
         raise ValueError("empty pool")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     centroids = _farthest_point_init(pool, k, np.random.default_rng(seed))
     meta: dict = {}
     if centroids.shape[0] < k:
@@ -194,6 +196,8 @@ def msp(
     pool index).  A round with K = 0 keeps all prototypes unchanged.  The
     final posterior is the nearest-prototype softmax for the queries.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     support = as_matrix(support, "support")
     queries = as_matrix(queries, "queries")
     pool = as_matrix(pool, "pool")

@@ -1,7 +1,9 @@
 """Benchmark harness: pipelines, the episode loop, statistics, and sweeps.
 
-A method pipeline is "projection -> preprocessing -> inference" assembled
-from a CLI name such as ``ica-msp``.  The harness samples episodes from a
+A method pipeline is a projection and an inference head (``sub`` and
+``sub-star`` are heads), assembled from a CLI name such as ``ica-msp``; it
+runs in two stages, project then infer.  ``bkm`` and ``msp`` run with the
+``cluster`` defaults.  The harness samples episodes from a
 feature store, runs every requested pipeline on each episode, scores the
 query predictions against the held-back labels (classifiers never see
 them), and aggregates per-episode accuracies into a mean with a 0.95
@@ -24,7 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from tafssl.classify import build_prototypes, l2_normalize_rows, nn_classify
-from tafssl.cluster import BKM_DEFAULT_CLUSTERS, MSP_DEFAULT_ITERATIONS, MSP_DEFAULT_THRESHOLD, bkm, msp
+from tafssl.cluster import bkm, msp
 from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
 from tafssl.features_io import load_features
 from tafssl.linalg import set_blas_threads, single_blas_thread
@@ -50,22 +52,23 @@ __all__ = [
     "write_csv",
 ]
 
-# CLI method name -> (projection, preprocessing, inference head).  ``ica-*``
-# whitens: FastICA's unmixing only rotates the whitened pool (Hyvarinen & Oja
-# 2000), and every head decides from distances and means, which no rotation changes.
+# CLI method name -> (projection, inference head).  ``ica-*`` whitens:
+# FastICA's unmixing only rotates the whitened pool (Hyvarinen & Oja 2000),
+# and every head decides from distances and means, which no rotation changes.
 METHODS = {
-    "nn": ("none", "none", "nn"),
-    "sub": ("none", "sub", "nn"),
-    "sub-star": ("none", "sub_star", "nn"),
-    "pca-nn": ("pca", "none", "nn"),
-    "ica-nn": ("whiten", "none", "nn"),
-    "pca-bkm": ("pca", "none", "bkm"),
-    "ica-bkm": ("whiten", "none", "bkm"),
-    "pca-msp": ("pca", "none", "msp"),
-    "ica-msp": ("whiten", "none", "msp"),
-    "bkm": ("none", "none", "bkm"),
-    "msp": ("none", "none", "msp"),
+    "nn": ("none", "nn"),
+    "sub": ("none", "sub"),
+    "sub-star": ("none", "sub_star"),
+    "pca-nn": ("pca", "nn"),
+    "ica-nn": ("whiten", "nn"),
+    "pca-bkm": ("pca", "bkm"),
+    "ica-bkm": ("whiten", "bkm"),
+    "pca-msp": ("pca", "msp"),
+    "ica-msp": ("whiten", "msp"),
+    "bkm": ("none", "bkm"),
+    "msp": ("none", "msp"),
 }
+_SUB_HEADS = ("sub", "sub_star")
 _DEFAULT_DIMS = {"pca": PCA_DEFAULT_DIM, "whiten": ICA_DEFAULT_DIM}
 
 SWEEP_VALUES = {
@@ -81,21 +84,13 @@ _SWEEP_FIELDS = {"queries": "queries", "noise": "distractors", "dim": "dim", "un
 
 @dataclass(frozen=True)
 class MethodPipeline:
-    """One classification pipeline: projection, preprocessing, inference."""
+    """One classification pipeline: a projection and an inference head."""
 
     name: str
     projection: str = "none"  # none | pca | whiten
     r: int | None = None
-    preproc: str = "none"  # none | sub | sub_star
-    inference: str = "nn"  # nn | bkm | msp
-    msp_threshold: float = MSP_DEFAULT_THRESHOLD
-    msp_iterations: int = MSP_DEFAULT_ITERATIONS
-    bkm_clusters: int = BKM_DEFAULT_CLUSTERS
+    inference: str = "nn"  # nn | sub | sub_star | bkm | msp
     sub_normalize_first: bool = True
-
-    def __post_init__(self):
-        if self.preproc != "none" and (self.projection != "none" or self.inference != "nn"):
-            raise ValueError("sub/sub-star preprocessing pairs only with plain nearest-prototype inference")
 
 
 def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = True) -> MethodPipeline:
@@ -105,9 +100,9 @@ def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = 
         raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)}")
     if dim is not None and dim < 1:
         raise ValueError("dim must be >= 1")
-    projection, preproc, inference = METHODS[name]
+    projection, inference = METHODS[name]
     r = None if projection == "none" else dim or _DEFAULT_DIMS[projection]
-    return MethodPipeline(name, projection, r, preproc, inference, sub_normalize_first=sub_normalize_first)
+    return MethodPipeline(name, projection, r, inference, sub_normalize_first)
 
 
 def _setting(default, help_text: str):
@@ -152,7 +147,7 @@ class BenchmarkConfig:
         self.episode_spec(0)  # EpisodeSpec holds the protocol and mode rules
         pipes = [parse_method(m, self.dim, self.sub_normalize_first) for m in self.methods()]
         for p in pipes:
-            if p.preproc != "none" and self.mode != "transductive":
+            if p.inference in _SUB_HEADS and self.mode != "transductive":
                 raise ValueError(f"method {p.name!r} is defined on the support+query pool and requires transductive mode")
         if not pipes:
             raise ValueError("no method given")
@@ -220,8 +215,7 @@ class EpisodeProjections:
             return self.raw
         key = (pipeline.projection, pipeline.r)
         if key not in self._views:
-            decomposition = self._decompose()
-            fit = decomposition.pca(pipeline.r) if pipeline.projection == "pca" else decomposition.whitening(pipeline.r)
+            fit = self._decompose().project(*key)
             # One product per set: rows sliced from the projected pool differ in the last bits.
             self._views[key] = tuple(X @ fit.W.T for X in self._centered)
         return self._views[key]
@@ -235,52 +229,46 @@ class EpisodeProjections:
         return self._decomposition
 
 
-def _preprocess(S: np.ndarray, Q: np.ndarray, pipeline: MethodPipeline) -> tuple[np.ndarray, np.ndarray]:
-    """sub / sub-star: center on the mean of S and Q together (sub) or on
-    each set's own (sub-star), then L2-normalize the queries and, with
-    ``sub_normalize_first``, the support rows (else the nn head normalizes
-    the prototypes)."""
-    if pipeline.preproc == "none":
-        return S, Q
-    if pipeline.preproc == "sub":
-        mu = np.vstack([S, Q]).mean(axis=0)
-        S, Q = S - mu, Q - mu
-    else:
-        S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
-    if pipeline.sub_normalize_first:
-        S = l2_normalize_rows(S)
-    return S, l2_normalize_rows(Q)
-
-
 def _infer(S, y_s, Q, pool, pipeline: MethodPipeline, seed) -> np.ndarray:
-    """The pipeline's inference head: query predictions from S, its labels, Q and the pool."""
-    if pipeline.inference == "nn":
-        protos = build_prototypes(S, y_s)
-        if pipeline.preproc != "none" and not pipeline.sub_normalize_first:
-            protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
-        return nn_classify(Q, protos)[0]
-    if pipeline.inference == "bkm":
-        posterior = bkm(S, y_s, Q, pool, k=pipeline.bkm_clusters, seed=_derive_seed(seed, 2))
+    """The pipeline's head: query predictions from S, its labels, Q and the pool.
+    ``sub`` centers S and Q on their joint mean, ``sub_star`` each on its own;
+    both L2-normalize Q, and S (``sub_normalize_first``) or the prototypes, then run ``nn``."""
+    head = pipeline.inference
+    if head == "bkm":
+        posterior = bkm(S, y_s, Q, pool, seed=_derive_seed(seed, 2))
         return np.unique(y_s)[np.argmax(posterior, axis=1)]
-    if pipeline.inference == "msp":
-        return msp(S, y_s, Q, pool, threshold=pipeline.msp_threshold, iterations=pipeline.msp_iterations).predictions
-    raise ValueError(f"unknown inference {pipeline.inference!r}")
+    if head == "msp":
+        return msp(S, y_s, Q, pool).predictions
+    if head in _SUB_HEADS:
+        if head == "sub":
+            mu = np.vstack([S, Q]).mean(axis=0)
+            S, Q = S - mu, Q - mu
+        else:
+            S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
+        if pipeline.sub_normalize_first:
+            S = l2_normalize_rows(S)
+        Q = l2_normalize_rows(Q)
+    elif head != "nn":
+        raise ValueError(f"unknown inference {head!r}")
+    protos = build_prototypes(S, y_s)
+    if head in _SUB_HEADS and not pipeline.sub_normalize_first:
+        protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
+    return nn_classify(Q, protos)[0]
 
 
 def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, projections: EpisodeProjections | None = None) -> np.ndarray:
     """Run one pipeline on one episode; returns query predictions.
 
-    The stages are project (the pipeline's view of the episode), preprocess
-    (sub/sub-star) and infer (the head).  Query labels are deliberately
-    absent from this path: scoring happens in the caller.  ``seed`` feeds
-    the seeded stage (k-means init).  Pipelines run on the same episode
-    share its ``projections``, made for that episode; without them the
-    pipeline fits its own.
+    The stages are project (the pipeline's view of the episode) and infer
+    (the head).  Query labels are deliberately absent from this path:
+    scoring happens in the caller.  ``seed`` feeds the seeded stage
+    (k-means init).  Pipelines run on the same episode share its
+    ``projections``, made for that episode; without them the pipeline fits
+    its own.
     """
     if projections is None:
         projections = EpisodeProjections(episode, [pipeline])
     S, Q, pool = projections.view(pipeline)
-    S, Q = _preprocess(S, Q, pipeline)
     return _infer(S, episode.support_labels, Q, pool, pipeline, seed)
 
 

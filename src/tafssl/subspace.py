@@ -145,7 +145,7 @@ class PoolDecomposition:
 
     Holds the pool mean, the centered pool, the descending covariance
     eigenvalues and the leading sign-fixed principal axes, up to the ``r``
-    it was built for.  :meth:`pca` and :meth:`whitening` then build a
+    it was built for.  :meth:`project` then builds a PCA or whitening
     projection of any dimension up to ``r`` without touching the pool
     again; ``centered @ P.W.T`` is ``P.apply(pool)`` bit for bit.
     """
@@ -166,17 +166,16 @@ class PoolDecomposition:
             raise ValueError(f"dimension mismatch: the pool has {self.mean.shape[0]} columns, got {X.shape[1]}")
         return X - self.mean
 
-    def pca(self, r: int) -> SubspaceProjection:
-        """What ``fit_pca(pool, r)`` returns."""
+    def project(self, kind: str, r: int) -> SubspaceProjection:
+        """The ``kind`` projection onto the top ``r`` axes, with ``r`` shrunk
+        on a small pool as ``fit_pca`` and ``fit_ica`` do (``whiten`` raises
+        instead).  ``"pca"`` is what ``fit_pca(pool, r)`` returns;
+        ``"whiten"`` is ``fit_ica`` without its final orthogonal unmixing
+        rotation."""
+        if kind not in ("pca", "whiten"):
+            raise ValueError(f"unknown projection {kind!r}; choose from pca, whiten")
         meta: dict = {}
-        return self._project(_effective_dim(r, self.n_rows, meta), "pca", meta)
-
-    def whitening(self, r: int) -> SubspaceProjection:
-        """Whitening onto the top ``r`` axes, with ``r`` shrunk on a small
-        pool as ``fit_pca`` and ``fit_ica`` do (``whiten`` raises instead).
-        This is ``fit_ica`` without its final orthogonal unmixing rotation."""
-        meta: dict = {}
-        return self._project(_effective_dim(r, self.n_rows, meta), "whiten", meta)
+        return self._project(_effective_dim(r, self.n_rows, meta), kind, meta)
 
     def _project(self, r: int, method: str, meta: dict) -> SubspaceProjection:
         if r < 1:
@@ -211,7 +210,7 @@ def fit_pca(X, r: int = PCA_DEFAULT_DIM) -> SubspaceProjection:
     projected through the result has per-dimension variance equal to those
     eigenvalues.
     """
-    return PoolDecomposition(X, r).pca(r)
+    return PoolDecomposition(X, r).project("pca", r)
 
 
 def _sym_decorrelate(W: np.ndarray) -> np.ndarray:

@@ -37,6 +37,11 @@ class TestBuildPrototypes:
         with pytest.raises(ValueError, match="class 2 has no support"):
             build_prototypes([[1.0], [2.0]], [0, 1], class_ids=[0, 1, 2])
 
+    def test_undeclared_label_rejected(self):
+        support = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ValueError, match=r"support labels \[2\] are not among the declared class_ids"):
+            build_prototypes(support, [0, 0, 1, 1, 2, 2], class_ids=[0, 1])
+
     def test_five_shot_concentration(self):
         # Prototype error shrinks like sigma/sqrt(shots); allow a wide margin.
         rng = np.random.default_rng(0)
@@ -197,8 +202,10 @@ class TestBuildPrototypesMatchesLoopReference:
     def test_declared_classes(self):
         rng = np.random.default_rng(1)
         support, labels = rng.normal(size=(9, 3)), np.array([4, 0, 9, 4, 9, 0, 2, 4, 9])
-        got = build_prototypes(support, labels, class_ids=[9, 0, 4])  # class 2's row is left out
-        vectors, class_ids = _ref_build_prototypes(support, labels, class_ids=[9, 0, 4])
+        got = build_prototypes(support, labels, class_ids=[9, 0, 4, 2])
+        vectors, class_ids = _ref_build_prototypes(support, labels, class_ids=[9, 0, 4, 2])
         assert np.array_equal(got.vectors, vectors) and np.array_equal(got.class_ids, class_ids)
+        with pytest.raises(ValueError, match=r"support labels \[2\] are not among"):
+            build_prototypes(support, labels, class_ids=[9, 0, 4])  # class 2's row is not dropped
         with pytest.raises(ValueError, match="class 3 has no support"):
             build_prototypes(support, labels, class_ids=[0, 3, 4])

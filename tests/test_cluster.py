@@ -59,6 +59,14 @@ class TestKmeans:
         assert c.k == 3
         assert c.meta["k_reduced"] == {"requested": 5, "used": 3}
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        pool = np.random.default_rng(4).normal(size=(20, 4))
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            kmeans(pool, k)
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            bkm(pool[:4], [0, 0, 1, 1], pool[4:8], pool, k=k)
+
 
 class TestBkm:
     def test_k1_equals_soft_nn(self):
@@ -124,6 +132,11 @@ class TestBkm:
 
 
 class TestMsp:
+    def test_negative_iterations_rejected(self):
+        pool = np.random.default_rng(4).normal(size=(20, 4))
+        with pytest.raises(ValueError, match="iterations must be >= 0, got -3"):
+            msp(pool[:4], [0, 0, 1, 1], pool[4:8], pool, iterations=-3)
+
     def test_zero_iterations_is_prototype_baseline(self):
         rng = np.random.default_rng(6)
         support = rng.normal(size=(5, 4))

@@ -4,6 +4,7 @@ import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,21 +51,21 @@ def noisy_store():
 
 class TestParseMethod:
     @pytest.mark.parametrize(
-        "name,projection,preproc,inference",
+        "name,projection,inference",
         [
-            ("nn", "none", "none", "nn"),
-            ("sub", "none", "sub", "nn"),
-            ("sub-star", "none", "sub_star", "nn"),
-            ("pca-nn", "pca", "none", "nn"),
-            ("ica-bkm", "whiten", "none", "bkm"),
-            ("pca-msp", "pca", "none", "msp"),
-            ("bkm", "none", "none", "bkm"),
-            ("msp", "none", "none", "msp"),
+            ("nn", "none", "nn"),
+            ("sub", "none", "sub"),
+            ("sub-star", "none", "sub_star"),
+            ("pca-nn", "pca", "nn"),
+            ("ica-bkm", "whiten", "bkm"),
+            ("pca-msp", "pca", "msp"),
+            ("bkm", "none", "bkm"),
+            ("msp", "none", "msp"),
         ],
     )
-    def test_names(self, name, projection, preproc, inference):
+    def test_names(self, name, projection, inference):
         p = parse_method(name)
-        assert (p.projection, p.preproc, p.inference) == (projection, preproc, inference)
+        assert (p.projection, p.inference) == (projection, inference)
 
     def test_default_dims(self):
         assert parse_method("pca-nn").r == 4
@@ -74,20 +75,23 @@ class TestParseMethod:
     def test_dim_override(self):
         assert parse_method("ica-nn", dim=7).r == 7
 
-    @pytest.mark.parametrize("fields", [{"projection": "pca", "r": 4}, {"inference": "bkm"}])
-    def test_sub_pairs_only_with_plain_nn(self, fields):
-        with pytest.raises(ValueError, match="pairs only"):
-            MethodPipeline(name="x", preproc="sub", **fields)
-
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             parse_method("svm")
 
     def test_default_hyperparams(self):
-        p = parse_method("ica-msp")
-        assert p.msp_threshold == 0.3
-        assert p.msp_iterations == 4
-        assert p.bkm_clusters == 5
+        """The harness runs bkm with k=5 and msp with threshold 0.3 and 4 iterations."""
+        store = noisy_store()
+        pca_bkm, ica_msp = parse_method("pca-bkm"), parse_method("ica-msp")
+        for i in range(30):  # msp's threshold decides differently on some of them
+            ep = sample_episode(store, EpisodeSpec(seed=(12, i)))
+            y = ep.support_labels
+            S, Q, pool = EpisodeProjections(ep, [pca_bkm]).view(pca_bkm)
+            expected = np.unique(y)[np.argmax(bkm(S, y, Q, pool, k=5, seed=(12, i, 2)), axis=1)]
+            assert np.array_equal(evaluate_episode(ep, pca_bkm, seed=(12, i)), expected)
+            S, Q, pool = EpisodeProjections(ep, [ica_msp]).view(ica_msp)
+            expected = msp(S, y, Q, pool, threshold=0.3, iterations=4).predictions
+            assert np.array_equal(evaluate_episode(ep, ica_msp, seed=(12, i)), expected)
 
     def test_default_episode_count(self):
         assert BenchmarkConfig().episodes == 10000
@@ -201,6 +205,15 @@ class TestSubBaselines:
                 assert np.array_equal(preds[normalize_first], expected), (name, normalize_first, i)
             disagreements += int((preds[True] != preds[False]).sum())
         assert disagreements > 0  # the two settings are different classifiers
+
+    def test_hand_built_sub_runs_on_the_projected_view(self):
+        store = noisy_store()
+        for i in range(5):
+            ep = sample_episode(store, EpisodeSpec(k_shot=3, seed=(9, i)))
+            pipe = MethodPipeline("pca-sub", projection="pca", r=4, inference="sub")
+            S, Q, _ = EpisodeProjections(ep, [pipe]).view(pipe)
+            expected = self.reference(replace(ep, support=S, query=Q), True, True)
+            assert np.array_equal(evaluate_episode(ep, pipe, seed=(9, i)), expected)
 
     def test_sub_centers_on_support_and_queries_not_the_pool(self):
         ep = sample_episode(noisy_store(), EpisodeSpec(k_shot=3, seed=6))
@@ -387,7 +400,7 @@ class TestEpisodeStaging:
             projections = EpisodeProjections(ep, pipes)
             pool = np.vstack([ep.support, ep.unlabeled if spec else ep.query])
             decomposition = PoolDecomposition(pool, 10)
-            for fit, pipe in ((decomposition.pca(4), pipes[0]), (decomposition.whitening(10), pipes[1])):
+            for fit, pipe in ((decomposition.project("pca", 4), pipes[0]), (decomposition.project("whiten", 10), pipes[1])):
                 for got, X in zip(projections.view(pipe), (ep.support, ep.query, pool)):
                     assert np.array_equal(got, fit.apply(X))
 
@@ -447,6 +460,45 @@ class TestHeadInvariance:
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
             after = evaluate_episode(moved, pipe, seed=(seed, 0))
             assert np.array_equal(before, after), head
+
+
+class TestQueryPermutation:
+    """Predictions of ``nn``, ``pca-nn`` and ``ica-nn`` permute with the
+    queries.  ``msp`` and ``bkm`` are left out: MSP's top-K confidence ties,
+    common on raw features, and the k-means seed row both go by pool index."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.integers(2, 12),
+        st.integers(0, 4),
+        st.integers(1, 12),
+    )
+    def test_predictions_permute_with_the_queries(self, seed, n_way, k_shot, queries, m, unlabeled, dim):
+        rng = np.random.default_rng(seed)
+        means = rng.normal(0.0, 2.0, size=(n_way, m))
+
+        def draw(per_class):
+            labels = np.repeat(np.arange(n_way), per_class)
+            return means[labels] + rng.normal(size=(labels.size, m)), labels
+
+        support, support_labels = draw(k_shot)
+        query, query_labels = draw(queries)
+        pool_extra, pool_labels = draw(unlabeled)
+        ep = Episode(support, support_labels, query, query_labels, pool_extra, pool_labels, list(range(n_way)))
+        order = rng.permutation(query.shape[0])
+        permuted = replace(ep, query=query[order], query_labels=query_labels[order])
+        # Whitened to its full rank, n - 1, a pool of n rows is a regular
+        # simplex on which every decision is a tie; stay below it.
+        r = min(dim, m, ep.pool.shape[0] - 2)
+        for name in ("nn", "pca-nn", "ica-nn"):
+            pipe = parse_method(name, dim=r)
+            before = evaluate_episode(ep, pipe, seed=(seed, 0))
+            after = evaluate_episode(permuted, pipe, seed=(seed, 0))
+            assert np.array_equal(after, before[order]), name
 
 
 class TestClassRelabelling:
@@ -665,6 +717,22 @@ class TestMixtureConfigFile:
         p.write_text("m=6\nsignal_dims=3\nper_class=10\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: missing required key 'classes'")):
             load_store(BenchmarkConfig(synthetic=str(p)))
+
+
+class TestShippedConfigs:
+    """The files under ``configs/`` stay runnable and mean what they say."""
+
+    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+    def test_reference_mixture_is_the_reference_store(self):
+        store = harness._store_from_mog_config(self.CONFIGS / "reference_mog.cfg")
+        expected = reference_store()
+        assert list(store.classes) == list(expected.classes)
+        assert all(np.array_equal(store.classes[c], expected.classes[c]) for c in expected.classes)
+
+    def test_example_run_parses_into_its_pipelines(self):
+        config = BenchmarkConfig(**parse_config_file(self.CONFIGS / "example_run.cfg"))
+        assert [p.name for p in config.pipelines()] == ["pca-nn", "ica-msp"]
 
 
 class TestLabelHygiene:

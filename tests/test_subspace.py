@@ -228,10 +228,14 @@ class TestDecompositionRoutes:
         X = wide_pool(2, *shape)
         shared = PoolDecomposition(X, 10)
         for r in (4, 10):
-            np.testing.assert_allclose(shared.pca(r).W, fit_pca(X, r).W, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(shared.whitening(r).W, whiten(X, r)[1].W, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(shared.project("pca", r).W, fit_pca(X, r).W, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(shared.project("whiten", r).W, whiten(X, r)[1].W, rtol=1e-12, atol=0)
         with pytest.raises(ValueError, match="holds 10 axes, 11 requested"):
-            shared.pca(11)
+            shared.project("pca", 11)
+
+    def test_unknown_projection_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown projection 'ica'; choose from pca, whiten"):
+            PoolDecomposition(wide_pool(2, 80, 64), 4).project("ica", 4)
 
     @pytest.mark.parametrize("scale", [1.0, 1e4])
     @pytest.mark.parametrize("route", ["gram", "scatter", "svd"])
@@ -258,7 +262,7 @@ class TestDecompositionRoutes:
         X = wide_pool(4, 4, 1024)
         p = fit_pca(X, 8)
         assert p.r == 3 and p.meta["r_reduced"] == {"requested": 8, "used": 3}
-        assert PoolDecomposition(X, 8).whitening(8).meta["r_reduced"] == {"requested": 8, "used": 3}
+        assert PoolDecomposition(X, 8).project("whiten", 8).meta["r_reduced"] == {"requested": 8, "used": 3}
         with pytest.raises(ValueError, match="rank deficient: requested 8, available 3"):
             whiten(X, 8)
         with pytest.raises(ValueError, match="rank deficient: requested 100, available 64"):
