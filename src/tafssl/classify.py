@@ -74,8 +74,13 @@ def nn_classify(queries, prototypes: Prototypes, temperature: float = 1.0) -> tu
     Returns ``(predictions, posterior)`` where predictions are class ids
     (ties broken toward the lowest class index) and posterior rows are
     softmax(-temperature * d^2), computed with max-subtraction.  The argmax
-    of each posterior row equals the nearest-prototype decision.
+    of each posterior row equals the nearest-prototype decision, which
+    holds only for a finite ``temperature`` > 0; any other is rejected.
     """
+    # A negative temperature puts the posterior's mode on the farthest
+    # prototype; NaN makes every posterior NaN.
+    if not 0.0 < temperature < np.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     queries = as_matrix(queries, "queries")
     if queries.shape[1] != prototypes.vectors.shape[1]:
         raise ValueError(

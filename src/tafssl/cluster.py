@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from tafssl.classify import Prototypes, build_prototypes, nn_classify
-from tafssl.linalg import NumericalWarning, as_matrix, pairwise_sqdist, softmax_rows
+from tafssl.linalg import NumericalWarning, as_matrix, pairwise_sqdist, row_max, softmax_rows
 
 __all__ = ["Clustering", "MspResult", "bkm", "bkm_from_centroids", "kmeans", "msp"]
 
@@ -62,13 +62,15 @@ class MspResult:
     k_history: list[int] = field(default_factory=list)
 
 
-def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator, x_sq: np.ndarray | None = None) -> np.ndarray:
     """k-means++-style greedy seeding: random first centroid, then repeatedly
     the point farthest from the chosen set.  Deterministic given the seed
     (argmax ties resolve to the lowest row index).  Stops short of ``k``
     centroids when the farthest row equals a chosen one, so the centroids
-    returned are distinct rows of ``X``."""
-    x_sq = (X * X).sum(axis=1)
+    returned are distinct rows of ``X``.  ``x_sq`` is ``X``'s squared row
+    norms, when the caller has them."""
+    if x_sq is None:
+        x_sq = (X * X).sum(axis=1)
     chosen = [int(rng.integers(X.shape[0]))]
     min_sq = pairwise_sqdist(X, X[chosen[-1]][None, :], x_sq)[:, 0]
     while len(chosen) < k:
@@ -93,26 +95,29 @@ def kmeans(pool, k: int, seed: int = 0) -> Clustering:
         raise ValueError("empty pool")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    centroids = _farthest_point_init(pool, k, np.random.default_rng(seed))
+    pool_sq = (pool * pool).sum(axis=1)
+    centroids = _farthest_point_init(pool, k, np.random.default_rng(seed), pool_sq)
     meta: dict = {}
     if centroids.shape[0] < k:
         meta["k_reduced"] = {"requested": k, "used": centroids.shape[0]}
         k = centroids.shape[0]
-    pool_sq = (pool * pool).sum(axis=1)
     assign = np.full(pool.shape[0], -1)
+    members = np.empty_like(pool)
     for _ in range(KMEANS_MAX_ITER):
         new_assign = np.argmin(pairwise_sqdist(pool, centroids, pool_sq), axis=1)
-        if np.array_equal(new_assign, assign):
+        if (new_assign == assign).all():
             break
         assign = new_assign
         # Members of each cluster as one contiguous run, in pool order, so
         # each mean is bit-identical to the mean over a boolean mask.
-        members = pool[np.argsort(assign, kind="stable")]
+        np.take(pool, np.argsort(assign, kind="stable"), axis=0, out=members, mode="clip")
         ends = np.cumsum(np.bincount(assign, minlength=k))
         for j in range(k):
             start = ends[j - 1] if j else 0
             if ends[j] > start:
-                centroids[j] = members[start : ends[j]].mean(axis=0)
+                # ndarray.mean's own two steps, without its Python wrapper.
+                np.add.reduce(members[start : ends[j]], axis=0, out=centroids[j])
+                centroids[j] /= ends[j] - start
             else:
                 # Re-seed an empty cluster at the point farthest from its
                 # assigned centroid; keeps every centroid meaningful.
@@ -143,7 +148,7 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
     # Support affinities exp(-d^2), max-subtracted per query; the common
     # factor cancels in the conditional ratio so this is exact.
     neg_sq = -pairwise_sqdist(queries, support, q_sq)
-    affinity = np.exp(neg_sq - neg_sq.max(axis=1, keepdims=True))  # queries x supports
+    affinity = np.exp(neg_sq - row_max(neg_sq)[:, None])  # queries x supports
 
     denom = affinity @ member_s  # queries x k
     # Supports grouped by class, in row order: each slice is its class's boolean-mask selection.
@@ -178,6 +183,16 @@ def bkm(support, support_labels, queries, pool, k: int = BKM_DEFAULT_CLUSTERS, s
     return bkm_from_centroids(support, support_labels, queries, clustering.centroids)
 
 
+def _nearest_confidence(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest class (ties to the lowest) and its softmax(-sq)
+    probability, ``softmax_rows(-sq)[rows, nearest]`` bit for bit without
+    the posterior matrix: the row max of -sq is -sq[nearest], so the shifted
+    logits are sq[nearest] - sq, their exp at the nearest class is exactly 1,
+    and the same row sum divides."""
+    nearest = np.argmin(sq, axis=1)
+    return nearest, 1.0 / np.exp(sq[np.arange(sq.shape[0]), nearest][:, None] - sq).sum(axis=1)
+
+
 def msp(
     support,
     support_labels,
@@ -195,9 +210,14 @@ def msp(
     each prototype with the mean of its K most confident samples (ties by
     pool index).  A round with K = 0 keeps all prototypes unchanged.  The
     final posterior is the nearest-prototype softmax for the queries.
+    ``threshold`` must lie in [0, 1).
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
+    # A confidence is at most 1, so a threshold of 1 or more (or NaN) would
+    # make every round K = 0 and msp silently nn.
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     support = as_matrix(support, "support")
     queries = as_matrix(queries, "queries")
     pool = as_matrix(pool, "pool")
@@ -209,11 +229,7 @@ def msp(
     rows = np.arange(pool.shape[0])
     k_history: list[int] = []
     for _ in range(iterations):
-        sq = pairwise_sqdist(pool, vectors, pool_sq)
-        posterior = softmax_rows(-sq)
-        predicted = np.argmin(sq, axis=1)  # == posterior argmax, ties to lowest class
-        confidence = posterior[rows, predicted]
-
+        predicted, confidence = _nearest_confidence(pairwise_sqdist(pool, vectors, pool_sq))
         counts = np.bincount(predicted[confidence > threshold], minlength=n_classes)
         k = int(counts.min())
         k_history.append(k)

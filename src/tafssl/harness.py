@@ -470,7 +470,8 @@ def _store_from_mog_config(path) -> FeatureStore:
 
 
 def format_reports(table: list[tuple[int | None, list[RunReport]]], sweep: str | None = None) -> str:
-    """Human-readable aligned table; one row per (sweep value, method)."""
+    """Human-readable aligned table; one row per (sweep value, method),
+    then a line naming each report that counted warnings, if any did."""
     rows = [("sweep", "value", "method", "mode", "episodes", "accuracy", "ci95", "s/episode")]
     for value, reports in table:
         for rep in reports:
@@ -492,6 +493,15 @@ def format_reports(table: list[tuple[int | None, list[RunReport]]], sweep: str |
         best = max(((rep.accuracy, value) for value, reports in table for rep in reports), default=None)
         if best is not None:
             lines.append(f"best dim by accuracy: {best[1]} ({best[0]:.2f}%)")
+    # The episode loop records every warning, so this line is where they show.
+    warned = [
+        f"{rep.method}{'' if value is None else f' ({sweep} {value})'} {rep.metadata['warnings']}"
+        for value, reports in table
+        for rep in reports
+        if rep.metadata.get("warnings")
+    ]
+    if warned:
+        lines.append(f"warnings: {', '.join(warned)}")
     return "\n".join(lines)
 
 

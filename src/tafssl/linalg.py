@@ -29,6 +29,7 @@ __all__ = [
     "column_mean",
     "covariance",
     "pairwise_sqdist",
+    "row_max",
     "set_blas_threads",
     "single_blas_thread",
     "softmax_rows",
@@ -128,10 +129,23 @@ def pairwise_sqdist(A: np.ndarray, B: np.ndarray, a_sq: np.ndarray | None = None
     return np.maximum(sq, 0.0)
 
 
+def row_max(X: np.ndarray) -> np.ndarray:
+    """The maximum of each row of ``X``, equal to ``X.max(axis=1)``.
+
+    numpy reduces a short row one row at a time; reducing the transposed
+    copy down its columns runs across all rows at once (805 x 5 on a 2-CPU
+    x86 host, numpy 2.4: 7 us against 56 us).  A max does not round, so the
+    order changes no value.  Row sums
+    get no such helper: numpy's summation order depends on the row length,
+    so a transposed sum is not bit-identical for every width.
+    """
+    return np.ascontiguousarray(X.T).max(axis=0)
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction for numerical stability."""
     logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - row_max(logits)[:, None]
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 

@@ -14,11 +14,12 @@ Dimension defaults: 4 components for PCA, 10 for ICA.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from tafssl.linalg import RANK_EPS, as_matrix, flip_signs
+from tafssl.linalg import RANK_EPS, NumericalWarning, as_matrix, flip_signs
 
 __all__ = [
     "ICA_DEFAULT_DIM",
@@ -185,6 +186,15 @@ class PoolDecomposition:
             raise ValueError(f"rank deficient: requested {r}, available {available}")
         if r > self.axes.shape[0]:
             raise ValueError(f"decomposition holds {self.axes.shape[0]} axes, {r} requested")
+        if method == "whiten" and r == self.n_rows - 1:
+            # n rows span n - 1 centered directions; whitened to all of them
+            # they sit pairwise equidistant, so distances there decide nothing.
+            warnings.warn(
+                f"whitening a pool of n = {self.n_rows} rows to r = {r} = n - 1 dimensions makes it a regular "
+                "simplex; distance-based decisions there are rounding noise",
+                NumericalWarning,
+                stacklevel=3,
+            )
         evals = self.eigenvalues[:r]
         W = self.axes[:r] / np.sqrt(evals)[:, None] if method == "whiten" else self.axes[:r].copy()
         meta["eigenvalues"] = evals.copy()

@@ -112,6 +112,14 @@ class TestNnClassify:
         with pytest.raises(ValueError, match="dimension mismatch"):
             nn_classify([[1.0]], protos)
 
+    @pytest.mark.parametrize("temperature", [-1.0, np.nan, 0.0, np.inf])
+    def test_bad_temperature_rejected(self, temperature):
+        # At -1 the posterior's mode would be the farthest prototype while the
+        # decision is the nearest; at NaN every posterior would be NaN.
+        protos = build_prototypes([[0.0], [4.0]], [0, 1])
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            nn_classify([[1.0]], protos, temperature=temperature)
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6))
     def test_posterior_hygiene_fuzz(self, seed):

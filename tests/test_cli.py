@@ -50,6 +50,13 @@ class TestCli:
         r = run_cli("--synthetic", "reference", "--method", "nn", "--episodes", "2")
         assert r.returncode == 0, r.stderr
 
+    def test_warnings_are_shown(self):
+        r = run_cli("--synthetic", "reference", "--method", "ica-nn", "--queries", "1", "--dim", "9", "--episodes", "3")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "warnings: ica-nn 3"
+        r = run_cli("--synthetic", "reference", "--method", "ica-nn", "--episodes", "3")
+        assert "warnings" not in r.stdout
+
     def test_synthetic_config_file(self, tmp_path):
         cfg = tmp_path / "mog.cfg"
         cfg.write_text("m=6\nsignal_dims=3\nclasses=8\nper_class=30\nseed=1\n")

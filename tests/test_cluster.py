@@ -4,11 +4,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tafssl import cluster
+from tafssl import classify, cluster, linalg
 from tafssl.classify import Prototypes, build_prototypes, nn_classify
-from tafssl.cluster import KMEANS_MAX_ITER, _farthest_point_init, bkm, bkm_from_centroids, kmeans, msp
-from tafssl.linalg import NumericalWarning, as_matrix, softmax_rows
+from tafssl.cluster import (
+    KMEANS_MAX_ITER,
+    Clustering,
+    _farthest_point_init,
+    _nearest_confidence,
+    bkm,
+    bkm_from_centroids,
+    kmeans,
+    msp,
+)
+from tafssl.linalg import NumericalWarning, as_matrix, pairwise_sqdist, softmax_rows
 
 
 def soft_nn_oracle(support, labels, queries, class_ids):
@@ -170,14 +181,23 @@ class TestMsp:
         assert all(0 <= k <= pool.shape[0] for k in res.k_history)
 
     def test_impossible_round_keeps_prototypes(self):
-        # Threshold 1.0 is unreachable, so K = 0 every round.
+        # The largest threshold below 1 is out of reach for this pool (every
+        # confidence is below it), so K = 0 every round.
         support = np.array([[0.0], [5.0]])
         labels = np.array([0, 1])
         queries = np.array([[1.0], [4.0]])
         pool = np.vstack([support, queries])
-        res = msp(support, labels, queries, pool, threshold=1.0, iterations=3)
+        res = msp(support, labels, queries, pool, threshold=np.nextafter(1.0, 0.0), iterations=3)
         np.testing.assert_allclose(res.prototypes, support)
         assert res.k_history == [0, 0, 0]
+
+    @pytest.mark.parametrize("threshold", [1.0, 1.5, np.inf, np.nan, -0.1])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # At 1.5 or NaN no confidence passes: every round would have K = 0
+        # and msp would silently be nn.
+        pool = np.random.default_rng(4).normal(size=(20, 4))
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\)"):
+            msp(pool[:4], [0, 0, 1, 1], pool[4:8], pool, threshold=threshold)
 
     def test_refinement_beats_one_shot_on_blobs(self):
         wins = 0
@@ -387,9 +407,10 @@ class TestMatchesLoopReference:
         assert any(differs)
 
     def test_msp_keeps_prototypes_through_zero_rounds(self):
-        # 1.0 is out of reach; 0.9 is not, but one class of this pool has no row above it.
+        # The largest threshold below 1 is out of reach here; 0.9 is not, but
+        # one class of this pool has no row above it.
         sets = _episode_sets(7, 80, 10, spread=0.3)
-        assert self.assert_msp_matches(*sets, threshold=1.0).k_history == [0, 0, 0, 0]
+        assert self.assert_msp_matches(*sets, threshold=np.nextafter(1.0, 0.0)).k_history == [0, 0, 0, 0]
         sets = _episode_sets(7, 80, 4, spread=0.5)
         assert self.assert_msp_matches(*sets, threshold=0.9).k_history == [0, 0, 0, 0]
 
@@ -473,3 +494,148 @@ class TestBkmMatchesLoopReference:
         assert "assign_probs" not in vars(made[0])
         assert np.array_equal(post, bkm_from_centroids(support, labels, queries, made[0].centroids))
         assert np.array_equal(made[0].assign_probs, _ref_kmeans(pool, 5, seed=(9, 2))[2])
+
+
+# kmeans (with its seeding) and the MSP round as they stood before the
+# k-means means lost ndarray.mean's Python wrapper and msp stopped building
+# the pool x classes posterior; softmax_rows as it stood then too.  Kept
+# verbatim as the oracle the rewrite must match bit for bit.
+def _parent_softmax_rows(logits):
+    logits = np.asarray(logits, dtype=np.float64)
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _parent_msp_round(sq):
+    rows = np.arange(sq.shape[0])
+    posterior = _parent_softmax_rows(-sq)
+    predicted = np.argmin(sq, axis=1)  # == posterior argmax, ties to lowest class
+    confidence = posterior[rows, predicted]
+    return predicted, confidence
+
+
+def _parent_farthest_point_init(X, k, rng):
+    x_sq = (X * X).sum(axis=1)
+    chosen = [int(rng.integers(X.shape[0]))]
+    min_sq = pairwise_sqdist(X, X[chosen[-1]][None, :], x_sq)[:, 0]
+    while len(chosen) < k:
+        far = int(np.argmax(min_sq))
+        if (X[chosen] == X[far]).all(axis=1).any():
+            break
+        chosen.append(far)
+        min_sq = np.minimum(min_sq, pairwise_sqdist(X, X[far][None, :], x_sq)[:, 0])
+    return X[chosen].copy()
+
+
+def _parent_kmeans(pool, k, seed=0):
+    pool = as_matrix(pool, "pool")
+    centroids = _parent_farthest_point_init(pool, k, np.random.default_rng(seed))
+    meta = {}
+    if centroids.shape[0] < k:
+        meta["k_reduced"] = {"requested": k, "used": centroids.shape[0]}
+        k = centroids.shape[0]
+    pool_sq = (pool * pool).sum(axis=1)
+    assign = np.full(pool.shape[0], -1)
+    for _ in range(KMEANS_MAX_ITER):
+        new_assign = np.argmin(pairwise_sqdist(pool, centroids, pool_sq), axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        members = pool[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(np.bincount(assign, minlength=k))
+        for j in range(k):
+            start = ends[j - 1] if j else 0
+            if ends[j] > start:
+                centroids[j] = members[start : ends[j]].mean(axis=0)
+            else:
+                to_own = ((pool - centroids[assign]) ** 2).sum(axis=1)
+                centroids[j] = pool[int(np.argmax(to_own))]
+    return Clustering(k=k, centroids=centroids, pool=pool, meta=meta)
+
+
+class TestMatchesParent:
+    """The MSP round's decisions and k-means are bit-identical to the parent
+    code above, and msp builds no pool x classes posterior."""
+
+    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
+    @pytest.mark.parametrize("n_classes", [5, 12])
+    def test_msp_round(self, n, m, n_classes):
+        for spread in (0.3, 3.0, 30.0):  # at 30 most confidences round to exactly 1.0
+            _, _, _, pool = _episode_sets((n, m, n_classes), n, m, n_way=n_classes, spread=spread)
+            sq = pairwise_sqdist(pool, pool[:n_classes])
+            predicted, confidence = _nearest_confidence(sq)
+            ref_predicted, ref_confidence = _parent_msp_round(sq)
+            assert np.array_equal(predicted, ref_predicted)
+            assert np.array_equal(confidence, ref_confidence)
+
+    def test_msp_round_edge_rows(self):
+        sq = np.array(
+            [
+                [0.0, 4.0, 9.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0],  # at distance 0
+                [1.0, 900.0, 901.0, 902.0, 903.0, 904.0, 905.0, 906.0, 907.0, 908.0],  # confidence 1.0
+                [2.0, 2.0, 3.0, 3.0, 2.0, 9.0, 9.0, 9.0, 9.0, 2.0],  # a tie: lowest class
+                [5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0],  # uniform
+                [0.0, 0.0, 1e300, 1e-300, 0.0, 7.0, 0.0, 0.0, 3.0, 0.0],
+            ]
+        )
+        for width in (2, 5, 8, 9, 10):
+            predicted, confidence = _nearest_confidence(sq[:, :width])
+            ref_predicted, ref_confidence = _parent_msp_round(sq[:, :width])
+            assert np.array_equal(predicted, ref_predicted)
+            assert np.array_equal(confidence, ref_confidence)
+        assert confidence[1] == 1.0 and predicted[2] == 0
+
+    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
+    @pytest.mark.parametrize("k", [1, 5, 8, 12])
+    def test_kmeans(self, n, m, k):
+        for seed in range(2):
+            pool = _episode_sets((n, m, seed, 1), n, m, spread=2.0)[3]
+            got = kmeans(pool, k, seed=(seed, 2))
+            ref = _parent_kmeans(pool, k, seed=(seed, 2))
+            assert got.k == ref.k and got.meta == ref.meta
+            assert np.array_equal(got.centroids, ref.centroids)
+            assert np.array_equal(got.assign_probs, _parent_softmax_rows(-pairwise_sqdist(pool, ref.centroids)))
+
+    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
+    def test_farthest_point_init_with_given_norms(self, n, m):
+        pool = _episode_sets((n, m), n, m)[3]
+        got = _farthest_point_init(pool, 7, np.random.default_rng(4), (pool * pool).sum(axis=1))
+        assert np.array_equal(got, _parent_farthest_point_init(pool, 7, np.random.default_rng(4)))
+
+    def test_msp_builds_no_pool_posterior(self, monkeypatch):
+        shapes = []
+
+        def spy(logits):
+            shapes.append(np.shape(logits))
+            return softmax_rows(logits)
+
+        for module in (linalg, classify, cluster):
+            monkeypatch.setattr(module, "softmax_rows", spy)
+        support, labels, queries, pool = _episode_sets(3, 805, 64, spread=0.3)
+        got = msp(support, labels, queries, pool)
+        assert any(got.k_history)  # prototypes moved: the rounds ran in full
+        assert shapes == [(queries.shape[0], 5)]  # the final query posterior only
+
+
+class TestPosteriorsAtExtremeScales:
+    """nn_classify, bkm and msp posteriors stay finite and sum to one for
+    features scaled by 10^s, s in [-100, 100]."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.floats(-100.0, 100.0))
+    def test_finite_and_normalized(self, seed, s):
+        support, labels, queries, pool = _episode_sets(seed, 40, 8, spread=3.0)
+        scale = 10.0**s
+        support, queries, pool = scale * support, scale * queries, scale * pool
+        with warnings.catch_warnings():
+            # bkm's documented fallback for clusters no support reaches
+            warnings.filterwarnings("ignore", ".*degenerate cluster denominator", NumericalWarning)
+            posteriors = {
+                "nn": nn_classify(queries, build_prototypes(support, labels))[1],
+                "bkm": bkm(support, labels, queries, pool, seed=seed),
+                "msp": msp(support, labels, queries, pool).posterior,
+            }
+        for name, posterior in posteriors.items():
+            assert np.isfinite(posterior).all(), name
+            np.testing.assert_allclose(posterior.sum(axis=1), 1.0, rtol=0, atol=1e-12, err_msg=name)

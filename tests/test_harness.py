@@ -655,6 +655,23 @@ class TestOutputs:
         assert lines[0].startswith("sweep")
         assert "nn" in lines[1]
 
+    def test_format_reports_names_methods_that_warned(self):
+        def report(method, warned):
+            return harness.RunReport(method, "transductive", 3, 50.0, 1.0, 0.001, {"warnings": warned})
+
+        text = format_reports([(None, [report("nn", 0), report("ica-nn", 4), report("ica-msp", 2)])])
+        assert text.splitlines()[-1] == "warnings: ica-nn 4, ica-msp 2"
+        text = format_reports([(8, [report("ica-nn", 0)]), (9, [report("ica-nn", 5)])], "dim")
+        assert text.splitlines()[-1] == "warnings: ica-nn (dim 9) 5"
+        assert "warnings" not in format_reports([(None, [report("nn", 0), report("pca-nn", 0)])])
+
+    def test_simplex_warning_is_charged_to_the_first_pipeline_of_the_view(self):
+        # 5-way 1-shot with 1 query per class: 10-row pools, whitened to 9 = n - 1.
+        cfg = BenchmarkConfig(method="pca-nn,ica-nn,ica-msp", queries=1, dim=9, episodes=6, seed=0)
+        reports = run_benchmark(cfg, store=reference_store())
+        assert [r.metadata["warnings"] for r in reports] == [0, 6, 0]
+        assert format_reports([(None, reports)]).splitlines()[-1] == "warnings: ica-nn 6"
+
 
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):

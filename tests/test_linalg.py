@@ -11,6 +11,7 @@ from tafssl.linalg import (
     column_mean,
     covariance,
     pairwise_sqdist,
+    row_max,
     set_blas_threads,
     single_blas_thread,
     softmax_rows,
@@ -147,6 +148,58 @@ class TestHelpers:
     def test_as_matrix_rejects_1d(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             as_matrix([1.0, 2.0])
+
+
+# softmax_rows as it stood before its row max moved to row_max.  Kept
+# verbatim as the oracle the rewrite must match bit for bit.
+def _parent_softmax_rows(logits):
+    logits = np.asarray(logits, dtype=np.float64)
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestRowMax:
+    """row_max is X.max(axis=1), and softmax_rows is bit-identical to the
+    parent above, at the pool shapes the heads see and at widths on both
+    sides of numpy's 8-column summation change."""
+
+    @pytest.mark.parametrize("n, m", [(805, 64), (805, 4), (80, 1024), (80, 10)])
+    @pytest.mark.parametrize("width", [1, 2, 5, 7, 8, 9, 12, 16, 33])
+    def test_softmax_rows_matches_parent(self, n, m, width):
+        rng = np.random.default_rng((n, m, width))
+        pool = rng.normal(size=(n, m))
+        for scale in (0.1, 1.0, 30.0):  # at 30 most rows underflow to one-hot
+            logits = -pairwise_sqdist(scale * pool, scale * pool[rng.integers(n, size=width)])
+            assert np.array_equal(row_max(logits), logits.max(axis=1))
+            assert np.array_equal(softmax_rows(logits), _parent_softmax_rows(logits))
+
+    def test_ties_zeros_and_infinities(self):
+        X = np.array(
+            [
+                [0.0, -0.0, -1.0, -0.0, 0.0, -2.0, -3.0, 0.0, -0.0],
+                [-np.inf, -np.inf, -5.0, -5.0, -np.inf, -6.0, -7.0, -8.0, -9.0],
+                [3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0],
+                [np.inf, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+            ]
+        )
+        for width in range(1, X.shape[1] + 1):
+            assert np.array_equal(row_max(X[:, :width]), X[:, :width].max(axis=1))
+        logits = X[:3]
+        assert np.array_equal(softmax_rows(logits), _parent_softmax_rows(logits))
+
+    def test_no_rows(self):
+        assert row_max(np.empty((0, 5))).shape == (0,)
+
+
+def test_numpy_floating_point_warnings_fail_tests():
+    # pyproject.toml turns these RuntimeWarnings into errors for the suite.
+    with pytest.raises(RuntimeWarning, match="overflow encountered"):
+        np.exp(np.array([1000.0]))
+    with pytest.raises(RuntimeWarning, match="divide by zero encountered"):
+        np.log(np.array([0.0]))
+    with pytest.raises(RuntimeWarning, match="invalid value encountered"):
+        np.sqrt(np.array([-1.0]))
 
 
 class TestSingleBlasThread:

@@ -1,10 +1,12 @@
 """Tests for whitening, PCA, and FastICA subspace fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from tafssl import subspace
-from tafssl.linalg import RANK_EPS, covariance, pairwise_sqdist
+from tafssl.linalg import RANK_EPS, NumericalWarning, covariance, pairwise_sqdist
 from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, fit_ica, fit_pca, whiten
 
 
@@ -269,3 +271,28 @@ class TestDecompositionRoutes:
             fit_pca(wide_pool(5, 805, 64), 100)
         with pytest.raises(ValueError, match="insufficient samples"):
             fit_pca(X[:1], 2)
+
+
+class TestSimplexWarning:
+    """Whitening n rows to n - 1 dimensions makes them a regular simplex,
+    where every distance-based decision is rounding noise: it warns."""
+
+    def test_whitening_to_n_minus_1_warns(self):
+        X = np.random.default_rng(0).normal(size=(10, 64))
+        with pytest.warns(NumericalWarning, match=r"n = 10 rows to r = 9 = n - 1"):
+            Z, _ = whiten(X, 9)
+        # Every pairwise squared distance is 2n: the decisions there are noise.
+        np.testing.assert_allclose(pairwise_sqdist(Z, Z)[np.triu_indices(10, 1)], 20.0, rtol=1e-12)
+
+    def test_reduced_r_warns(self):
+        X = np.random.default_rng(1).normal(size=(10, 64))
+        with pytest.warns(NumericalWarning, match=r"n = 10 rows to r = 9"):
+            proj = PoolDecomposition(X, 12).project("whiten", 12)
+        assert proj.meta["r_reduced"] == {"requested": 12, "used": 9}
+
+    def test_pca_or_fewer_dimensions_do_not_warn(self):
+        X = np.random.default_rng(2).normal(size=(10, 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whiten(X, 8)
+            PoolDecomposition(X, 9).project("pca", 9)
