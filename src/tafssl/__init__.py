@@ -9,7 +9,7 @@ real feature files or a synthetic mixture-of-Gaussians generator and reports
 accuracy with 0.95 confidence intervals.
 """
 
-from tafssl.classify import Prototypes, build_prototypes, center_and_normalize, nn_classify
+from tafssl.classify import Prototypes, build_prototypes, nn_classify
 from tafssl.cluster import Clustering, MspResult, bkm, kmeans, msp
 from tafssl.episodes import (
     Episode,
@@ -22,7 +22,7 @@ from tafssl.episodes import (
 )
 from tafssl.features_io import load_features, save_features
 from tafssl.harness import BenchmarkConfig, MethodPipeline, RunReport, run_ablation, run_benchmark
-from tafssl.linalg import NumericalWarning, column_mean, covariance, sym_eig
+from tafssl.linalg import NumericalWarning, covariance, sym_eig
 from tafssl.subspace import SubspaceProjection, fit_ica, fit_pca, whiten
 
 __version__ = "0.1.0"
@@ -42,8 +42,6 @@ __all__ = [
     "SubspaceProjection",
     "bkm",
     "build_prototypes",
-    "center_and_normalize",
-    "column_mean",
     "covariance",
     "fit_ica",
     "fit_pca",

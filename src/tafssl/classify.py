@@ -3,15 +3,19 @@
 The basic few-shot classifier averages the support samples of each class
 into a prototype and assigns every query to the nearest prototype in
 squared Euclidean distance.  Soft class posteriors come from a softmax over
-negative squared distances at temperature 1.  The transductive baselines
-("sub" and "sub-star") additionally center and L2-normalize the episode
-before classifying.
+negative squared distances at temperature 1.
+
+Three inference heads live here: ``nn``, and the transductive baselines
+``sub`` and ``sub_star``, which center and L2-normalize the episode before
+deciding as ``nn``.  Every head has the signature ``head(support,
+support_labels, queries, pool, seed) -> predictions``; these three read
+neither the pool nor the seed.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,9 +24,11 @@ from tafssl.linalg import NumericalWarning, as_matrix, pairwise_sqdist, softmax_
 __all__ = [
     "Prototypes",
     "build_prototypes",
-    "center_and_normalize",
     "l2_normalize_rows",
+    "nn",
     "nn_classify",
+    "sub",
+    "sub_star",
 ]
 
 
@@ -102,20 +108,32 @@ def l2_normalize_rows(X: np.ndarray) -> np.ndarray:
     return np.divide(X, norms, out=X.copy(), where=norms > 0)
 
 
-def center_and_normalize(S, Q, mode: str = "joint") -> tuple[np.ndarray, np.ndarray]:
-    """Episode centering followed by per-row L2 normalization.
+def nn(support, support_labels, queries, pool, seed) -> np.ndarray:
+    """The ``nn`` head: each query's nearest class-mean prototype."""
+    return nn_classify(queries, build_prototypes(support, support_labels))[0]
 
-    ``joint`` subtracts the mean of all samples (support and queries
-    together) from both sets; ``separate`` subtracts each set's own mean.
-    Zero rows survive unnormalized (recorded via NumericalWarning).
-    """
-    S = as_matrix(S, "support")
-    Q = as_matrix(Q, "queries")
-    if S.shape[1] != Q.shape[1]:
-        raise ValueError("support and queries must share the feature dimension")
-    if mode == "joint":
-        mu = np.vstack([S, Q]).mean(axis=0)
-        return l2_normalize_rows(S - mu), l2_normalize_rows(Q - mu)
-    if mode == "separate":
-        return l2_normalize_rows(S - S.mean(axis=0)), l2_normalize_rows(Q - Q.mean(axis=0))
-    raise ValueError(f"unknown mode {mode!r}, expected 'joint' or 'separate'")
+
+def sub(support, support_labels, queries, pool, seed, normalize_first: bool = True) -> np.ndarray:
+    """The ``sub`` head: ``nn`` after centering support and queries on their
+    joint mean; see :func:`_normalized_nn` for ``normalize_first``."""
+    mu = np.vstack([support, queries]).mean(axis=0)
+    return _normalized_nn(support - mu, support_labels, queries - mu, normalize_first)
+
+
+def sub_star(support, support_labels, queries, pool, seed, normalize_first: bool = True) -> np.ndarray:
+    """The ``sub-star`` head: ``nn`` after centering support and queries each
+    on its own mean; see :func:`_normalized_nn` for ``normalize_first``."""
+    return _normalized_nn(support - np.mean(support, axis=0), support_labels, queries - np.mean(queries, axis=0), normalize_first)
+
+
+def _normalized_nn(S, y_s, Q, normalize_first: bool) -> np.ndarray:
+    """``nn`` on L2-normalized queries, and on L2-normalized support rows
+    (``normalize_first``) or prototypes.  Zero rows stay unnormalized, with
+    a NumericalWarning."""
+    if normalize_first:
+        S = l2_normalize_rows(S)
+    Q = l2_normalize_rows(Q)
+    protos = build_prototypes(S, y_s)
+    if not normalize_first:
+        protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
+    return nn_classify(Q, protos)[0]

@@ -13,21 +13,22 @@ unlabeled set in the semi-supervised one):
   final prototypes.
 
 Both are deterministic given their seed and inputs; there is no state shared
-across episodes.
+across episodes.  ``bkm_predict`` and ``msp_predict`` are their inference
+heads, with the signature every head has, ``head(support, support_labels,
+queries, pool, seed) -> predictions``, and the defaults below.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from tafssl.classify import Prototypes, build_prototypes, nn_classify
 from tafssl.linalg import NumericalWarning, as_matrix, pairwise_sqdist, row_max, softmax_rows
 
-__all__ = ["Clustering", "MspResult", "bkm", "bkm_from_centroids", "kmeans", "msp"]
+__all__ = ["Clustering", "MspResult", "bkm", "bkm_from_centroids", "bkm_predict", "kmeans", "msp", "msp_predict"]
 
 BKM_DEFAULT_CLUSTERS = 5
 MSP_DEFAULT_THRESHOLD = 0.3
@@ -38,17 +39,11 @@ KMEANS_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class Clustering:
-    """Hard k-means centroids of ``pool``, plus its soft memberships, computed on first read."""
+    """Hard k-means centroids of a pool."""
 
     k: int
     centroids: np.ndarray
-    pool: np.ndarray = field(repr=False)
     meta: dict = field(default_factory=dict)
-
-    @cached_property
-    def assign_probs(self) -> np.ndarray:
-        """softmax(-d^2) of the pool rows against the centroids; ``bkm`` never reads it."""
-        return softmax_rows(-pairwise_sqdist(self.pool, self.centroids))
 
 
 @dataclass(frozen=True)
@@ -84,8 +79,7 @@ def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator, x_sq: 
 
 
 def kmeans(pool, k: int, seed: int = 0) -> Clustering:
-    """Hard Lloyd iterations to an assignment fixpoint (at most 100 rounds);
-    the result's ``assign_probs`` soft-assigns the pool to the final centroids.
+    """Hard Lloyd iterations to an assignment fixpoint (at most 100 rounds).
 
     If the pool has fewer than ``k`` distinct rows, seeding stops at distinct
     rows, k is reduced to their count and the reduction recorded in ``meta``.
@@ -123,7 +117,7 @@ def kmeans(pool, k: int, seed: int = 0) -> Clustering:
                 # assigned centroid; keeps every centroid meaningful.
                 to_own = ((pool - centroids[assign]) ** 2).sum(axis=1)
                 centroids[j] = pool[int(np.argmax(to_own))]
-    return Clustering(k=k, centroids=centroids, pool=pool, meta=meta)
+    return Clustering(k=k, centroids=centroids, meta=meta)
 
 
 def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarray:
@@ -181,6 +175,11 @@ def bkm(support, support_labels, queries, pool, k: int = BKM_DEFAULT_CLUSTERS, s
     """
     clustering = kmeans(pool, k, seed)
     return bkm_from_centroids(support, support_labels, queries, clustering.centroids)
+
+
+def bkm_predict(support, support_labels, queries, pool, seed) -> np.ndarray:
+    """The ``bkm`` head: each query's most probable class under :func:`bkm`."""
+    return np.unique(support_labels)[np.argmax(bkm(support, support_labels, queries, pool, seed=seed), axis=1)]
 
 
 def _nearest_confidence(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,3 +250,8 @@ def msp(
         predictions=predictions,
         k_history=k_history,
     )
+
+
+def msp_predict(support, support_labels, queries, pool, seed) -> np.ndarray:
+    """The ``msp`` head: :func:`msp`'s query predictions; it draws no randomness."""
+    return msp(support, support_labels, queries, pool).predictions

@@ -1,12 +1,13 @@
 """Benchmark harness: pipelines, the episode loop, statistics, and sweeps.
 
-A method pipeline is a projection and an inference head (``sub`` and
-``sub-star`` are heads), assembled from a CLI name such as ``ica-msp``; it
-runs in two stages, project then infer.  ``bkm`` and ``msp`` run with the
-``cluster`` defaults.  The harness samples episodes from a
-feature store, runs every requested pipeline on each episode, scores the
-query predictions against the held-back labels (classifiers never see
-them), and aggregates per-episode accuracies into a mean with a 0.95
+A method pipeline is a projection and an inference head, assembled from a
+CLI name such as ``ica-msp``; it runs in two stages, project then infer.
+The heads are library functions, ``nn``, ``sub`` and ``sub_star`` in
+``classify`` and ``bkm_predict`` and ``msp_predict`` in ``cluster``, and
+the harness only calls them.  The harness samples episodes from a feature
+store, runs every requested pipeline on each episode, scores the query
+predictions against the held-back labels (classifiers never see them), and
+aggregates per-episode accuracies into a mean with a 0.95
 normal-approximation confidence interval.
 
 Determinism contract: (config, seed) fully determines every number in the
@@ -22,11 +23,12 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
-from tafssl.classify import build_prototypes, l2_normalize_rows, nn_classify
-from tafssl.cluster import bkm, msp
+from tafssl.classify import nn, sub, sub_star
+from tafssl.cluster import bkm_predict, msp_predict
 from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
 from tafssl.features_io import load_features
 from tafssl.linalg import set_blas_threads, single_blas_thread
@@ -55,18 +57,19 @@ __all__ = [
 # CLI method name -> (projection, inference head).  ``ica-*`` whitens:
 # FastICA's unmixing only rotates the whitened pool (Hyvarinen & Oja 2000),
 # and every head decides from distances and means, which no rotation changes.
+# A head is named after its projection-free method, ``_`` for ``-``.
 METHODS = {
-    "nn": ("none", "nn"),
-    "sub": ("none", "sub"),
-    "sub-star": ("none", "sub_star"),
-    "pca-nn": ("pca", "nn"),
-    "ica-nn": ("whiten", "nn"),
-    "pca-bkm": ("pca", "bkm"),
-    "ica-bkm": ("whiten", "bkm"),
-    "pca-msp": ("pca", "msp"),
-    "ica-msp": ("whiten", "msp"),
-    "bkm": ("none", "bkm"),
-    "msp": ("none", "msp"),
+    "nn": ("none", nn),
+    "sub": ("none", sub),
+    "sub-star": ("none", sub_star),
+    "pca-nn": ("pca", nn),
+    "ica-nn": ("whiten", nn),
+    "pca-bkm": ("pca", bkm_predict),
+    "ica-bkm": ("whiten", bkm_predict),
+    "pca-msp": ("pca", msp_predict),
+    "ica-msp": ("whiten", msp_predict),
+    "bkm": ("none", bkm_predict),
+    "msp": ("none", msp_predict),
 }
 _SUB_HEADS = ("sub", "sub_star")
 _DEFAULT_DIMS = {"pca": PCA_DEFAULT_DIM, "whiten": ICA_DEFAULT_DIM}
@@ -92,6 +95,15 @@ class MethodPipeline:
     inference: str = "nn"  # nn | sub | sub_star | bkm | msp
     sub_normalize_first: bool = True
 
+    @property
+    def head(self):
+        """The head function named ``inference``, with ``sub_normalize_first``
+        bound for the sub heads."""
+        projection, head = METHODS.get(self.inference.replace("_", "-"), (None, None))
+        if projection != "none":
+            raise ValueError(f"unknown inference {self.inference!r}")
+        return partial(head, normalize_first=self.sub_normalize_first) if self.inference in _SUB_HEADS else head
+
 
 def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = True) -> MethodPipeline:
     """Build a pipeline from a CLI method name like ``pca-bkm``; ``dim``
@@ -100,8 +112,9 @@ def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = 
         raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)}")
     if dim is not None and dim < 1:
         raise ValueError("dim must be >= 1")
-    projection, inference = METHODS[name]
+    projection, head = METHODS[name]
     r = None if projection == "none" else dim or _DEFAULT_DIMS[projection]
+    inference = next(m for m, method in METHODS.items() if method == ("none", head)).replace("-", "_")
     return MethodPipeline(name, projection, r, inference, sub_normalize_first)
 
 
@@ -229,47 +242,20 @@ class EpisodeProjections:
         return self._decomposition
 
 
-def _infer(S, y_s, Q, pool, pipeline: MethodPipeline, seed) -> np.ndarray:
-    """The pipeline's head: query predictions from S, its labels, Q and the pool.
-    ``sub`` centers S and Q on their joint mean, ``sub_star`` each on its own;
-    both L2-normalize Q, and S (``sub_normalize_first``) or the prototypes, then run ``nn``."""
-    head = pipeline.inference
-    if head == "bkm":
-        posterior = bkm(S, y_s, Q, pool, seed=_derive_seed(seed, 2))
-        return np.unique(y_s)[np.argmax(posterior, axis=1)]
-    if head == "msp":
-        return msp(S, y_s, Q, pool).predictions
-    if head in _SUB_HEADS:
-        if head == "sub":
-            mu = np.vstack([S, Q]).mean(axis=0)
-            S, Q = S - mu, Q - mu
-        else:
-            S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
-        if pipeline.sub_normalize_first:
-            S = l2_normalize_rows(S)
-        Q = l2_normalize_rows(Q)
-    elif head != "nn":
-        raise ValueError(f"unknown inference {head!r}")
-    protos = build_prototypes(S, y_s)
-    if head in _SUB_HEADS and not pipeline.sub_normalize_first:
-        protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
-    return nn_classify(Q, protos)[0]
-
-
 def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, projections: EpisodeProjections | None = None) -> np.ndarray:
     """Run one pipeline on one episode; returns query predictions.
 
     The stages are project (the pipeline's view of the episode) and infer
     (the head).  Query labels are deliberately absent from this path:
-    scoring happens in the caller.  ``seed`` feeds the seeded stage
-    (k-means init).  Pipelines run on the same episode share its
-    ``projections``, made for that episode; without them the pipeline fits
-    its own.
+    scoring happens in the caller.  The head draws its randomness (the
+    k-means init) from ``(*seed, 2)``.  Pipelines run on the same episode
+    share its ``projections``, made for that episode; without them the
+    pipeline fits its own.
     """
     if projections is None:
         projections = EpisodeProjections(episode, [pipeline])
     S, Q, pool = projections.view(pipeline)
-    return _infer(S, episode.support_labels, Q, pool, pipeline, seed)
+    return pipeline.head(S, episode.support_labels, Q, pool, _derive_seed(seed, 2))
 
 
 def _derive_seed(seed, salt: int):
@@ -281,8 +267,9 @@ def _derive_seed(seed, salt: int):
 def _run_one_episode(store, config: BenchmarkConfig, pipelines, index: int):
     """Sample episode ``index`` and score every pipeline on it.
 
-    Returns (accuracies, seconds, warning counts), one entry per pipeline.  A shared view, and the pool decomposition, are timed and
-    their warnings counted in the first pipeline that needs them.
+    Returns (accuracies, seconds, warning counts), one entry per pipeline.
+    A shared view, and the pool decomposition, are timed and their warnings
+    counted in the first pipeline that needs them.
     """
     episode = sample_episode(store, config.episode_spec(index))
     seed = (config.seed, index)

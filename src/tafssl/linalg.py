@@ -26,7 +26,6 @@ __all__ = [
     "NumericalWarning",
     "as_matrix",
     "blas_threads",
-    "column_mean",
     "covariance",
     "pairwise_sqdist",
     "row_max",
@@ -53,17 +52,6 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     if X.size and not np.isfinite(X).all():
         raise ValueError(f"{name} contains NaN or Inf")
     return X
-
-
-def column_mean(X) -> np.ndarray:
-    """Arithmetic mean of each column.
-
-    Raises ValueError("empty input") when there are no rows.
-    """
-    X = as_matrix(X)
-    if X.shape[0] < 1:
-        raise ValueError("empty input")
-    return X.mean(axis=0)
 
 
 def covariance(X) -> np.ndarray:

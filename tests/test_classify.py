@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tafssl.classify import build_prototypes, center_and_normalize, l2_normalize_rows, nn_classify
+from tafssl import classify
+from tafssl.classify import build_prototypes, l2_normalize_rows, nn_classify, sub, sub_star
 from tafssl.linalg import NumericalWarning
 
 
@@ -132,42 +133,64 @@ class TestNnClassify:
         assert post.min() >= 0.0 and post.max() <= 1.0
 
 
+@pytest.fixture
+def center_and_normalize(monkeypatch):
+    """``center_and_normalize(S, Q, head)``: the support and queries the sub
+    ``head`` hands to its ``nn`` step, that is centered and L2-normalized."""
+    seen = []
+    for name in ("build_prototypes", "nn_classify"):  # called in this order
+        original = getattr(classify, name)
+        monkeypatch.setattr(classify, name, lambda X, *args, _f=original: seen.append(X) or _f(X, *args))
+
+    def run(S, Q, head=sub):
+        seen.clear()
+        head(S, np.arange(len(S)), Q, None, 0)
+        return tuple(seen)
+
+    return run
+
+
 class TestCenterAndNormalize:
-    def test_identical_sets_agree_across_modes(self):
+    """The sub heads, with the support rows normalized first: ``sub``
+    centers support and queries on their joint mean, ``sub_star`` each on
+    its own."""
+
+    def test_identical_sets_agree_across_modes(self, center_and_normalize):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(12, 4))
-        S1, Q1 = center_and_normalize(X, X, "joint")
-        S2, Q2 = center_and_normalize(X, X, "separate")
+        S1, Q1 = center_and_normalize(X, X, sub)
+        S2, Q2 = center_and_normalize(X, X, sub_star)
         np.testing.assert_allclose(S1, S2, atol=1e-12)
         np.testing.assert_allclose(Q1, Q2, atol=1e-12)
 
-    def test_unit_norms(self):
+    def test_unit_norms(self, center_and_normalize):
         rng = np.random.default_rng(6)
         S, Q = center_and_normalize(rng.normal(size=(8, 3)), rng.normal(size=(11, 3)))
         for M in (S, Q):
             np.testing.assert_allclose(np.linalg.norm(M, axis=1), 1.0, atol=1e-12)
 
-    def test_joint_shift_invariance(self):
+    def test_joint_shift_invariance(self, center_and_normalize):
         rng = np.random.default_rng(7)
         S = rng.normal(size=(6, 5))
         Q = rng.normal(size=(9, 5))
         shift = rng.normal(size=5) * 10
-        a = center_and_normalize(S, Q, "joint")
-        b = center_and_normalize(S + shift, Q + shift, "joint")
+        a = center_and_normalize(S, Q, sub)
+        b = center_and_normalize(S + shift, Q + shift, sub)
         np.testing.assert_allclose(a[0], b[0], atol=1e-9)
         np.testing.assert_allclose(a[1], b[1], atol=1e-9)
 
-    def test_zero_rows_pass_through_with_warning(self):
+    def test_zero_rows_pass_through_with_warning(self, center_and_normalize):
         S = np.array([[1.0, 0.0], [-1.0, 0.0]])
         Q = np.array([[0.0, 0.0]])  # sits exactly at the joint mean
         with pytest.warns(NumericalWarning):
-            S2, Q2 = center_and_normalize(S, Q, "joint")
+            S2, Q2 = center_and_normalize(S, Q, sub)
         np.testing.assert_allclose(Q2[0], [0.0, 0.0])
         np.testing.assert_allclose(np.linalg.norm(S2, axis=1), 1.0)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            center_and_normalize(np.ones((2, 2)), np.ones((2, 2)), "both")
+    def test_sub_heads_take_lists(self):
+        S, Q = [[1.0, 2.0], [0.0, 1.0]], [[1.0, 2.0], [0.0, 0.5]]
+        for head in (sub, sub_star):
+            assert np.array_equal(head(S, [0, 1], Q, None, 0), head(np.array(S), [0, 1], np.array(Q), None, 0))
 
     def test_l2_normalize_rows(self):
         X = np.array([[3.0, 4.0], [0.0, 0.0]])

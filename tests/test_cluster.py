@@ -43,7 +43,6 @@ class TestKmeans:
         pool = rng.normal(size=(17, 3))
         c = kmeans(pool, 1, seed=0)
         np.testing.assert_allclose(c.centroids, pool.mean(axis=0, keepdims=True), atol=1e-12)
-        np.testing.assert_allclose(c.assign_probs, 1.0)
 
     def test_two_blobs(self):
         pool, mean_a, mean_b = two_blobs(1)
@@ -51,11 +50,6 @@ class TestKmeans:
         found = c.centroids[np.argsort(c.centroids[:, 0])]
         assert np.linalg.norm(found[0] - mean_a) < 2.0  # 0.1 * separation
         assert np.linalg.norm(found[1] - mean_b) < 2.0
-
-    def test_assign_probs_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        c = kmeans(rng.normal(size=(40, 4)), 5, seed=1)
-        np.testing.assert_allclose(c.assign_probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -268,8 +262,7 @@ def _ref_kmeans(pool, k, seed=0):
             else:
                 to_own = ((pool - centroids[assign]) ** 2).sum(axis=1)
                 centroids[j] = pool[int(np.argmax(to_own))]
-    assign_probs = softmax_rows(-_ref_pairwise_sqdist(pool, centroids))
-    return k, centroids, assign_probs, meta
+    return k, centroids, meta
 
 
 def _ref_msp(support, support_labels, queries, pool, threshold=0.3, iterations=4):
@@ -336,10 +329,9 @@ class TestMatchesLoopReference:
 
     def assert_kmeans_matches(self, pool, k, seed):
         got = kmeans(pool, k, seed=seed)
-        ref_k, centroids, assign_probs, meta = _ref_kmeans(pool, k, seed=seed)
+        ref_k, centroids, meta = _ref_kmeans(pool, k, seed=seed)
         assert got.k == ref_k
         assert np.array_equal(got.centroids, centroids)
-        assert np.array_equal(got.assign_probs, assign_probs)
         assert got.meta == meta
 
     def assert_msp_matches(self, support, labels, queries, pool, **kwargs):
@@ -389,9 +381,8 @@ class TestMatchesLoopReference:
             assert got.k == distinct
             assert np.unique(got.centroids, axis=0).shape[0] == distinct
             assert got.meta["k_reduced"] == {"requested": 5, "used": distinct}
-            _, centroids, assign_probs, _ = _ref_kmeans(pool, distinct, seed=seed)
+            _, centroids, _ = _ref_kmeans(pool, distinct, seed=seed)
             assert np.array_equal(got.centroids, centroids)
-            assert np.array_equal(got.assign_probs, assign_probs)
 
     def test_msp_breaks_confidence_ties_by_pool_index(self):
         differs = []
@@ -491,9 +482,7 @@ class TestBkmMatchesLoopReference:
         support, labels, queries, _ = _shuffled_shots(9, 64, 1)
         pool = np.vstack([support, queries])
         post = bkm(support, labels, queries, pool, k=5, seed=(9, 2))
-        assert "assign_probs" not in vars(made[0])
         assert np.array_equal(post, bkm_from_centroids(support, labels, queries, made[0].centroids))
-        assert np.array_equal(made[0].assign_probs, _ref_kmeans(pool, 5, seed=(9, 2))[2])
 
 
 # kmeans (with its seeding) and the MSP round as they stood before the
@@ -551,7 +540,7 @@ def _parent_kmeans(pool, k, seed=0):
             else:
                 to_own = ((pool - centroids[assign]) ** 2).sum(axis=1)
                 centroids[j] = pool[int(np.argmax(to_own))]
-    return Clustering(k=k, centroids=centroids, pool=pool, meta=meta)
+    return Clustering(k=k, centroids=centroids, meta=meta)
 
 
 class TestMatchesParent:
@@ -595,7 +584,6 @@ class TestMatchesParent:
             ref = _parent_kmeans(pool, k, seed=(seed, 2))
             assert got.k == ref.k and got.meta == ref.meta
             assert np.array_equal(got.centroids, ref.centroids)
-            assert np.array_equal(got.assign_probs, _parent_softmax_rows(-pairwise_sqdist(pool, ref.centroids)))
 
     @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
     def test_farthest_point_init_with_given_norms(self, n, m):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tafssl import harness
+from tafssl import cluster, harness
 from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_mog_spec, reference_store, sample_episode
 from tafssl.harness import (
     BenchmarkConfig,
@@ -29,7 +29,7 @@ from tafssl.harness import (
 from tafssl import linalg
 from tafssl.linalg import BlasThreadWarning, blas_threads, covariance, set_blas_threads
 from tafssl import subspace
-from tafssl.classify import build_prototypes, nn_classify
+from tafssl.classify import build_prototypes, l2_normalize_rows, nn_classify
 from tafssl.cluster import bkm, msp
 from tafssl.subspace import PoolDecomposition, fit_ica
 
@@ -260,13 +260,13 @@ class TestRunBenchmark:
         assert 0.0 <= rep.accuracy <= 100.0
 
     def test_warnings_are_counted_per_method(self, monkeypatch):
-        original = harness.msp
+        original = cluster.msp
 
         def warning_msp(*args, **kwargs):
             warnings.warn("degenerate round", UserWarning)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "msp", warning_msp)
+        monkeypatch.setattr(cluster, "msp", warning_msp)
         cfg = BenchmarkConfig(method="nn,msp,pca-nn", episodes=3, seed=0)
         reps = run_benchmark(cfg, store=noisy_store())
         assert [r.metadata["warnings"] for r in reps] == [0, 3, 0]
@@ -421,6 +421,13 @@ class TestEpisodeStaging:
                 assert np.array_equal(evaluate_episode(moved, pipe, seed=(0, 2)), evaluate_episode(copy_sets(moved), pipe, seed=(0, 2)))
 
 
+def head_pipelines():
+    """Every head on the raw features, the sub heads under both ``sub_normalize_first`` settings."""
+    return [parse_method(name) for name in ("nn", "bkm", "msp")] + [
+        parse_method(name, sub_normalize_first=first) for name in ("sub", "sub-star") for first in (True, False)
+    ]
+
+
 class TestHeadInvariance:
     """The property behind ``ica-*`` whitening: every head decides the same
     after the whole episode (support, queries and pool) is rotated by an
@@ -455,11 +462,10 @@ class TestHeadInvariance:
             query=query @ rotation + shift,
             unlabeled=pool_extra @ rotation + shift,
         )
-        for head in ("nn", "bkm", "msp"):
-            pipe = parse_method(head)
+        for pipe in head_pipelines():
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
             after = evaluate_episode(moved, pipe, seed=(seed, 0))
-            assert np.array_equal(before, after), head
+            assert np.array_equal(before, after), (pipe.name, pipe.sub_normalize_first)
 
 
 class TestQueryPermutation:
@@ -529,11 +535,94 @@ class TestClassRelabelling:
         pool_extra, pool_labels = draw(unlabeled)
         ep = Episode(support, support_labels, query, query_labels, pool_extra, pool_labels, ids.tolist())
         relabelled = replace(ep, support_labels=np.array([relabel[c] for c in support_labels.tolist()]))
-        for head in ("nn", "bkm", "msp"):
-            pipe = parse_method(head)
+        for pipe in head_pipelines():
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
             after = evaluate_episode(relabelled, pipe, seed=(seed, 0))
-            assert np.array_equal(after, [relabel[c] for c in before.tolist()]), head
+            assert np.array_equal(after, [relabel[c] for c in before.tolist()]), (pipe.name, pipe.sub_normalize_first)
+
+
+# harness._infer and evaluate_episode as they stood before each head became
+# one library function, with the helpers they called.  Kept verbatim as the
+# oracle the heads must match bit for bit, warnings included.
+_SUB_HEADS = ("sub", "sub_star")
+
+
+def _derive_seed(seed, salt: int):
+    if isinstance(seed, tuple):
+        return (*seed, salt)
+    return (seed, salt)
+
+
+def _parent_infer(S, y_s, Q, pool, pipeline: MethodPipeline, seed) -> np.ndarray:
+    """The pipeline's head: query predictions from S, its labels, Q and the pool.
+    ``sub`` centers S and Q on their joint mean, ``sub_star`` each on its own;
+    both L2-normalize Q, and S (``sub_normalize_first``) or the prototypes, then run ``nn``."""
+    head = pipeline.inference
+    if head == "bkm":
+        posterior = bkm(S, y_s, Q, pool, seed=_derive_seed(seed, 2))
+        return np.unique(y_s)[np.argmax(posterior, axis=1)]
+    if head == "msp":
+        return msp(S, y_s, Q, pool).predictions
+    if head in _SUB_HEADS:
+        if head == "sub":
+            mu = np.vstack([S, Q]).mean(axis=0)
+            S, Q = S - mu, Q - mu
+        else:
+            S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
+        if pipeline.sub_normalize_first:
+            S = l2_normalize_rows(S)
+        Q = l2_normalize_rows(Q)
+    elif head != "nn":
+        raise ValueError(f"unknown inference {head!r}")
+    protos = build_prototypes(S, y_s)
+    if head in _SUB_HEADS and not pipeline.sub_normalize_first:
+        protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
+    return nn_classify(Q, protos)[0]
+
+
+def _parent_evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, projections: EpisodeProjections | None = None) -> np.ndarray:
+    if projections is None:
+        projections = EpisodeProjections(episode, [pipeline])
+    S, Q, pool = projections.view(pipeline)
+    return _parent_infer(S, episode.support_labels, Q, pool, pipeline, seed)
+
+
+def constant_store():
+    """Every row the same: the sub heads center it to zero rows, which warn."""
+    return FeatureStore(classes={c: np.ones((20, 6)) for c in range(6)})
+
+
+class TestHeadsMatchParent:
+    """Every method, under both ``sub_normalize_first`` settings, predicts
+    and warns exactly as the parent's ``_infer`` did."""
+
+    NON_SUB = [m for m in harness.METHODS if m not in ("sub", "sub-star")]
+    CASES = [
+        (reference_store, {}, list(harness.METHODS), 50),
+        (semi_wide_store, {"mode": "semi", "unlabeled": 100, "distractors": 3}, NON_SUB, 20),
+        # Whitening 10-row pools to r = 9 warns (a simplex) in the first ica-* method.
+        (reference_store, {"queries": 1, "dim": 9}, list(harness.METHODS), 50),
+        (constant_store, {}, ["nn", "sub", "sub-star", "bkm", "msp"], 10),
+    ]
+
+    @pytest.mark.parametrize("store,settings,methods,episodes", CASES, ids=["reference", "semi-805x64", "simplex", "constant"])
+    @pytest.mark.parametrize("normalize_first", [True, False])
+    def test_predictions_and_warnings(self, monkeypatch, store, settings, methods, episodes, normalize_first):
+        store = store()
+        config = BenchmarkConfig(method=",".join(methods), episodes=episodes, seed=0, sub_normalize_first=normalize_first, **settings)
+        pipelines = config.pipelines()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for i in range(episodes):
+                ep = sample_episode(store, config.episode_spec(i))
+                projections = EpisodeProjections(ep, pipelines)
+                for pipe in pipelines:
+                    got = evaluate_episode(ep, pipe, seed=(0, i), projections=projections)
+                    assert np.array_equal(got, _parent_evaluate_episode(ep, pipe, seed=(0, i), projections=projections)), (pipe.name, i)
+        reports = run_benchmark(config, store=store)
+        monkeypatch.setattr(harness, "evaluate_episode", _parent_evaluate_episode)
+        parent = run_benchmark(config, store=store)
+        assert [(r.accuracy, r.metadata) for r in reports] == [(r.accuracy, r.metadata) for r in parent]
 
 
 @pytest.fixture

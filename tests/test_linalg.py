@@ -8,7 +8,6 @@ from tafssl.linalg import (
     BlasThreadWarning,
     as_matrix,
     blas_threads,
-    column_mean,
     covariance,
     pairwise_sqdist,
     row_max,
@@ -29,27 +28,6 @@ def cov_bruteforce(X):
         for b in range(m):
             C[a, b] = sum((X[i, a] - mu[a]) * (X[i, b] - mu[b]) for i in range(n)) / n
     return C
-
-
-class TestColumnMean:
-    def test_basic(self):
-        np.testing.assert_allclose(column_mean([[1, 2], [3, 4]]), [2, 3])
-
-    def test_single_row(self):
-        np.testing.assert_allclose(column_mean([[5, 5]]), [5, 5])
-
-    def test_statistical(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((100, 3))
-        assert np.all(np.abs(column_mean(X)) < 0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty input"):
-            column_mean(np.empty((0, 3)))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            column_mean([[1.0, np.nan]])
 
 
 class TestCovariance:
