@@ -7,7 +7,9 @@ a low-dimensional linear map on that pool alone.  The fitted
 subspace where classification happens.
 
 Every projection of a pool derives from one decomposition of it
-(:class:`PoolDecomposition`), whose route is chosen by the pool's shape.
+(:class:`PoolDecomposition`): ``eigh`` of the smaller of the pool's two
+squared matrices, the n x n Gram matrix when it has more columns m than
+rows n, the m x m scatter matrix otherwise.
 
 Dimension defaults: 4 components for PCA, 10 for ICA.
 """
@@ -33,22 +35,6 @@ __all__ = [
 
 PCA_DEFAULT_DIM = 4
 ICA_DEFAULT_DIM = 10
-
-# Pool shapes (n rows, m columns) at which the decomposition leaves the thin
-# SVD of the centered pool for ``eigh`` of a smaller symmetric matrix: the
-# n x n Gram matrix when m >= 1.5 n, the m x m scatter matrix when n >= 2 m.
-# Both square the pool's condition number, so each is used only where it was
-# measured at about twice the SVD's speed or better (2 CPUs, numpy 2.4.6,
-# OpenBLAS 0.3.31, r = 10; ms per decomposition):
-#
-#   n x m       SVD    Gram  scatter
-#   80x1024    18.3    1.90    214
-#   80x120     1.84    0.83    1.41
-#   80x64      1.06    1.01    0.79
-#   160x80     3.06    2.54    0.95
-#   805x64     5.17    67.9    0.96
-GRAM_MIN_COLS_PER_ROW = 1.5
-SCATTER_MIN_ROWS_PER_COL = 2.0
 
 # FastICA settings: symmetric (parallel) decorrelation with g = tanh.
 ICA_MAX_ITER = 200
@@ -86,45 +72,29 @@ class SubspaceProjection:
         return (X - self.center) @ self.W.T
 
 
-def _decomposition_method(n: int, m: int) -> str:
-    """The route :func:`_decompose` takes for a pool of ``n`` rows and ``m`` columns."""
-    if m >= GRAM_MIN_COLS_PER_ROW * n:
-        return "gram"
-    if n >= SCATTER_MIN_ROWS_PER_COL * m:
-        return "scatter"
-    return "svd"
-
-
 def _decompose(Xc: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Return (eigenvalues desc, leading axes as rows) of the centered pool ``Xc``.
 
     The eigenvalues are all min(n, m) eigenvalues of the divisor-n
-    covariance.  At most ``r`` sign-fixed principal axes are returned; the
-    Gram route stops at the last eigenvalue above ``RANK_EPS``.  The route
-    is chosen by the pool's shape (:func:`_decomposition_method`):
-
-    * ``gram``: ``eigh`` of the n x n Gram matrix, axes ``Xc^T U / s``;
-    * ``scatter``: ``eigh`` of the m x m scatter matrix;
-    * ``svd``: thin SVD of the centered pool.
+    covariance, from ``eigh`` of the smaller squared matrix: the n x n Gram
+    matrix when m > n, with axes ``Xc^T U / s``, else the m x m scatter
+    matrix.  At most ``r`` sign-fixed principal axes are returned; the Gram
+    route stops at the last eigenvalue above ``RANK_EPS``.
     """
     n, m = Xc.shape
-    method = _decomposition_method(n, m)
-    if method == "svd":
-        _, svals, vt = np.linalg.svd(Xc, full_matrices=False)
-        w, vecs = svals * svals, vt[:r].T
+    gram = m > n
+    w, V = np.linalg.eigh(Xc @ Xc.T if gram else Xc.T @ Xc)
+    w, V = w[::-1], V[:, ::-1]
+    # eigh of a squared matrix resolves eigenvalues only down to about
+    # eps * max(n, m) * the largest; anything below is rounding noise and
+    # counts as zero.
+    w = np.where(w > w[0] * max(n, m) * np.finfo(np.float64).eps, w, 0.0)
+    if gram:
+        k = min(r, int((w / n > RANK_EPS).sum()))
+        vecs = (Xc.T @ V[:, :k]) / np.sqrt(w[:k])
     else:
-        w, V = np.linalg.eigh(Xc @ Xc.T if method == "gram" else Xc.T @ Xc)
-        w, V = w[::-1], V[:, ::-1]
-        # eigh of a squared matrix resolves eigenvalues only down to about
-        # eps * max(n, m) * the largest; anything below is rounding noise and
-        # counts as zero, as the SVD's squared singular values would.
-        w = np.where(w > w[0] * max(n, m) * np.finfo(np.float64).eps, w, 0.0)
-        if method == "gram":
-            k = min(r, int((w / n > RANK_EPS).sum()))
-            vecs = (Xc.T @ V[:, :k]) / np.sqrt(w[:k])
-        else:
-            vecs = V[:, :r]
-    return w[: min(n, m)] / n, flip_signs(vecs).T
+        vecs = V[:, :r]
+    return w / n, flip_signs(vecs).T
 
 
 def _effective_dim(requested: int, n_rows: int, meta: dict) -> int:

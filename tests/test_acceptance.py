@@ -195,6 +195,19 @@ def test_criterion_4_synthetic_tafssl_effect(reference_run):
     )
 
 
+def test_golden_accuracies_are_bit_identical(reference_run):
+    # Criterion 4 allows 0.5 points of drift; a refactor allows none.  These
+    # are the reprs the golden run has produced since the seed.
+    reports, _ = reference_run
+    assert {m: repr(r.accuracy) for m, r in reports.items()} == {
+        "nn": "69.22399999999999",
+        "pca-nn": "78.95066666666666",
+        "ica-nn": "49.24933333333333",
+        "ica-msp": "63.7",
+    }
+    assert {m: r.metadata["warnings"] for m, r in reports.items()} == dict.fromkeys(reports, 0)
+
+
 def test_criterion_5_unbalance_robustness(ref_store):
     accs = {}
     for r_value in (0, 50):

@@ -1,9 +1,11 @@
 """Tests for pipeline assembly, the benchmark loop, sweeps, and CSV output."""
 
+import json
 import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -760,6 +762,19 @@ class TestOutputs:
         reports = run_benchmark(cfg, store=reference_store())
         assert [r.metadata["warnings"] for r in reports] == [0, 6, 0]
         assert format_reports([(None, reports)]).splitlines()[-1] == "warnings: ica-nn 6"
+
+
+    def test_reference_rounds_match_the_benchmark_digests(self, tmp_path):
+        # Every round of the benchmark's ``reference`` workload, recomputed:
+        # 16 input sets of 8 seeded 10-episode runs on the reference store.
+        table = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())["reference"]
+        assert (table["episodes"], table["rounds_per_set"]) == (10, 8)
+        store, path = reference_store(), tmp_path / "round.csv"
+        for i, digests in table["digests"].items():
+            for r, digest in enumerate(digests):
+                cfg = BenchmarkConfig(synthetic="reference", method="nn,pca-nn,ica-nn,ica-msp", episodes=10, seed=1000 * int(i) + r)
+                write_csv(path, [(None, run_benchmark(cfg, store=store))])
+                assert sha256(path.read_bytes()).hexdigest() == digest, f"input set {i}, round {r}"
 
 
 class TestConfigFile:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tafssl import subspace
-from tafssl.linalg import RANK_EPS, NumericalWarning, covariance, pairwise_sqdist
+from tafssl.linalg import RANK_EPS, NumericalWarning, covariance, flip_signs, pairwise_sqdist
 from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, fit_ica, fit_pca, whiten
 
 
@@ -187,35 +187,62 @@ def wide_pool(seed, n, m, rank=None):
     return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m)) + rng.normal(size=m)
 
 
-ROUTE_SHAPES = [((80, 1024), "gram"), ((805, 64), "scatter"), ((80, 64), "svd")]
+# Pool shapes (n rows, m columns) and the squared matrix the rule decomposes:
+# the n x n Gram matrix when m > n, the m x m scatter matrix otherwise.
+ROUTE_SHAPES = [((80, 1024), "gram"), ((805, 64), "scatter"), ((80, 64), "scatter"), ((80, 80), "scatter"), ((80, 81), "gram")]
+SVD_SHAPES = ROUTE_SHAPES + [((80, 100), "gram"), ((100, 80), "scatter")]
 
 
-def decompose_by(monkeypatch, route, X, r):
-    monkeypatch.setattr(subspace, "_decomposition_method", lambda n, m: route)
-    mean = X.mean(axis=0)
-    return (mean, *subspace._decompose(X - mean, r))
+def svd_decompose(Xc, r):
+    """Thin-SVD oracle for ``subspace._decompose``: the divisor-n covariance
+    eigenvalues s^2 / n and the sign-fixed first r rows of vt."""
+    _, s, vt = np.linalg.svd(Xc, full_matrices=False)
+    return s * s / len(Xc), flip_signs(vt[:r].T).T
+
+
+def decomposition_route(monkeypatch, Xc):
+    """Which squared matrix of the centered pool ``_decompose`` hands to ``eigh``."""
+    seen = []
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", lambda A: seen.append(A) or eigh(A))
+        subspace._decompose(Xc, 10)
+    (A,) = seen
+    if np.array_equal(A, Xc @ Xc.T):
+        return "gram"
+    if np.array_equal(A, Xc.T @ Xc):
+        return "scatter"
+    raise AssertionError(f"eigh of a {A.shape} matrix that is neither squared matrix of the pool")
+
+
+def ill_conditioned_pool(seed, n, m, scale):
+    """An off-center pool of 5 unit-variance columns and m - 5 columns at ``scale``."""
+    rng = np.random.default_rng((22, seed))
+    return rng.standard_normal((n, m)) * np.r_[np.ones(5), np.full(m - 5, scale)] + rng.normal(size=m)
 
 
 class TestDecompositionRoutes:
-    """Every route of the pool decomposition against the thin SVD."""
+    """The pool decomposition takes eigh of the smaller squared matrix; the
+    thin SVD is the oracle it must match."""
 
     @pytest.mark.parametrize("shape,route", ROUTE_SHAPES)
-    def test_shape_picks_route(self, shape, route):
-        assert subspace._decomposition_method(*shape) == route
+    def test_shape_picks_route(self, monkeypatch, shape, route):
+        X = wide_pool(6, *shape)
+        assert decomposition_route(monkeypatch, X - X.mean(axis=0)) == route
 
-    @pytest.mark.parametrize("shape", [s for s, _ in ROUTE_SHAPES])
-    @pytest.mark.parametrize("route", ["gram", "scatter"])
-    def test_eigenvalues_and_distances_match_svd(self, monkeypatch, shape, route):
+    @pytest.mark.parametrize("route,shape", [(route, shape) for shape, route in SVD_SHAPES])
+    def test_eigenvalues_and_distances_match_svd(self, monkeypatch, route, shape):
         X = wide_pool(0, *shape)
+        Xc = X - X.mean(axis=0)
+        assert decomposition_route(monkeypatch, Xc) == route
         r = 10
-        mean, evals, axes = decompose_by(monkeypatch, route, X, r)
-        mean_ref, evals_ref, axes_ref = decompose_by(monkeypatch, "svd", X, r)
-        np.testing.assert_array_equal(mean, mean_ref)
+        evals, axes = subspace._decompose(Xc, r)
+        evals_ref, axes_ref = svd_decompose(Xc, r)
         assert evals.shape == evals_ref.shape and axes.shape == axes_ref.shape == (r, shape[1])
         assert (evals > RANK_EPS).sum() == (evals_ref > RANK_EPS).sum()
         live = evals_ref > RANK_EPS
         assert np.abs(evals[live] / evals_ref[live] - 1.0).max() <= 1e-9
-        Y, Y_ref = (X - mean) @ axes.T, (X - mean) @ axes_ref.T
+        Y, Y_ref = Xc @ axes.T, Xc @ axes_ref.T
         D, D_ref = pairwise_sqdist(Y, Y), pairwise_sqdist(Y_ref, Y_ref)
         assert np.abs(D - D_ref).max() <= 1e-9 * D_ref.max()
 
@@ -224,6 +251,18 @@ class TestDecompositionRoutes:
         for r in (10, 79):
             Xw, _ = whiten(X, r)
             np.testing.assert_allclose((Xw.T @ Xw) / len(Xw), np.eye(r), atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(80, 64), (80, 81), (40, 64), (160, 128)])
+    def test_ill_conditioned_pool_whitens_or_raises(self, monkeypatch, shape):
+        for scale in (1e-2, 1e-3, 1e-4):
+            Xw, _ = whiten(ill_conditioned_pool(0, *shape, scale), 10)
+            np.testing.assert_allclose((Xw.T @ Xw) / len(Xw), np.eye(10), atol=1e-6)
+        X = ill_conditioned_pool(0, *shape, 1e-6)
+        with pytest.raises(ValueError, match="rank deficient: requested 10, available 5"):
+            whiten(X, 10)
+        monkeypatch.setattr(subspace, "_decompose", svd_decompose)
+        with pytest.raises(ValueError, match="rank deficient: requested 10, available 5"):
+            whiten(X, 10)
 
     @pytest.mark.parametrize("shape,route", ROUTE_SHAPES)
     def test_shared_decomposition_matches_single_fits(self, shape, route):
@@ -240,12 +279,10 @@ class TestDecompositionRoutes:
             PoolDecomposition(wide_pool(2, 80, 64), 4).project("ica", 4)
 
     @pytest.mark.parametrize("scale", [1.0, 1e4])
-    @pytest.mark.parametrize("route", ["gram", "scatter", "svd"])
-    @pytest.mark.parametrize("shape", [s for s, _ in ROUTE_SHAPES])
-    def test_rank_deficient_pool_still_raises(self, monkeypatch, shape, route, scale):
-        # At large feature scales the squared-matrix routes' rounding noise
-        # exceeds RANK_EPS; it must still count as zero.
-        monkeypatch.setattr(subspace, "_decomposition_method", lambda n, m: route)
+    @pytest.mark.parametrize("shape,route", ROUTE_SHAPES)
+    def test_rank_deficient_pool_still_raises(self, shape, route, scale):
+        # At large feature scales the squared matrix's rounding noise exceeds
+        # RANK_EPS; it must still count as zero.
         X = wide_pool(3, *shape, rank=3) * scale
         with pytest.raises(ValueError, match="rank deficient: requested 4, available 3"):
             fit_pca(X, 4)
@@ -258,10 +295,10 @@ class TestDecompositionRoutes:
             with pytest.raises(ValueError, match=f"rank deficient: requested {n}, available {n - 1}"):
                 whiten(Xs, n)
 
-    @pytest.mark.parametrize("route", ["gram", "scatter", "svd"])
+    @pytest.mark.parametrize("route", ["gram", "scatter"])
     def test_small_pool_reduces_or_raises(self, monkeypatch, route):
-        monkeypatch.setattr(subspace, "_decomposition_method", lambda n, m: route)
-        X = wide_pool(4, 4, 1024)
+        X = wide_pool(4, 4, {"gram": 1024, "scatter": 4}[route])
+        assert decomposition_route(monkeypatch, X - X.mean(axis=0)) == route
         p = fit_pca(X, 8)
         assert p.r == 3 and p.meta["r_reduced"] == {"requested": 8, "used": 3}
         assert PoolDecomposition(X, 8).project("whiten", 8).meta["r_reduced"] == {"requested": 8, "used": 3}
