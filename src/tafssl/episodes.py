@@ -45,7 +45,11 @@ DISTRACTOR_LABEL = -1
 
 @dataclass(frozen=True)
 class FeatureStore:
-    """Labeled pool of feature vectors grouped by class id."""
+    """Labeled pool of feature vectors grouped by class id.
+
+    The stores the library builds (:func:`generate_mog_store`, the binary
+    loader) keep every class in one float64 buffer; each class array is a
+    row view of it."""
 
     classes: dict[int, np.ndarray]
 
@@ -62,6 +66,9 @@ class FeatureStore:
             dims.add(X.shape[1])
         if len(dims) != 1:
             raise ValueError(f"classes disagree on feature dimension: {sorted(dims)}")
+        m = dims.pop()
+        if m < 1:
+            raise ValueError(f"feature dimension m must be >= 1, got {m}")
         object.__setattr__(self, "classes", validated)
 
     @property
@@ -197,9 +204,10 @@ def generate_mog_store(
     rng = np.random.default_rng(seed)
     s = spec.signal_dims
     class_means = rng.normal(0.0, spec.sigma_between, size=(n_classes, s))
+    buffer = np.empty((n_classes * per_class, spec.m))
     classes: dict[int, np.ndarray] = {}
     for c in range(n_classes):
-        X = np.empty((per_class, spec.m))
+        X = buffer[c * per_class : (c + 1) * per_class]
         if s:
             fired = rng.random((per_class, s)) < spec.rho_signal
             on_signal = rng.normal(class_means[c], spec.sigma_signal, size=(per_class, s))

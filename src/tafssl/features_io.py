@@ -15,6 +15,7 @@ format is chosen by file suffix: ``.csv`` is CSV, anything else binary.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -62,32 +63,52 @@ def _save_binary(store: FeatureStore, path: Path) -> None:
 
 
 def _load_binary(path: Path) -> FeatureStore:
-    blob = path.read_bytes()
-    if len(blob) < HEADER.size:
-        raise ValueError(f"truncated file: expected at least {HEADER.size} header bytes, got {len(blob)}")
-    magic, version, m, n_classes = HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise ValueError(f"unsupported version {version}, expected {VERSION}")
-    offset = HEADER.size
-    classes: dict[int, np.ndarray] = {}
-    for _ in range(n_classes):
-        if len(blob) < offset + CLASS_HEADER.size:
-            raise ValueError(f"truncated file: expected {offset + CLASS_HEADER.size} bytes, got {len(blob)}")
-        cid, count = CLASS_HEADER.unpack_from(blob, offset)
-        offset += CLASS_HEADER.size
-        nbytes = count * m * 4
-        if len(blob) < offset + nbytes:
-            raise ValueError(f"truncated file: expected {offset + nbytes} bytes, got {len(blob)}")
-        X = np.frombuffer(blob, dtype="<f4", count=count * m, offset=offset).reshape(count, m).astype(np.float64)
-        _check_rows_finite(X, cid)
-        if cid in classes:
-            raise ValueError(f"duplicate class id {cid}")
-        classes[cid] = X
-        offset += nbytes
-    if offset != len(blob):
-        raise ValueError(f"trailing data: expected {offset} bytes, got {len(blob)}")
+    """Two passes over the file.  The first reads the headers, seeking past
+    every payload, and checks the sizes against the file size; the second
+    reads each class's float32 payload into one staging buffer and widens it
+    into that class's rows of the store's single float64 buffer.  Values are
+    checked for finiteness in float32, which the exact widening preserves."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < HEADER.size:
+            raise ValueError(f"truncated file: expected at least {HEADER.size} header bytes, got {size}")
+        magic, version, m, n_classes = HEADER.unpack(f.read(HEADER.size))
+        if magic != MAGIC:
+            raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise ValueError(f"unsupported version {version}, expected {VERSION}")
+        offset = HEADER.size
+        layout: dict[int, tuple[int, int]] = {}  # class id -> (payload offset, count), in file order
+        for _ in range(n_classes):
+            if size < offset + CLASS_HEADER.size:
+                raise ValueError(f"truncated file: expected {offset + CLASS_HEADER.size} bytes, got {size}")
+            f.seek(offset)
+            cid, count = CLASS_HEADER.unpack(f.read(CLASS_HEADER.size))
+            offset += CLASS_HEADER.size
+            nbytes = count * m * 4
+            if size < offset + nbytes:
+                raise ValueError(f"truncated file: expected {offset + nbytes} bytes, got {size}")
+            if cid in layout:
+                raise ValueError(f"duplicate class id {cid}")
+            layout[cid] = (offset, count)
+            offset += nbytes
+        if offset != size:
+            raise ValueError(f"trailing data: expected {offset} bytes, got {size}")
+
+        counts = [count for _, count in layout.values()]
+        X = np.empty((sum(counts), m))
+        staging = np.empty(max(counts, default=0) * m, dtype="<f4")
+        classes: dict[int, np.ndarray] = {}
+        row = 0
+        for cid, (payload, count) in layout.items():
+            chunk = staging[: count * m].reshape(count, m)
+            f.seek(payload)
+            if f.readinto(chunk) != chunk.nbytes:
+                raise ValueError(f"truncated file: class {cid} payload ended early")
+            _check_rows_finite(chunk, cid)
+            classes[cid] = X[row : row + count]
+            classes[cid][...] = chunk
+            row += count
     return FeatureStore(classes=classes)
 
 
@@ -130,6 +151,6 @@ def _load_csv(path: Path) -> FeatureStore:
 
 
 def _check_rows_finite(X: np.ndarray, cid: int) -> None:
-    bad = ~np.isfinite(X).all(axis=1)
-    if bad.any():
+    if not np.isfinite(X).all():
+        bad = ~np.isfinite(X).all(axis=1)
         raise ValueError(f"non-finite value in class {cid}, row {int(np.flatnonzero(bad)[0])}")

@@ -10,8 +10,12 @@ from tafssl.episodes import (
     EpisodeSpec,
     FeatureStore,
     MoGSpec,
+    REFERENCE_CLASSES,
+    REFERENCE_PER_CLASS,
+    REFERENCE_STORE_SEED,
     generate_mog_store,
     mutual_information_diagnostic,
+    reference_mog_spec,
     reference_store,
     sample_episode,
 )
@@ -29,6 +33,10 @@ class TestFeatureStore:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
             FeatureStore(classes={0: np.array([[1.0, np.inf]])})
+
+    def test_rejects_zero_width_rows(self):
+        with pytest.raises(ValueError, match="feature dimension m must be >= 1, got 0"):
+            FeatureStore(classes={0: np.ones((3, 0)), 1: np.ones((3, 0))})
 
     def test_stacked(self):
         store = FeatureStore(classes={1: np.ones((2, 2)), 0: np.zeros((3, 2))})
@@ -113,7 +121,56 @@ class TestSampleEpisode:
             assert np.array_equal(a, b[: len(a)])
 
 
+def parent_generate_mog_store(spec, n_classes, per_class, seed=0):
+    """The generator as it was before it filled one shared buffer: the oracle."""
+    rng = np.random.default_rng(seed)
+    s = spec.signal_dims
+    class_means = rng.normal(0.0, spec.sigma_between, size=(n_classes, s))
+    classes: dict[int, np.ndarray] = {}
+    for c in range(n_classes):
+        X = np.empty((per_class, spec.m))
+        if s:
+            fired = rng.random((per_class, s)) < spec.rho_signal
+            on_signal = rng.normal(class_means[c], spec.sigma_signal, size=(per_class, s))
+            off_signal = rng.normal(spec.mu_noise, spec.sigma_noise, size=(per_class, s))
+            X[:, :s] = np.where(fired, on_signal, off_signal)
+        if s < spec.m:
+            X[:, s:] = rng.normal(spec.mu_noise, spec.sigma_noise, size=(per_class, spec.m - s))
+        classes[c] = X
+    return FeatureStore(classes=classes), class_means
+
+
 class TestMoGGenerator:
+    @pytest.mark.parametrize(
+        "spec,n_classes,per_class,seed",
+        [
+            (reference_mog_spec(), REFERENCE_CLASSES, REFERENCE_PER_CLASS, REFERENCE_STORE_SEED),
+            (MoGSpec(m=1024, signal_dims=32, sigma_between=2.0), 20, 100, 0),
+            (MoGSpec(m=16, signal_dims=0), 6, 9, 4),
+            (MoGSpec(m=16, signal_dims=16), 6, 9, 5),
+        ],
+        ids=["reference", "wide", "no-signal", "all-signal"],
+    )
+    def test_matches_parent_generator_bit_for_bit(self, spec, n_classes, per_class, seed):
+        store, means = generate_mog_store(spec, n_classes, per_class, seed, return_class_means=True)
+        expected, expected_means = parent_generate_mog_store(spec, n_classes, per_class, seed)
+        assert means.tobytes() == expected_means.tobytes()
+        assert list(store.classes) == list(expected.classes)
+        for cid, X in expected.classes.items():
+            assert store.classes[cid].shape == X.shape
+            assert store.classes[cid].tobytes() == X.tobytes()
+
+    def test_classes_are_row_views_of_one_buffer(self):
+        store = generate_mog_store(MoGSpec(m=8, signal_dims=3), 5, 7, seed=1)
+        buffer = store.classes[0].base
+        assert buffer.shape == (35, 8) and buffer.dtype == np.float64 and buffer.flags.c_contiguous
+        for c, X in store.classes.items():
+            assert X.base is buffer and X.shape == (7, 8) and X.ctypes.data == buffer[7 * c].ctypes.data
+
+    def test_zero_width_spec_is_rejected(self):
+        with pytest.raises(ValueError, match="feature dimension m must be >= 1, got 0"):
+            generate_mog_store(MoGSpec(m=0, signal_dims=0), 5, 4, seed=0)
+
     def test_deterministic(self):
         spec = MoGSpec(m=8, signal_dims=3)
         a = generate_mog_store(spec, 4, 10, seed=3)

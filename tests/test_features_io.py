@@ -1,10 +1,13 @@
 """Round-trip and error-contract tests for the feature file formats."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from tafssl import features_io
 from tafssl.episodes import FeatureStore, MoGSpec, generate_mog_store
-from tafssl.features_io import load_features, save_features
+from tafssl.features_io import CLASS_HEADER, HEADER, MAGIC, VERSION, load_features, save_features
 
 
 @pytest.fixture
@@ -16,6 +19,144 @@ def stores_equal(a: FeatureStore, b: FeatureStore) -> bool:
     if sorted(a.classes) != sorted(b.classes):
         return False
     return all(np.array_equal(a.classes[c], b.classes[c]) for c in a.classes)
+
+
+def parent_load_binary(path):
+    """The binary loader as it was before the staging buffer: the oracle."""
+    blob = path.read_bytes()
+    if len(blob) < HEADER.size:
+        raise ValueError(f"truncated file: expected at least {HEADER.size} header bytes, got {len(blob)}")
+    magic, version, m, n_classes = HEADER.unpack_from(blob, 0)
+    if magic != MAGIC:
+        raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if version != VERSION:
+        raise ValueError(f"unsupported version {version}, expected {VERSION}")
+    offset = HEADER.size
+    classes: dict[int, np.ndarray] = {}
+    for _ in range(n_classes):
+        if len(blob) < offset + CLASS_HEADER.size:
+            raise ValueError(f"truncated file: expected {offset + CLASS_HEADER.size} bytes, got {len(blob)}")
+        cid, count = CLASS_HEADER.unpack_from(blob, offset)
+        offset += CLASS_HEADER.size
+        nbytes = count * m * 4
+        if len(blob) < offset + nbytes:
+            raise ValueError(f"truncated file: expected {offset + nbytes} bytes, got {len(blob)}")
+        X = np.frombuffer(blob, dtype="<f4", count=count * m, offset=offset).reshape(count, m).astype(np.float64)
+        bad = ~np.isfinite(X).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite value in class {cid}, row {int(np.flatnonzero(bad)[0])}")
+        if cid in classes:
+            raise ValueError(f"duplicate class id {cid}")
+        classes[cid] = X
+        offset += nbytes
+    if offset != len(blob):
+        raise ValueError(f"trailing data: expected {offset} bytes, got {len(blob)}")
+    return FeatureStore(classes=classes)
+
+
+def binary_file(classes, m, magic=MAGIC, version=VERSION) -> bytes:
+    """A binary feature file holding (class id, float32 rows) pairs in the given order."""
+    blob = HEADER.pack(magic, version, m, len(classes))
+    for cid, X in classes:
+        blob += CLASS_HEADER.pack(cid, X.shape[0]) + np.ascontiguousarray(X, dtype="<f4").tobytes()
+    return blob
+
+
+def rows(seed, count, m):
+    return np.random.default_rng(seed).standard_normal((count, m)).astype(np.float32)
+
+
+def with_nan(X, row):
+    X = X.copy()
+    X[row, -1] = np.nan
+    return X
+
+
+EXTREMES = np.array([[-0.0, 3.4028235e38, -3.4028235e38, 1e-45, -1e-45, 1.0]], dtype=np.float32)  # ±0, ±max, subnormals
+VALID_FILES = {
+    "one-class": binary_file([(3, rows(0, 5, 4))], 4),
+    "unequal-counts": binary_file([(0, rows(1, 2, 6)), (1, rows(2, 9, 6)), (2, EXTREMES)], 6),
+    "m=1": binary_file([(0, rows(3, 4, 1)), (1, rows(4, 3, 1))], 1),
+    "ids-out-of-order": binary_file([(9, rows(5, 3, 3)), (2, rows(6, 5, 3)), (40, rows(7, 1, 3)), (0, rows(8, 2, 3))], 3),
+}
+BASE = [(4, rows(9, 3, 5)), (1, rows(10, 6, 5)), (2, rows(11, 4, 5))]
+FAULTY_FILES = {
+    "bad-magic": binary_file(BASE, 5, magic=b"NOPE"),
+    "bad-version": binary_file(BASE, 5, version=2),
+    "truncated-header": binary_file(BASE, 5)[:10],
+    "truncated-class-header": binary_file(BASE, 5)[: HEADER.size + 4],
+    "truncated-payload": binary_file(BASE, 5)[:-10],
+    "trailing-data": binary_file(BASE, 5) + b"xx",
+    "duplicate-id": binary_file(BASE + [(1, rows(12, 2, 5))], 5),
+    "nan-row": binary_file([BASE[0], (1, with_nan(BASE[1][1], 3)), BASE[2]], 5),
+    "no-classes": binary_file([], 5),
+    "empty-class": binary_file([BASE[0], (7, np.empty((0, 5)))], 5),
+}
+
+
+class TestBinaryLoaderMatchesParent:
+    @pytest.mark.parametrize("name", VALID_FILES)
+    def test_values_dtype_shapes_and_order(self, name, tmp_path):
+        path = tmp_path / "a.feats"
+        path.write_bytes(VALID_FILES[name])
+        store, expected = load_features(path), parent_load_binary(path)
+        assert list(store.classes) == list(expected.classes)
+        for cid, X in expected.classes.items():
+            got = store.classes[cid]
+            assert (got.dtype, got.shape) == (X.dtype, X.shape)
+            assert got.tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("name", VALID_FILES)
+    def test_classes_are_row_views_of_one_buffer(self, name, tmp_path):
+        path = tmp_path / "a.feats"
+        path.write_bytes(VALID_FILES[name])
+        store = load_features(path)
+        buffer = next(iter(store.classes.values())).base
+        assert buffer.dtype == np.float64 and buffer.flags.c_contiguous
+        assert buffer.shape == (sum(X.shape[0] for X in store.classes.values()), store.m)
+        row = 0
+        for X in store.classes.values():  # file order
+            assert X.base is buffer and X.ctypes.data == buffer[row].ctypes.data
+            row += X.shape[0]
+
+    @pytest.mark.parametrize("name", FAULTY_FILES)
+    def test_each_fault_raises_the_parent_message(self, name, tmp_path):
+        path = tmp_path / "a.feats"
+        path.write_bytes(FAULTY_FILES[name])
+        with pytest.raises(ValueError) as expected:
+            parent_load_binary(path)
+        with pytest.raises(ValueError) as got:
+            load_features(path)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "blob,message",
+        [
+            (binary_file([(0, with_nan(rows(13, 3, 5), 0)), (1, rows(14, 3, 5))], 5) + b"x", "trailing data"),
+            (binary_file([(0, with_nan(rows(13, 3, 5), 0)), (0, rows(14, 3, 5))], 5), "duplicate class id 0"),
+            (binary_file([(0, with_nan(rows(13, 3, 5), 0)), (1, rows(14, 3, 5))], 5)[:-1], "truncated file"),
+        ],
+        ids=["trailing", "duplicate", "truncated"],
+    )
+    def test_structural_errors_come_before_non_finite_values(self, blob, message, tmp_path):
+        # The parent checked each class's values as it went, so it named the
+        # NaN in class 0; every structural check now runs before any payload is read.
+        path = tmp_path / "a.feats"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="non-finite value in class 0, row 0"):
+            parent_load_binary(path)
+        with pytest.raises(ValueError, match=message):
+            load_features(path)
+
+
+    def test_a_file_that_shrinks_after_the_size_check_is_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.feats"
+        full = binary_file(BASE, 5)
+        path.write_bytes(full[:-10])
+        # The first pass is told the file's full size; the second pass then reads short.
+        monkeypatch.setattr(features_io.os, "fstat", lambda fd: SimpleNamespace(st_size=len(full)))
+        with pytest.raises(ValueError, match="truncated file: class 2 payload ended early"):
+            load_features(path)
 
 
 class TestBinary:
@@ -79,6 +220,12 @@ class TestBinary:
         with pytest.raises(FileNotFoundError):
             load_features(tmp_path / "missing.feats")
 
+    def test_zero_width_rows_rejected(self, tmp_path):
+        p = tmp_path / "a.feats"
+        p.write_bytes(binary_file([(0, np.empty((3, 0))), (1, np.empty((2, 0)))], 0))
+        with pytest.raises(ValueError, match="feature dimension m must be >= 1, got 0"):
+            load_features(p)
+
 
 class TestCsv:
     def test_csv_equals_binary(self, store, tmp_path):
@@ -108,6 +255,12 @@ class TestCsv:
         p = tmp_path / "a.csv"
         p.write_text("label,f0\n0,inf\n")
         with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_features(p)
+
+    def test_zero_width_rows_rejected(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("label\n0\n0\n1\n")
+        with pytest.raises(ValueError, match="feature dimension m must be >= 1, got 0"):
             load_features(p)
 
     def test_short_row_rejected(self, tmp_path):

@@ -33,6 +33,7 @@ from tafssl.linalg import BlasThreadWarning, blas_threads, covariance, set_blas_
 from tafssl import subspace
 from tafssl.classify import build_prototypes, l2_normalize_rows, nn_classify
 from tafssl.cluster import bkm, msp
+from tafssl.features_io import save_features
 from tafssl.subspace import PoolDecomposition, fit_ica
 
 
@@ -775,6 +776,26 @@ class TestOutputs:
                 cfg = BenchmarkConfig(synthetic="reference", method="nn,pca-nn,ica-nn,ica-msp", episodes=10, seed=1000 * int(i) + r)
                 write_csv(path, [(None, run_benchmark(cfg, store=store))])
                 assert sha256(path.read_bytes()).hexdigest() == digest, f"input set {i}, round {r}"
+
+    @pytest.mark.parametrize("group,input_set", [("semi", 0), ("semi", 5), ("wide", 0)])
+    def test_loaded_and_generated_stores_match_the_benchmark_digests(self, group, input_set, tmp_path):
+        # The benchmark's ``semi`` rounds read a 20 x 600 reference-spec store
+        # back from a binary file; its ``wide`` rounds build an m = 1024 store
+        # from a mixture config file.  Each input set has 8 seeded rounds.
+        table = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())[group]
+        if group == "semi":
+            source = tmp_path / "semi.feats"
+            save_features(generate_mog_store(reference_mog_spec(), 20, 600, input_set), source)
+            cfg = BenchmarkConfig(features=str(source), method="bkm,msp,pca-bkm,pca-msp", mode="semi", unlabeled=100, distractors=3, episodes=10)
+        else:
+            source = tmp_path / "wide_store.cfg"
+            source.write_text(f"m=1024\nsignal_dims=32\nsigma_between=2.0\nclasses=20\nper_class=100\nseed={input_set}\n")
+            cfg = BenchmarkConfig(synthetic=str(source), method="nn,pca-nn,pca-bkm,ica-bkm", episodes=4)
+        assert (table["episodes"], table["rounds_per_set"]) == (cfg.episodes, 8)
+        store, path = load_store(cfg), tmp_path / "round.csv"
+        for r, digest in enumerate(table["digests"][str(input_set)]):
+            write_csv(path, [(None, run_benchmark(replace(cfg, seed=1000 * input_set + r), store=store))])
+            assert sha256(path.read_bytes()).hexdigest() == digest, f"input set {input_set}, round {r}"
 
 
 class TestConfigFile:
