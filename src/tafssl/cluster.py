@@ -57,15 +57,13 @@ class MspResult:
     k_history: list[int] = field(default_factory=list)
 
 
-def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator, x_sq: np.ndarray | None = None) -> np.ndarray:
+def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator, x_sq: np.ndarray) -> np.ndarray:
     """k-means++-style greedy seeding: random first centroid, then repeatedly
     the point farthest from the chosen set.  Deterministic given the seed
     (argmax ties resolve to the lowest row index).  Stops short of ``k``
     centroids when the farthest row equals a chosen one, so the centroids
     returned are distinct rows of ``X``.  ``x_sq`` is ``X``'s squared row
-    norms, when the caller has them."""
-    if x_sq is None:
-        x_sq = (X * X).sum(axis=1)
+    norms."""
     chosen = [int(rng.integers(X.shape[0]))]
     min_sq = pairwise_sqdist(X, X[chosen[-1]][None, :], x_sq)[:, 0]
     while len(chosen) < k:

@@ -66,8 +66,8 @@ def _load_binary(path: Path) -> FeatureStore:
     """Two passes over the file.  The first reads the headers, seeking past
     every payload, and checks the sizes against the file size; the second
     reads each class's float32 payload into one staging buffer and widens it
-    into that class's rows of the store's single float64 buffer.  Values are
-    checked for finiteness in float32, which the exact widening preserves."""
+    into that class's rows of the store's single float64 buffer.
+    ``FeatureStore`` then checks the values for finiteness."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size < HEADER.size:
@@ -105,7 +105,6 @@ def _load_binary(path: Path) -> FeatureStore:
             f.seek(payload)
             if f.readinto(chunk) != chunk.nbytes:
                 raise ValueError(f"truncated file: class {cid} payload ended early")
-            _check_rows_finite(chunk, cid)
             classes[cid] = X[row : row + count]
             classes[cid][...] = chunk
             row += count
@@ -139,18 +138,10 @@ def _load_csv(path: Path) -> FeatureStore:
                 raise ValueError(f"line {lineno}: expected {m + 1} fields, got {len(row)}")
             try:
                 label = int(row[0])
-                values = np.array([np.float32(v) for v in row[1:]], dtype=np.float64)
+                values = np.array(row[1:], dtype=np.float32)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            if not np.isfinite(values).all():
-                raise ValueError(f"line {lineno}: non-finite value")
             rows.setdefault(label, []).append(values)
     if not rows:
         raise ValueError("CSV file has no data rows")
     return FeatureStore(classes={cid: np.vstack(v) for cid, v in rows.items()})
-
-
-def _check_rows_finite(X: np.ndarray, cid: int) -> None:
-    if not np.isfinite(X).all():
-        bad = ~np.isfinite(X).all(axis=1)
-        raise ValueError(f"non-finite value in class {cid}, row {int(np.flatnonzero(bad)[0])}")

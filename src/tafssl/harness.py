@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import time
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
@@ -71,7 +72,6 @@ METHODS = {
     "bkm": ("none", bkm_predict),
     "msp": ("none", msp_predict),
 }
-_SUB_HEADS = ("sub", "sub_star")
 _DEFAULT_DIMS = {"pca": PCA_DEFAULT_DIM, "whiten": ICA_DEFAULT_DIM}
 
 SWEEP_VALUES = {
@@ -87,22 +87,15 @@ _SWEEP_FIELDS = {"queries": "queries", "noise": "distractors", "dim": "dim", "un
 
 @dataclass(frozen=True)
 class MethodPipeline:
-    """One classification pipeline: a projection and an inference head."""
+    """One classification pipeline: a projection and an inference head.
+
+    ``head`` is called as ``head(S, support_labels, Q, pool, seed)``; the
+    sub heads carry their ``normalize_first`` setting bound."""
 
     name: str
-    projection: str = "none"  # none | pca | whiten
-    r: int | None = None
-    inference: str = "nn"  # nn | sub | sub_star | bkm | msp
-    sub_normalize_first: bool = True
-
-    @property
-    def head(self):
-        """The head function named ``inference``, with ``sub_normalize_first``
-        bound for the sub heads."""
-        projection, head = METHODS.get(self.inference.replace("_", "-"), (None, None))
-        if projection != "none":
-            raise ValueError(f"unknown inference {self.inference!r}")
-        return partial(head, normalize_first=self.sub_normalize_first) if self.inference in _SUB_HEADS else head
+    projection: str  # none | pca | whiten
+    r: int | None
+    head: Callable
 
 
 def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = True) -> MethodPipeline:
@@ -114,8 +107,9 @@ def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = 
         raise ValueError("dim must be >= 1")
     projection, head = METHODS[name]
     r = None if projection == "none" else dim or _DEFAULT_DIMS[projection]
-    inference = next(m for m, method in METHODS.items() if method == ("none", head)).replace("-", "_")
-    return MethodPipeline(name, projection, r, inference, sub_normalize_first)
+    if head in (sub, sub_star):
+        head = partial(head, normalize_first=sub_normalize_first)
+    return MethodPipeline(name, projection, r, head)
 
 
 def _setting(default, help_text: str):
@@ -157,10 +151,12 @@ class BenchmarkConfig:
             raise ValueError("episodes must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.episode_spec(0)  # EpisodeSpec holds the protocol and mode rules
         pipes = [parse_method(m, self.dim, self.sub_normalize_first) for m in self.methods()]
         for p in pipes:
-            if p.inference in _SUB_HEADS and self.mode != "transductive":
+            if METHODS[p.name][1] in (sub, sub_star) and self.mode != "transductive":
                 raise ValueError(f"method {p.name!r} is defined on the support+query pool and requires transductive mode")
         if not pipes:
             raise ValueError("no method given")
@@ -238,7 +234,7 @@ class EpisodeProjections:
             S, Q, pool = self.raw
             d = self._decomposition = PoolDecomposition(pool, self.r_max)
             n_s = S.shape[0]
-            self._centered = (d.centered[:n_s], d.centered[n_s:] if self.transductive else d.center(Q), d.centered)
+            self._centered = (d.centered[:n_s], d.centered[n_s:] if self.transductive else Q - d.mean, d.centered)
         return self._decomposition
 
 

@@ -45,12 +45,15 @@ class NumericalWarning(UserWarning):
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate ``x`` as a finite 2-D float64 array and return it."""
+    """Validate ``x`` as a finite 2-D float64 array and return it.  A
+    non-finite value is reported by the first row that holds one."""
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {X.shape}")
+    # The row search runs only on failure: a per-row check costs more than one over the whole array.
     if X.size and not np.isfinite(X).all():
-        raise ValueError(f"{name} contains NaN or Inf")
+        row = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ValueError(f"non-finite value in {name}, row {row}")
     return X
 
 

@@ -130,13 +130,6 @@ class PoolDecomposition:
         self.centered = X - self.mean
         self.eigenvalues, self.axes = _decompose(self.centered, r)
 
-    def center(self, X) -> np.ndarray:
-        """Rows of ``X`` minus the pool mean, checked as ``SubspaceProjection.apply`` does."""
-        X = as_matrix(X)
-        if X.shape[1] != self.mean.shape[0]:
-            raise ValueError(f"dimension mismatch: the pool has {self.mean.shape[0]} columns, got {X.shape[1]}")
-        return X - self.mean
-
     def project(self, kind: str, r: int) -> SubspaceProjection:
         """The ``kind`` projection onto the top ``r`` axes, with ``r`` shrunk
         on a small pool as ``fit_pca`` and ``fit_ica`` do (``whiten`` raises

@@ -95,6 +95,11 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.strip() == "error: unbalanced_r must be >= 0"
 
+    def test_negative_seed_exits_1_before_the_source_is_read(self):
+        r = run_cli("--features", "/nonexistent/path.feats", "--method", "nn", "--episodes", "1", "--seed", "-1")
+        assert r.returncode == 1
+        assert r.stderr.strip() == "error: seed must be >= 0"
+
     @pytest.mark.parametrize("flag", ["--mode", "--sweep"])
     def test_bad_mode_or_sweep_exits_before_the_source_is_read(self, flag):
         r = run_cli("--features", "/nonexistent/path.feats", "--episodes", "1", flag, "bogus")

@@ -354,7 +354,7 @@ class TestMatchesLoopReference:
     @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
     def test_farthest_point_init(self, n, m):
         pool = _episode_sets((n, m), n, m)[3]
-        got = _farthest_point_init(pool, 7, np.random.default_rng(4))
+        got = _farthest_point_init(pool, 7, np.random.default_rng(4), (pool * pool).sum(axis=1))
         assert np.array_equal(got, _ref_farthest_point_init(pool, 7, np.random.default_rng(4)))
 
     @pytest.mark.parametrize("n, m", ORACLE_SHAPES)

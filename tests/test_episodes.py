@@ -31,7 +31,7 @@ class TestFeatureStore:
             FeatureStore(classes={0: np.ones((2, 3)), 1: np.ones((2, 4))})
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="NaN or Inf"):
+        with pytest.raises(ValueError, match="non-finite value in class 0, row 0"):
             FeatureStore(classes={0: np.array([[1.0, np.inf]])})
 
     def test_rejects_zero_width_rows(self):

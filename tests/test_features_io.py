@@ -227,6 +227,28 @@ class TestBinary:
             load_features(p)
 
 
+class TestNonFiniteMessage:
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_same_message_from_every_source(self, value, tmp_path):
+        classes = [(cid, rows(cid, 7, 5)) for cid in (4, 0, 3, 1)]
+        classes[2][1][5, 1] = value
+        feats, csv_path = tmp_path / "a.feats", tmp_path / "a.csv"
+        feats.write_bytes(binary_file(classes, 5))
+        lines = ["label," + ",".join(f"f{j}" for j in range(5))]
+        lines += [",".join([str(cid), *(str(v) for v in row)]) for cid, X in classes for row in X]
+        csv_path.write_text("\n".join(lines) + "\n")
+        sources = {
+            "binary": lambda: load_features(feats),
+            "csv": lambda: load_features(csv_path),
+            "float64": lambda: FeatureStore(classes={cid: X.astype(np.float64) for cid, X in classes}),
+            "float32": lambda: FeatureStore(classes=dict(classes)),
+        }
+        for name, make in sources.items():
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == "non-finite value in class 3, row 5", name
+
+
 class TestCsv:
     def test_csv_equals_binary(self, store, tmp_path):
         pb, pc = tmp_path / "a.feats", tmp_path / "a.csv"
@@ -254,7 +276,7 @@ class TestCsv:
     def test_nonfinite_rejected(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("label,f0\n0,inf\n")
-        with pytest.raises(ValueError, match="line 2: non-finite"):
+        with pytest.raises(ValueError, match="non-finite value in class 0, row 0"):
             load_features(p)
 
     def test_zero_width_rows_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for pipeline assembly, the benchmark loop, sweeps, and CSV output."""
 
 import json
+import pickle
 import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -31,8 +32,8 @@ from tafssl.harness import (
 from tafssl import linalg
 from tafssl.linalg import BlasThreadWarning, blas_threads, covariance, set_blas_threads
 from tafssl import subspace
-from tafssl.classify import build_prototypes, l2_normalize_rows, nn_classify
-from tafssl.cluster import bkm, msp
+from tafssl.classify import build_prototypes, l2_normalize_rows, nn, nn_classify, sub, sub_star
+from tafssl.cluster import bkm, bkm_predict, msp, msp_predict
 from tafssl.features_io import save_features
 from tafssl.subspace import PoolDecomposition, fit_ica
 
@@ -54,21 +55,35 @@ def noisy_store():
 
 class TestParseMethod:
     @pytest.mark.parametrize(
-        "name,projection,inference",
+        "name,projection,head",
         [
-            ("nn", "none", "nn"),
-            ("sub", "none", "sub"),
-            ("sub-star", "none", "sub_star"),
-            ("pca-nn", "pca", "nn"),
-            ("ica-bkm", "whiten", "bkm"),
-            ("pca-msp", "pca", "msp"),
-            ("bkm", "none", "bkm"),
-            ("msp", "none", "msp"),
+            ("nn", "none", nn),
+            ("sub", "none", sub),
+            ("sub-star", "none", sub_star),
+            ("pca-nn", "pca", nn),
+            ("ica-bkm", "whiten", bkm_predict),
+            ("pca-msp", "pca", msp_predict),
+            ("bkm", "none", bkm_predict),
+            ("msp", "none", msp_predict),
         ],
+        ids=lambda v: v.__name__.removesuffix("_predict") if callable(v) else None,
     )
-    def test_names(self, name, projection, inference):
+    def test_names(self, name, projection, head):
         p = parse_method(name)
-        assert (p.projection, p.inference) == (projection, inference)
+        assert p.projection == projection
+        if head in (sub, sub_star):
+            assert (p.head.func, p.head.keywords) == (head, {"normalize_first": True})
+        else:
+            assert p.head is head
+
+    def test_every_pipeline_survives_a_pickle_round_trip(self):
+        # Pool workers receive the pipelines pickled.
+        ep = sample_episode(noisy_store(), EpisodeSpec(seed=4))
+        for name in harness.METHODS:
+            for normalize_first in (True, False):
+                pipe = parse_method(name, sub_normalize_first=normalize_first)
+                copy = pickle.loads(pickle.dumps(pipe))
+                assert np.array_equal(evaluate_episode(ep, copy, seed=(0, 4)), evaluate_episode(ep, pipe, seed=(0, 4))), (name, normalize_first)
 
     def test_default_dims(self):
         assert parse_method("pca-nn").r == 4
@@ -125,6 +140,11 @@ class TestConfigValidation:
     def test_dim_below_one_checked_before_store_loads(self, tmp_path, dim):
         cfg = BenchmarkConfig(method="nn,pca-nn", dim=dim, features=str(tmp_path / "missing.feats"))
         with pytest.raises(ValueError, match="dim must be >= 1"):
+            run_benchmark(cfg)
+
+    def test_negative_seed_checked_before_store_loads(self, tmp_path):
+        cfg = BenchmarkConfig(method="nn", seed=-1, features=str(tmp_path / "missing.feats"))
+        with pytest.raises(ValueError, match="seed must be >= 0"):
             run_benchmark(cfg)
 
     def test_episode_count_checked_before_store_loads(self, tmp_path):
@@ -213,7 +233,7 @@ class TestSubBaselines:
         store = noisy_store()
         for i in range(5):
             ep = sample_episode(store, EpisodeSpec(k_shot=3, seed=(9, i)))
-            pipe = MethodPipeline("pca-sub", projection="pca", r=4, inference="sub")
+            pipe = MethodPipeline("pca-sub", "pca", 4, sub)
             S, Q, _ = EpisodeProjections(ep, [pipe]).view(pipe)
             expected = self.reference(replace(ep, support=S, query=Q), True, True)
             assert np.array_equal(evaluate_episode(ep, pipe, seed=(9, i)), expected)
@@ -468,7 +488,7 @@ class TestHeadInvariance:
         for pipe in head_pipelines():
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
             after = evaluate_episode(moved, pipe, seed=(seed, 0))
-            assert np.array_equal(before, after), (pipe.name, pipe.sub_normalize_first)
+            assert np.array_equal(before, after), (pipe.name, pipe.head)
 
 
 class TestQueryPermutation:
@@ -541,7 +561,7 @@ class TestClassRelabelling:
         for pipe in head_pipelines():
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
             after = evaluate_episode(relabelled, pipe, seed=(seed, 0))
-            assert np.array_equal(after, [relabel[c] for c in before.tolist()]), (pipe.name, pipe.sub_normalize_first)
+            assert np.array_equal(after, [relabel[c] for c in before.tolist()]), (pipe.name, pipe.head)
 
 
 # harness._infer and evaluate_episode as they stood before each head became
@@ -556,11 +576,11 @@ def _derive_seed(seed, salt: int):
     return (seed, salt)
 
 
-def _parent_infer(S, y_s, Q, pool, pipeline: MethodPipeline, seed) -> np.ndarray:
+def _parent_infer(S, y_s, Q, pool, inference: str, sub_normalize_first: bool, seed) -> np.ndarray:
     """The pipeline's head: query predictions from S, its labels, Q and the pool.
     ``sub`` centers S and Q on their joint mean, ``sub_star`` each on its own;
     both L2-normalize Q, and S (``sub_normalize_first``) or the prototypes, then run ``nn``."""
-    head = pipeline.inference
+    head = inference
     if head == "bkm":
         posterior = bkm(S, y_s, Q, pool, seed=_derive_seed(seed, 2))
         return np.unique(y_s)[np.argmax(posterior, axis=1)]
@@ -572,22 +592,28 @@ def _parent_infer(S, y_s, Q, pool, pipeline: MethodPipeline, seed) -> np.ndarray
             S, Q = S - mu, Q - mu
         else:
             S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
-        if pipeline.sub_normalize_first:
+        if sub_normalize_first:
             S = l2_normalize_rows(S)
         Q = l2_normalize_rows(Q)
     elif head != "nn":
         raise ValueError(f"unknown inference {head!r}")
     protos = build_prototypes(S, y_s)
-    if head in _SUB_HEADS and not pipeline.sub_normalize_first:
+    if head in _SUB_HEADS and not sub_normalize_first:
         protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
     return nn_classify(Q, protos)[0]
+
+
+# The parent's name for each head, as its MethodPipeline.inference held it.
+_PARENT_INFERENCE = {nn: "nn", sub: "sub", sub_star: "sub_star", bkm_predict: "bkm", msp_predict: "msp"}
 
 
 def _parent_evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, projections: EpisodeProjections | None = None) -> np.ndarray:
     if projections is None:
         projections = EpisodeProjections(episode, [pipeline])
     S, Q, pool = projections.view(pipeline)
-    return _parent_infer(S, episode.support_labels, Q, pool, pipeline, seed)
+    head = getattr(pipeline.head, "func", pipeline.head)
+    normalize_first = getattr(pipeline.head, "keywords", {}).get("normalize_first", True)
+    return _parent_infer(S, episode.support_labels, Q, pool, _PARENT_INFERENCE[head], normalize_first, seed)
 
 
 def constant_store():

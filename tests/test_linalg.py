@@ -127,6 +127,14 @@ class TestHelpers:
         with pytest.raises(ValueError, match="2-dimensional"):
             as_matrix([1.0, 2.0])
 
+    @pytest.mark.parametrize("row,value", [(0, np.nan), (3, np.inf), (3, -np.inf), (6, np.nan)], ids=["first", "middle-inf", "middle-neg-inf", "last"])
+    def test_as_matrix_names_the_first_bad_row(self, row, value):
+        X = np.ones((7, 4))
+        X[row, 2] = value
+        X[6, 0] = np.nan  # a later bad row does not hide the first
+        with pytest.raises(ValueError, match=rf"^non-finite value in pool, row {row}$"):
+            as_matrix(X, "pool")
+
 
 # softmax_rows as it stood before its row max moved to row_max.  Kept
 # verbatim as the oracle the rewrite must match bit for bit.
