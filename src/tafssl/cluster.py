@@ -73,7 +73,7 @@ def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator, x_sq: 
             break
         chosen.append(far)
         min_sq = np.minimum(min_sq, pairwise_sqdist(X, X[far][None, :], x_sq)[:, 0])
-    return X[chosen].copy()
+    return X[chosen]
 
 
 def kmeans(pool, k: int, seed: int = 0) -> Clustering:

@@ -75,10 +75,6 @@ class FeatureStore:
     def m(self) -> int:
         return next(iter(self.classes.values())).shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
-
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All features stacked with their class labels, ordered by class id."""
         ids = sorted(self.classes)
@@ -89,36 +85,33 @@ class FeatureStore:
 
 @dataclass(frozen=True)
 class EpisodeSpec:
-    """Shape of one few-shot task.
+    """Shape of one few-shot task.  The fields are the harness's setting
+    names (the ``BenchmarkConfig`` fields, flags and config keys).
 
     ``unbalanced_r`` adds a per-class uniform[0, R] extra query count.  In
     transductive mode the queries double as the unlabeled pool, so
-    ``unlabeled_per_class`` and ``distractor_classes`` must be zero there.
+    ``unlabeled`` and ``distractors`` must be zero there.
     """
 
-    n_way: int = 5
-    k_shot: int = 1
-    queries_per_class: int = 15
-    unlabeled_per_class: int = 0
-    distractor_classes: int = 0
+    ways: int = 5
+    shots: int = 1
+    queries: int = 15
+    unlabeled: int = 0
+    distractors: int = 0
     unbalanced_r: int = 0
     mode: str = "transductive"
     seed: int | tuple = 0
 
     def __post_init__(self):
-        if self.n_way < 2:
-            raise ValueError("n_way must be >= 2")
-        if self.k_shot < 1 or self.queries_per_class < 1:
-            raise ValueError("k_shot and queries_per_class must be >= 1")
-        for name in ("distractor_classes", "unbalanced_r"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name, bound in (("ways", 2), ("shots", 1), ("queries", 1), ("distractors", 0), ("unbalanced_r", 0)):
+            if getattr(self, name) < bound:
+                raise ValueError(f"{name} must be >= {bound}")
         if self.mode not in ("transductive", "semi"):
             raise ValueError(f"unknown mode {self.mode!r}; choose from transductive, semi")
-        if self.mode == "transductive" and (self.unlabeled_per_class or self.distractor_classes):
-            raise ValueError("transductive mode uses queries as the unlabeled pool; unlabeled_per_class and distractor_classes must be 0")
-        if self.mode == "semi" and self.unlabeled_per_class < 1:
-            raise ValueError("semi mode needs unlabeled_per_class >= 1")
+        if self.mode == "transductive" and (self.unlabeled or self.distractors):
+            raise ValueError("transductive mode uses queries as the unlabeled pool; unlabeled and distractors must be 0")
+        if self.mode == "semi" and self.unlabeled < 1:
+            raise ValueError("semi mode needs unlabeled >= 1")
 
 
 @dataclass(frozen=True)
@@ -167,8 +160,9 @@ class MoGSpec:
             raise ValueError("signal_dims must lie in [0, m]")
         if not 0.0 <= self.rho_signal <= 1.0:
             raise ValueError("rho_signal must lie in [0, 1]")
-        if min(self.sigma_noise, self.sigma_between, self.sigma_signal) <= 0:
-            raise ValueError("all sigmas must be positive")
+        for name in ("sigma_noise", "sigma_between", "sigma_signal"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be > 0")
 
 
 # Desk-scale reference benchmark: a store calibrated so the subspace methods
@@ -188,7 +182,7 @@ def reference_store() -> FeatureStore:
 
 def generate_mog_store(
     spec: MoGSpec,
-    n_classes: int,
+    classes: int,
     per_class: int,
     seed: int = 0,
     return_class_means: bool = False,
@@ -199,14 +193,15 @@ def generate_mog_store(
     is returned alongside the store, which lets variance checks compare the
     empirical moments against the exact generating parameters.
     """
-    if n_classes < 1 or per_class < 1:
-        raise ValueError("n_classes and per_class must be >= 1")
+    for name, count in (("classes", classes), ("per_class", per_class)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
     rng = np.random.default_rng(seed)
     s = spec.signal_dims
-    class_means = rng.normal(0.0, spec.sigma_between, size=(n_classes, s))
-    buffer = np.empty((n_classes * per_class, spec.m))
-    classes: dict[int, np.ndarray] = {}
-    for c in range(n_classes):
+    class_means = rng.normal(0.0, spec.sigma_between, size=(classes, s))
+    buffer = np.empty((classes * per_class, spec.m))
+    by_class: dict[int, np.ndarray] = {}
+    for c in range(classes):
         X = buffer[c * per_class : (c + 1) * per_class]
         if s:
             fired = rng.random((per_class, s)) < spec.rho_signal
@@ -215,8 +210,8 @@ def generate_mog_store(
             X[:, :s] = np.where(fired, on_signal, off_signal)
         if s < spec.m:
             X[:, s:] = rng.normal(spec.mu_noise, spec.sigma_noise, size=(per_class, spec.m - s))
-        classes[c] = X
-    store = FeatureStore(classes=classes)
+        by_class[c] = X
+    store = FeatureStore(classes=by_class)
     return (store, class_means) if return_class_means else store
 
 
@@ -232,20 +227,20 @@ def sample_episode(store: FeatureStore, spec: EpisodeSpec) -> Episode:
     """
     structure, unbalance = [np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(2)]
     all_ids = sorted(store.classes)
-    total_needed = spec.n_way + spec.distractor_classes
+    total_needed = spec.ways + spec.distractors
     if len(all_ids) < total_needed:
         raise ValueError(f"store has {len(all_ids)} classes, episode needs {total_needed}")
     chosen = structure.choice(len(all_ids), size=total_needed, replace=False)
-    task_ids = [all_ids[i] for i in chosen[: spec.n_way]]
-    distractor_ids = [all_ids[i] for i in chosen[spec.n_way :]]
+    task_ids = [all_ids[i] for i in chosen[: spec.ways]]
+    distractor_ids = [all_ids[i] for i in chosen[spec.ways :]]
 
-    u = spec.unlabeled_per_class  # 0 in transductive mode
+    u = spec.unlabeled  # 0 in transductive mode
     sup, squery, unlab = [], [], []  # (class rows, row indices) per class, task classes first
     for i, cid in enumerate(task_ids + distractor_ids):
         X = store.classes[cid]
         perm = structure.permutation(X.shape[0])
-        k, n_q = (spec.k_shot, spec.queries_per_class) if i < spec.n_way else (0, 0)  # distractors: unlabeled only
-        if i < spec.n_way and spec.unbalanced_r:
+        k, n_q = (spec.shots, spec.queries) if i < spec.ways else (0, 0)  # distractors: unlabeled only
+        if i < spec.ways and spec.unbalanced_r:
             n_q += int(unbalance.integers(0, spec.unbalanced_r + 1))
         if X.shape[0] < k + n_q + u:
             raise ValueError(f"class {cid}: episode needs {k + n_q + u} samples, class has {X.shape[0]}")
@@ -254,9 +249,9 @@ def sample_episode(store: FeatureStore, spec: EpisodeSpec) -> Episode:
         unlab.append((X, perm[k + n_q : k + n_q + u]))
 
     semi = spec.mode == "semi"
-    n_s = spec.n_way * spec.k_shot
+    n_s = spec.ways * spec.shots
     pool = _gather(sup + (unlab if semi else squery), store.m)
-    class_labels = np.concatenate([np.arange(spec.n_way), np.full(len(distractor_ids), DISTRACTOR_LABEL)])
+    class_labels = np.concatenate([np.arange(spec.ways), np.full(len(distractor_ids), DISTRACTOR_LABEL)])
     episode = Episode(
         support=pool[:n_s],
         support_labels=np.repeat(class_labels, [idx.size for _, idx in sup]),

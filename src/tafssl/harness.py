@@ -147,14 +147,15 @@ class BenchmarkConfig:
         """The configured pipelines.  This is the one check a config gets
         before a run: it raises ValueError for any setting the run would
         reject, without touching the feature source."""
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, bound in (("episodes", 1), ("workers", 1), ("seed", 0)):
+            if getattr(self, name) < bound:
+                raise ValueError(f"{name} must be >= {bound}")
         self.episode_spec(0)  # EpisodeSpec holds the protocol and mode rules
-        pipes = [parse_method(m, self.dim, self.sub_normalize_first) for m in self.methods()]
+        names = self.methods()
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"method {name!r} is given more than once")
+        pipes = [parse_method(m, self.dim, self.sub_normalize_first) for m in names]
         for p in pipes:
             if METHODS[p.name][1] in (sub, sub_star) and self.mode != "transductive":
                 raise ValueError(f"method {p.name!r} is defined on the support+query pool and requires transductive mode")
@@ -163,16 +164,7 @@ class BenchmarkConfig:
         return pipes
 
     def episode_spec(self, index: int) -> EpisodeSpec:
-        return EpisodeSpec(
-            n_way=self.ways,
-            k_shot=self.shots,
-            queries_per_class=self.queries,
-            unlabeled_per_class=self.unlabeled,
-            distractor_classes=self.distractors,
-            unbalanced_r=self.unbalanced_r,
-            mode=self.mode,
-            seed=(self.seed, index),
-        )
+        return EpisodeSpec(**{key: getattr(self, key) for key in _PROTOCOL_FIELDS}, mode=self.mode, seed=(self.seed, index))
 
 
 @dataclass(frozen=True)
@@ -446,10 +438,11 @@ def _store_from_mog_config(path) -> FeatureStore:
     for key in required:
         if key not in raw:
             raise ValueError(f"{path}: missing required key {key!r}")
-    n_classes = raw.pop("classes")
-    per_class = raw.pop("per_class")
-    seed = raw.pop("seed", 0)
-    return generate_mog_store(MoGSpec(**raw), n_classes, per_class, seed)
+    store_keys = {key: raw.pop(key) for key in ("classes", "per_class", "seed") if key in raw}
+    try:
+        return generate_mog_store(MoGSpec(**raw), **store_keys)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_reports(table: list[tuple[int | None, list[RunReport]]], sweep: str | None = None) -> str:
@@ -488,7 +481,8 @@ def format_reports(table: list[tuple[int | None, list[RunReport]]], sweep: str |
     return "\n".join(lines)
 
 
-# BenchmarkConfig fields copied into every report's metadata and CSV row.
+# The episode protocol: BenchmarkConfig fields passed by name to EpisodeSpec
+# and copied into every report's metadata and CSV row.
 _PROTOCOL_FIELDS = ("ways", "shots", "queries", "unlabeled", "distractors", "unbalanced_r")
 CSV_COLUMNS = ["sweep", "value", "method", "mode", *_PROTOCOL_FIELDS, "episodes", "seed", "dim", "accuracy", "ci95"]
 

@@ -255,7 +255,7 @@ def test_criterion_6_variance_decomposition(ref_store):
 
 def test_criterion_7_throughput():
     store = generate_mog_store(MoGSpec(m=1024, signal_dims=32, sigma_between=2.0), 10, 40, seed=1)
-    ep = sample_episode(store, EpisodeSpec(n_way=5, k_shot=1, queries_per_class=15, seed=1))
+    ep = sample_episode(store, EpisodeSpec(ways=5, shots=1, queries=15, seed=1))
     assert ep.query.shape == (75, 1024)
     pipe = parse_method("ica-bkm")  # r = 10
     evaluate_episode(ep, pipe, seed=(1, 0))  # warm-up outside the budget

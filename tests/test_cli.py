@@ -37,6 +37,25 @@ def feature_file(tmp_path):
     return p
 
 
+# Each flag's bad value, the one error line it gives, and the settings that line names.
+BAD_SETTINGS = [
+    (("--ways", "1"), "ways must be >= 2", ["ways"]),
+    (("--shots", "0"), "shots must be >= 1", ["shots"]),
+    (("--queries", "0"), "queries must be >= 1", ["queries"]),
+    (("--distractors", "-1"), "distractors must be >= 0", ["distractors"]),
+    (("--unbalanced-r", "-1"), "unbalanced_r must be >= 0", ["unbalanced_r"]),
+    (("--mode", "semi"), "semi mode needs unlabeled >= 1", ["mode", "unlabeled"]),
+    (
+        ("--unlabeled", "5"),
+        "transductive mode uses queries as the unlabeled pool; unlabeled and distractors must be 0",
+        ["mode", "queries", "unlabeled", "distractors"],
+    ),
+    (("--episodes", "0"), "episodes must be >= 1", ["episodes"]),
+    (("--workers", "0"), "workers must be >= 1", ["workers"]),
+    (("--seed", "-1"), "seed must be >= 0", ["seed"]),
+]
+
+
 class TestCli:
     def test_benchmark_run(self, feature_file, tmp_path):
         out = tmp_path / "res.csv"
@@ -99,6 +118,21 @@ class TestCli:
         r = run_cli("--features", "/nonexistent/path.feats", "--method", "nn", "--episodes", "1", "--seed", "-1")
         assert r.returncode == 1
         assert r.stderr.strip() == "error: seed must be >= 0"
+
+    @pytest.mark.parametrize("flags,message,named", BAD_SETTINGS, ids=[f"{flag[2:]}={value}" for (flag, value), _, _ in BAD_SETTINGS])
+    def test_a_bad_setting_names_its_flag_before_the_source_is_read(self, flags, message, named):
+        r = run_cli("--features", "/nonexistent/path.feats", "--method", "nn", *flags)
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == [f"error: {message}"]
+        help_text = build_parser().format_help()
+        for name in named:
+            assert name in message.split() and name in {f.name for f in fields(BenchmarkConfig)}
+            assert f"--{name.replace('_', '-')}" in help_text
+
+    def test_repeated_method_exits_1_naming_it(self):
+        r = run_cli("--features", "/nonexistent/path.feats", "--method", "nn,nn", "--episodes", "1")
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == ["error: method 'nn' is given more than once"]
 
     @pytest.mark.parametrize("flag", ["--mode", "--sweep"])
     def test_bad_mode_or_sweep_exits_before_the_source_is_read(self, flag):

@@ -47,7 +47,7 @@ class TestFeatureStore:
 
 class TestSampleEpisode:
     def test_counts(self):
-        ep = sample_episode(small_store(), EpisodeSpec(n_way=5, k_shot=1, queries_per_class=15, seed=0))
+        ep = sample_episode(small_store(), EpisodeSpec(ways=5, shots=1, queries=15, seed=0))
         assert ep.support.shape[0] == 5
         assert ep.query.shape[0] == 75
         assert ep.unlabeled.shape[0] == 0
@@ -70,7 +70,7 @@ class TestSampleEpisode:
 
     def test_disjoint_within_class(self):
         store = small_store()
-        spec = EpisodeSpec(n_way=4, k_shot=3, queries_per_class=5, unlabeled_per_class=6, mode="semi", seed=9)
+        spec = EpisodeSpec(ways=4, shots=3, queries=5, unlabeled=6, mode="semi", seed=9)
         ep = sample_episode(store, spec)
         for local, cid in enumerate(ep.class_ids):
             rows = {tuple(r) for r in store.classes[cid]}
@@ -82,38 +82,38 @@ class TestSampleEpisode:
 
     def test_semi_with_distractors(self):
         store = small_store()
-        spec = EpisodeSpec(n_way=3, unlabeled_per_class=4, distractor_classes=2, mode="semi", seed=5)
+        spec = EpisodeSpec(ways=3, unlabeled=4, distractors=2, mode="semi", seed=5)
         ep = sample_episode(store, spec)
         assert ep.unlabeled.shape[0] == (3 + 2) * 4
         assert (ep.unlabeled_labels == DISTRACTOR_LABEL).sum() == 8
 
     def test_transductive_rejects_unlabeled(self):
         with pytest.raises(ValueError, match="transductive"):
-            EpisodeSpec(unlabeled_per_class=3)
+            EpisodeSpec(unlabeled=3)
 
-    @pytest.mark.parametrize("setting", ["distractor_classes", "unbalanced_r"])
+    @pytest.mark.parametrize("setting", ["distractors", "unbalanced_r"])
     def test_negative_counts_rejected(self, setting):
         with pytest.raises(ValueError, match=f"{setting} must be >= 0"):
-            EpisodeSpec(mode="semi", unlabeled_per_class=2, **{setting: -1})
+            EpisodeSpec(mode="semi", unlabeled=2, **{setting: -1})
 
     def test_insufficient_samples_names_class(self):
         store = FeatureStore(classes={i: np.random.default_rng(i).normal(size=(10, 3)) for i in range(6)})
         with pytest.raises(ValueError, match="class "):
-            sample_episode(store, EpisodeSpec(n_way=5, queries_per_class=50, seed=0))
+            sample_episode(store, EpisodeSpec(ways=5, queries=50, seed=0))
 
     def test_unbalanced_mean_matches_expectation(self):
         store = small_store(per_class=80)
         counts = []
         for i in range(2000):
-            ep = sample_episode(store, EpisodeSpec(queries_per_class=15, unbalanced_r=10, seed=(77, i)))
+            ep = sample_episode(store, EpisodeSpec(queries=15, unbalanced_r=10, seed=(77, i)))
             counts.extend(np.bincount(ep.query_labels, minlength=5).tolist())
         expected = 15 + 10 / 2
         assert abs(np.mean(counts) - expected) / expected < 0.02
 
     def test_unbalance_shares_supports_and_nests_queries(self):
         store = small_store(per_class=80)
-        base = sample_episode(store, EpisodeSpec(queries_per_class=15, unbalanced_r=0, seed=4))
-        skew = sample_episode(store, EpisodeSpec(queries_per_class=15, unbalanced_r=50, seed=4))
+        base = sample_episode(store, EpisodeSpec(queries=15, unbalanced_r=0, seed=4))
+        skew = sample_episode(store, EpisodeSpec(queries=15, unbalanced_r=50, seed=4))
         assert np.array_equal(base.support, skew.support)
         for local in range(5):
             a = base.query[base.query_labels == local]
@@ -183,7 +183,7 @@ class TestMoGGenerator:
         store, means = generate_mog_store(spec, 8, 12, seed=0, return_class_means=True)
         for cid, X in store.classes.items():
             np.testing.assert_allclose(X, np.tile(means[cid], (12, 1)), atol=1e-6)
-        ep = sample_episode(store, EpisodeSpec(n_way=5, queries_per_class=5, seed=0))
+        ep = sample_episode(store, EpisodeSpec(ways=5, queries=5, seed=0))
         preds, _ = nn_classify(ep.query, build_prototypes(ep.support, ep.support_labels))
         assert (preds == ep.query_labels).mean() == 1.0
 
@@ -191,7 +191,7 @@ class TestMoGGenerator:
         store = generate_mog_store(MoGSpec(m=8, signal_dims=0), 10, 80, seed=1)
         accs = []
         for i in range(300):
-            ep = sample_episode(store, EpisodeSpec(n_way=5, queries_per_class=15, seed=(3, i)))
+            ep = sample_episode(store, EpisodeSpec(ways=5, queries=15, seed=(3, i)))
             preds, _ = nn_classify(ep.query, build_prototypes(ep.support, ep.support_labels))
             accs.append((preds == ep.query_labels).mean())
         assert abs(np.mean(accs) - 0.2) < 0.03

@@ -5,7 +5,7 @@ import pickle
 import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from hashlib import sha256
 from pathlib import Path
 
@@ -157,6 +157,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run_benchmark(cfg, store=separable_store())
 
+    def test_repeated_method_checked_before_store_loads(self, tmp_path):
+        cfg = BenchmarkConfig(method="nn,pca-nn,nn", features=str(tmp_path / "missing.feats"))
+        with pytest.raises(ValueError, match="method 'nn' is given more than once"):
+            run_benchmark(cfg)
+
+    def test_protocol_fields_are_the_episode_spec_fields(self):
+        spec_defaults = {f.name: f.default for f in fields(EpisodeSpec)}
+        config_defaults = {f.name: f.default for f in fields(BenchmarkConfig)}
+        assert list(harness._PROTOCOL_FIELDS) == [name for name in spec_defaults if name not in ("mode", "seed")]
+        for name in harness._PROTOCOL_FIELDS:
+            assert spec_defaults[name] == config_defaults[name], name
+
 
 class TestEvaluateEpisode:
     def test_all_methods_run_transductive(self):
@@ -167,7 +179,7 @@ class TestEvaluateEpisode:
             assert set(np.unique(preds)) <= set(range(5))
 
     def test_all_methods_run_semi(self):
-        spec = EpisodeSpec(mode="semi", unlabeled_per_class=8, distractor_classes=2, seed=1)
+        spec = EpisodeSpec(mode="semi", unlabeled=8, distractors=2, seed=1)
         ep = sample_episode(noisy_store(), spec)
         for name in ("nn", "pca-nn", "ica-bkm", "pca-msp", "msp", "bkm"):
             preds = evaluate_episode(ep, parse_method(name), seed=(0, 1))
@@ -219,7 +231,7 @@ class TestSubBaselines:
         store = noisy_store()
         disagreements = 0
         for i in range(20):
-            ep = sample_episode(store, EpisodeSpec(k_shot=3, seed=(8, i)))
+            ep = sample_episode(store, EpisodeSpec(shots=3, seed=(8, i)))
             preds = {}
             for normalize_first in (True, False):
                 pipe = parse_method(name, sub_normalize_first=normalize_first)
@@ -232,14 +244,14 @@ class TestSubBaselines:
     def test_hand_built_sub_runs_on_the_projected_view(self):
         store = noisy_store()
         for i in range(5):
-            ep = sample_episode(store, EpisodeSpec(k_shot=3, seed=(9, i)))
+            ep = sample_episode(store, EpisodeSpec(shots=3, seed=(9, i)))
             pipe = MethodPipeline("pca-sub", "pca", 4, sub)
             S, Q, _ = EpisodeProjections(ep, [pipe]).view(pipe)
             expected = self.reference(replace(ep, support=S, query=Q), True, True)
             assert np.array_equal(evaluate_episode(ep, pipe, seed=(9, i)), expected)
 
     def test_sub_centers_on_support_and_queries_not_the_pool(self):
-        ep = sample_episode(noisy_store(), EpisodeSpec(k_shot=3, seed=6))
+        ep = sample_episode(noisy_store(), EpisodeSpec(shots=3, seed=6))
         ep = replace(ep, unlabeled=ep.query[:10] + 50.0)  # hand-built: the pool holds far-off rows
         for normalize_first in (True, False):
             preds = evaluate_episode(ep, parse_method("sub", sub_normalize_first=normalize_first), seed=(0, 6))
@@ -344,7 +356,7 @@ def semi_wide_store():
     return generate_mog_store(reference_mog_spec(), 20, 120, seed=5)
 
 
-SEMI_805 = {"mode": "semi", "unlabeled_per_class": 100, "distractor_classes": 3}
+SEMI_805 = {"mode": "semi", "unlabeled": 100, "distractors": 3}
 
 
 def copy_sets(ep):
@@ -884,6 +896,17 @@ class TestMixtureConfigFile:
         p = tmp_path / "mog.cfg"
         p.write_text("m=6\nsignal_dims=3\nper_class=10\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: missing required key 'classes'")):
+            load_store(BenchmarkConfig(synthetic=str(p)))
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [("classes=0", "classes must be >= 1"), ("per_class=0", "per_class must be >= 1"), ("sigma_signal=nan", "sigma_signal must be > 0")],
+        ids=["classes", "per_class", "sigma_signal"],
+    )
+    def test_bad_value_names_path_and_key(self, tmp_path, line, message):
+        p = tmp_path / "mog.cfg"
+        p.write_text(f"m=6\nsignal_dims=3\nclasses=4\nper_class=10\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
             load_store(BenchmarkConfig(synthetic=str(p)))
 
 
