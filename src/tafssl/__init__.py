@@ -11,6 +11,7 @@ accuracy with 0.95 confidence intervals.
 
 from tafssl.classify import Prototypes, build_prototypes, nn_classify
 from tafssl.cluster import Clustering, MspResult, bkm, kmeans, msp
+from tafssl.config import BenchmarkConfig, MethodPipeline
 from tafssl.episodes import (
     Episode,
     EpisodeSpec,
@@ -21,7 +22,7 @@ from tafssl.episodes import (
     sample_episode,
 )
 from tafssl.features_io import load_features, save_features
-from tafssl.harness import BenchmarkConfig, MethodPipeline, RunReport, run_ablation, run_benchmark
+from tafssl.harness import RunReport, run_ablation, run_benchmark
 from tafssl.linalg import NumericalWarning, covariance, sym_eig
 from tafssl.subspace import SubspaceProjection, fit_ica, fit_pca, whiten
 

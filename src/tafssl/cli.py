@@ -13,15 +13,8 @@ import argparse
 import sys
 from dataclasses import fields
 
-from tafssl.harness import (
-    BenchmarkConfig,
-    field_parsers,
-    format_reports,
-    parse_config_file,
-    run_ablation,
-    run_benchmark,
-    write_csv,
-)
+from tafssl.config import BenchmarkConfig, field_parsers, parse_config_file
+from tafssl.harness import format_reports, run_ablation, run_benchmark, write_csv
 
 
 class _Parser(argparse.ArgumentParser):

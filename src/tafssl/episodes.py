@@ -156,6 +156,8 @@ class MoGSpec:
     sigma_signal: float = 1.0
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"feature dimension m must be >= 1, got {self.m}")
         if not 0 <= self.signal_dims <= self.m:
             raise ValueError("signal_dims must lie in [0, m]")
         if not 0.0 <= self.rho_signal <= 1.0:
@@ -193,9 +195,9 @@ def generate_mog_store(
     is returned alongside the store, which lets variance checks compare the
     empirical moments against the exact generating parameters.
     """
-    for name, count in (("classes", classes), ("per_class", per_class)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1")
+    for name, value, bound in (("classes", classes, 1), ("per_class", per_class, 1), ("seed", seed, 0)):
+        if value < bound:
+            raise ValueError(f"{name} must be >= {bound}")
     rng = np.random.default_rng(seed)
     s = spec.signal_dims
     class_means = rng.normal(0.0, spec.sigma_between, size=(classes, s))

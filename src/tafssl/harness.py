@@ -1,14 +1,14 @@
-"""Benchmark harness: pipelines, the episode loop, statistics, and sweeps.
+"""Benchmark harness: pipeline staging, the episode loop, statistics and output.
 
-A method pipeline is a projection and an inference head, assembled from a
-CLI name such as ``ica-msp``; it runs in two stages, project then infer.
-The heads are library functions, ``nn``, ``sub`` and ``sub_star`` in
-``classify`` and ``bkm_predict`` and ``msp_predict`` in ``cluster``, and
-the harness only calls them.  The harness samples episodes from a feature
+The settings of a run, its method pipelines and their checks live in
+``tafssl.config``.  A pipeline runs in two stages, project then infer:
+:class:`EpisodeProjections` stages the episode's subspace views, shared by
+every pipeline that asks for the same one, and the pipeline's head, a
+library function, decides.  The harness samples episodes from a feature
 store, runs every requested pipeline on each episode, scores the query
 predictions against the held-back labels (classifiers never see them), and
 aggregates per-episode accuracies into a mean with a 0.95
-normal-approximation confidence interval.
+normal-approximation confidence interval, then formats or writes them.
 
 Determinism contract: (config, seed) fully determines every number in the
 reports and in the CSV output, independent of the worker count.  Episode i
@@ -21,150 +21,28 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from tafssl.classify import nn, sub, sub_star
-from tafssl.cluster import bkm_predict, msp_predict
-from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
+from tafssl.config import PROTOCOL_FIELDS, SWEEP_FIELDS, SWEEP_VALUES, BenchmarkConfig, MethodPipeline, read_mixture_file
+from tafssl.episodes import Episode, FeatureStore, reference_store, sample_episode
 from tafssl.features_io import load_features
 from tafssl.linalg import set_blas_threads, single_blas_thread
 # ``fit_ica`` is not called here; perfbench's tracer test patches it as ``harness.fit_ica``.
-from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, fit_ica
+from tafssl.subspace import PoolDecomposition, fit_ica
 
 __all__ = [
-    "BenchmarkConfig",
     "EpisodeProjections",
-    "METHODS",
-    "MethodPipeline",
     "RunReport",
-    "SWEEP_VALUES",
-    "boolean",
     "evaluate_episode",
-    "field_parsers",
     "format_reports",
     "load_store",
-    "parse_config_file",
-    "parse_method",
     "run_ablation",
     "run_benchmark",
     "write_csv",
 ]
-
-# CLI method name -> (projection, inference head).  ``ica-*`` whitens:
-# FastICA's unmixing only rotates the whitened pool (Hyvarinen & Oja 2000),
-# and every head decides from distances and means, which no rotation changes.
-# A head is named after its projection-free method, ``_`` for ``-``.
-METHODS = {
-    "nn": ("none", nn),
-    "sub": ("none", sub),
-    "sub-star": ("none", sub_star),
-    "pca-nn": ("pca", nn),
-    "ica-nn": ("whiten", nn),
-    "pca-bkm": ("pca", bkm_predict),
-    "ica-bkm": ("whiten", bkm_predict),
-    "pca-msp": ("pca", msp_predict),
-    "ica-msp": ("whiten", msp_predict),
-    "bkm": ("none", bkm_predict),
-    "msp": ("none", msp_predict),
-}
-_DEFAULT_DIMS = {"pca": PCA_DEFAULT_DIM, "whiten": ICA_DEFAULT_DIM}
-
-SWEEP_VALUES = {
-    "queries": [2, 5, 10, 15, 20, 30, 50],
-    "noise": [0, 1, 2, 3, 4, 5, 6, 7],
-    "dim": [2, 3, 4, 5, 6, 8, 10, 12, 15, 20],
-    "unbalance": [0, 10, 20, 30, 40, 50],
-}
-
-# The BenchmarkConfig field each sweep varies.
-_SWEEP_FIELDS = {"queries": "queries", "noise": "distractors", "dim": "dim", "unbalance": "unbalanced_r"}
-
-
-@dataclass(frozen=True)
-class MethodPipeline:
-    """One classification pipeline: a projection and an inference head.
-
-    ``head`` is called as ``head(S, support_labels, Q, pool, seed)``; the
-    sub heads carry their ``normalize_first`` setting bound."""
-
-    name: str
-    projection: str  # none | pca | whiten
-    r: int | None
-    head: Callable
-
-
-def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = True) -> MethodPipeline:
-    """Build a pipeline from a CLI method name like ``pca-bkm``; ``dim``
-    overrides the default subspace size of its projection."""
-    if name not in METHODS:
-        raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)}")
-    if dim is not None and dim < 1:
-        raise ValueError("dim must be >= 1")
-    projection, head = METHODS[name]
-    r = None if projection == "none" else dim or _DEFAULT_DIMS[projection]
-    if head in (sub, sub_star):
-        head = partial(head, normalize_first=sub_normalize_first)
-    return MethodPipeline(name, projection, r, head)
-
-
-def _setting(default, help_text: str):
-    """A BenchmarkConfig field: its default, and the help text of its flag."""
-    return field(default=default, metadata={"help": help_text})
-
-
-@dataclass
-class BenchmarkConfig:
-    """Flat run configuration.  Each field is one config-file key and one CLI
-    flag of the same name (``-`` for ``_``), both parsed by :func:`field_parsers`."""
-
-    method: str = _setting("nn", f"comma-separated list from: {', '.join(METHODS)}")
-    mode: str = _setting("transductive", "unlabeled pool source: transductive or semi")
-    ways: int = _setting(5, "classes per episode")
-    shots: int = _setting(1, "support samples per class")
-    queries: int = _setting(15, "query samples per class")
-    unlabeled: int = _setting(0, "semi mode: unlabeled samples per class")
-    distractors: int = _setting(0, "semi mode: extra unlabeled-only classes")
-    unbalanced_r: int = _setting(0, "per-class extra queries ~ uniform[0,R]")
-    episodes: int = _setting(10000, "episode count")
-    seed: int = _setting(0, "master seed")
-    dim: int | None = _setting(None, f"subspace dimension; when unset, pca {PCA_DEFAULT_DIM} and ica {ICA_DEFAULT_DIM}")
-    features: str | None = _setting(None, "feature store file, .csv or binary")
-    synthetic: str | None = _setting(None, "mixture-of-Gaussians config file path, or 'reference'")
-    sweep: str | None = _setting(None, f"run an ablation sweep instead of a single benchmark: {', '.join(SWEEP_VALUES)}")
-    out: str | None = _setting(None, "results CSV path")
-    workers: int = _setting(1, "parallel episode workers")
-    sub_normalize_first: bool = _setting(True, "sub/sub-star baselines: L2-normalize samples before prototype averaging")
-
-    def methods(self) -> list[str]:
-        return [m.strip() for m in self.method.split(",") if m.strip()]
-
-    def pipelines(self) -> list[MethodPipeline]:
-        """The configured pipelines.  This is the one check a config gets
-        before a run: it raises ValueError for any setting the run would
-        reject, without touching the feature source."""
-        for name, bound in (("episodes", 1), ("workers", 1), ("seed", 0)):
-            if getattr(self, name) < bound:
-                raise ValueError(f"{name} must be >= {bound}")
-        self.episode_spec(0)  # EpisodeSpec holds the protocol and mode rules
-        names = self.methods()
-        for name in names:
-            if names.count(name) > 1:
-                raise ValueError(f"method {name!r} is given more than once")
-        pipes = [parse_method(m, self.dim, self.sub_normalize_first) for m in names]
-        for p in pipes:
-            if METHODS[p.name][1] in (sub, sub_star) and self.mode != "transductive":
-                raise ValueError(f"method {p.name!r} is defined on the support+query pool and requires transductive mode")
-        if not pipes:
-            raise ValueError("no method given")
-        return pipes
-
-    def episode_spec(self, index: int) -> EpisodeSpec:
-        return EpisodeSpec(**{key: getattr(self, key) for key in _PROTOCOL_FIELDS}, mode=self.mode, seed=(self.seed, index))
 
 
 @dataclass(frozen=True)
@@ -298,7 +176,7 @@ def load_store(config: BenchmarkConfig) -> FeatureStore:
     if config.synthetic:
         if config.synthetic == "reference":
             return reference_store()
-        return _store_from_mog_config(config.synthetic)
+        return read_mixture_file(config.synthetic)
     raise ValueError("no feature source: pass --features <path> or --synthetic <config|reference>")
 
 
@@ -306,23 +184,26 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
     """Run every configured method over the episode batch; one report each.
 
     All methods see the same episodes (episode i is determined by (seed, i)
-    alone), so cross-method comparisons are paired.  The episode loop, and
-    each pool worker, runs on one BLAS thread; the process's BLAS thread
-    count is restored when the run ends.
+    alone), so cross-method comparisons are paired.  The config is checked
+    against the store before any episode runs.  The episode loop, and each
+    pool worker (at most one per episode), runs on one BLAS thread; the
+    process's BLAS thread count is restored when the run ends.
     """
     pipelines = config.pipelines()
     if store is None:
         store = load_store(config)
+    config.check_store(store)
 
     indices = range(config.episodes)
+    workers = min(config.workers, config.episodes)  # a worker past the episode count would never get one
     with single_blas_thread():
-        if config.workers > 1:
+        if workers > 1:
             with ProcessPoolExecutor(
-                max_workers=config.workers,
+                max_workers=workers,
                 initializer=_pool_init,
                 initargs=(store, config, pipelines),
             ) as pool:
-                results = list(pool.map(_pool_eval, indices, chunksize=max(1, config.episodes // (4 * config.workers))))
+                results = list(pool.map(_pool_eval, indices, chunksize=max(1, config.episodes // (4 * workers))))
         else:
             results = [_run_one_episode(store, config, pipelines, i) for i in indices]
 
@@ -341,7 +222,7 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
                 ci95=half,
                 seconds_per_episode=float(times[:, j].mean()),
                 metadata={
-                    **{key: getattr(config, key) for key in ("seed", *_PROTOCOL_FIELDS)},
+                    **{key: getattr(config, key) for key in ("seed", *PROTOCOL_FIELDS)},
                     "dim": pipeline.r,
                     "warnings": int(warns[:, j].sum()),
                 },
@@ -350,99 +231,23 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
     return reports
 
 
-def run_ablation(
-    config: BenchmarkConfig,
-    sweep: str | None = None,
-    values=None,
-    store: FeatureStore | None = None,
-) -> list[tuple[int, list[RunReport]]]:
-    """Sweep one protocol knob, running the full benchmark per value.
+def run_ablation(config: BenchmarkConfig, values=None, store: FeatureStore | None = None) -> list[tuple[int, list[RunReport]]]:
+    """Sweep the protocol knob ``config.sweep`` names, running the full
+    benchmark per value (``SWEEP_VALUES`` unless ``values`` is given).
+    Every swept config is checked against the store before the first runs.
 
     Episode randomness is derived per episode index from the base seed, so
     sweep values share classes and supports where the protocol permits
     (notably the unbalance sweep, whose query sets are nested).
     """
-    sweep = sweep or config.sweep
-    if sweep not in SWEEP_VALUES:
-        raise ValueError(f"unknown sweep {sweep!r}; choose from {', '.join(SWEEP_VALUES)}")
-    if values is None:
-        values = SWEEP_VALUES[sweep]
-    pipelines = config.pipelines()  # every setting is checked before the store loads
-    if sweep == "noise" and config.mode != "semi":
-        raise ValueError("the noise sweep varies distractor classes and requires --mode semi")
-    if sweep == "dim":
-        bad = [p.name for p in pipelines if p.projection == "none"]
-        if bad:
-            raise ValueError(f"the dim sweep needs a projection method; {', '.join(bad)} has none")
-
+    config.pipelines()  # every setting is checked before the store loads
+    values = [int(v) for v in (SWEEP_VALUES[config.sweep] if values is None else values)]
+    configs = [replace(config, **{SWEEP_FIELDS[config.sweep]: v}) for v in values]
     if store is None:
         store = load_store(config)
-    table = []
-    for value in values:
-        cfg = replace(config, **{_SWEEP_FIELDS[sweep]: int(value)})
-        table.append((int(value), run_benchmark(cfg, store=store)))
-    return table
-
-
-def boolean(value: str) -> bool:
-    """Parse a config-file or flag boolean: true/1/yes or false/0/no, any case."""
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/1/yes or false/0/no, got {value!r}")
-
-
-_PARSERS = {"int": int, "float": float, "str": str, "bool": boolean}
-
-
-def field_parsers(cls) -> dict:
-    """One value parser per field of the dataclass ``cls``, chosen by its
-    annotation (a string, under ``from __future__ import annotations``)."""
-    return {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(cls)}
-
-
-def _read_key_values(path, parsers: dict) -> dict:
-    """Read a flat ``key=value`` file (``#`` starts a comment), parsing each
-    value with ``parsers[key]``.  Every error names ``path:line``."""
-    out: dict = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in parsers:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = parsers[key](value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return out
-
-
-def parse_config_file(path) -> dict:
-    """Parse a run-config file; its keys are the BenchmarkConfig fields."""
-    return _read_key_values(path, field_parsers(BenchmarkConfig))
-
-
-def _store_from_mog_config(path) -> FeatureStore:
-    """Build a synthetic store from a mixture config file: the MoGSpec fields
-    plus the store's ``classes``, ``per_class`` and ``seed``."""
-    raw = _read_key_values(path, {**field_parsers(MoGSpec), "classes": int, "per_class": int, "seed": int})
-    required = [f.name for f in fields(MoGSpec) if f.default is MISSING] + ["classes", "per_class"]
-    for key in required:
-        if key not in raw:
-            raise ValueError(f"{path}: missing required key {key!r}")
-    store_keys = {key: raw.pop(key) for key in ("classes", "per_class", "seed") if key in raw}
-    try:
-        return generate_mog_store(MoGSpec(**raw), **store_keys)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    for cfg in configs:
+        cfg.check_store(store)
+    return [(v, run_benchmark(cfg, store=store)) for v, cfg in zip(values, configs)]
 
 
 def format_reports(table: list[tuple[int | None, list[RunReport]]], sweep: str | None = None) -> str:
@@ -481,10 +286,7 @@ def format_reports(table: list[tuple[int | None, list[RunReport]]], sweep: str |
     return "\n".join(lines)
 
 
-# The episode protocol: BenchmarkConfig fields passed by name to EpisodeSpec
-# and copied into every report's metadata and CSV row.
-_PROTOCOL_FIELDS = ("ways", "shots", "queries", "unlabeled", "distractors", "unbalanced_r")
-CSV_COLUMNS = ["sweep", "value", "method", "mode", *_PROTOCOL_FIELDS, "episodes", "seed", "dim", "accuracy", "ci95"]
+CSV_COLUMNS = ["sweep", "value", "method", "mode", *PROTOCOL_FIELDS, "episodes", "seed", "dim", "accuracy", "ci95"]
 
 
 def write_csv(path, table: list[tuple[int | None, list[RunReport]]], sweep: str | None = None) -> None:

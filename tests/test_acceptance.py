@@ -18,7 +18,8 @@ import pytest
 from tafssl.classify import build_prototypes, nn_classify
 from tafssl.cluster import bkm, msp
 from tafssl.episodes import EpisodeSpec, MoGSpec, generate_mog_store, mutual_information_diagnostic, reference_store, sample_episode
-from tafssl.harness import BenchmarkConfig, evaluate_episode, parse_method, run_benchmark, write_csv
+from tafssl.config import BenchmarkConfig, parse_method
+from tafssl.harness import evaluate_episode, run_benchmark, write_csv
 from tafssl.linalg import sym_eig
 from tafssl.subspace import fit_ica, whiten
 

@@ -13,7 +13,7 @@ import tafssl
 from tafssl.cli import build_parser, config_from_args
 from tafssl.episodes import MoGSpec, generate_mog_store
 from tafssl.features_io import save_features
-from tafssl.harness import BenchmarkConfig, boolean, field_parsers
+from tafssl.config import BenchmarkConfig, boolean, field_parsers
 
 
 # The CLI runs in a child process, which must import the same package as
@@ -133,6 +133,12 @@ class TestCli:
         r = run_cli("--features", "/nonexistent/path.feats", "--method", "nn,nn", "--episodes", "1")
         assert r.returncode == 1
         assert r.stderr.splitlines() == ["error: method 'nn' is given more than once"]
+
+    def test_a_run_the_store_cannot_supply_exits_1_before_it_starts(self):
+        r = run_cli("--synthetic", "reference", "--ways", "30", "--episodes", "1")
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == ["error: ways + distractors = 30, but the store has 20 classes"]
+        assert r.stdout == ""
 
     @pytest.mark.parametrize("flag", ["--mode", "--sweep"])
     def test_bad_mode_or_sweep_exits_before_the_source_is_read(self, flag):

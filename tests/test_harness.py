@@ -14,17 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tafssl import cluster, harness
+from tafssl import cluster, config, harness
+from tafssl.config import BenchmarkConfig, MethodPipeline, parse_config_file, parse_method
 from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_mog_spec, reference_store, sample_episode
 from tafssl.harness import (
-    BenchmarkConfig,
     EpisodeProjections,
-    MethodPipeline,
     evaluate_episode,
     format_reports,
     load_store,
-    parse_config_file,
-    parse_method,
     run_ablation,
     run_benchmark,
     write_csv,
@@ -79,7 +76,7 @@ class TestParseMethod:
     def test_every_pipeline_survives_a_pickle_round_trip(self):
         # Pool workers receive the pipelines pickled.
         ep = sample_episode(noisy_store(), EpisodeSpec(seed=4))
-        for name in harness.METHODS:
+        for name in config.METHODS:
             for normalize_first in (True, False):
                 pipe = parse_method(name, sub_normalize_first=normalize_first)
                 copy = pickle.loads(pickle.dumps(pipe))
@@ -165,9 +162,66 @@ class TestConfigValidation:
     def test_protocol_fields_are_the_episode_spec_fields(self):
         spec_defaults = {f.name: f.default for f in fields(EpisodeSpec)}
         config_defaults = {f.name: f.default for f in fields(BenchmarkConfig)}
-        assert list(harness._PROTOCOL_FIELDS) == [name for name in spec_defaults if name not in ("mode", "seed")]
-        for name in harness._PROTOCOL_FIELDS:
+        assert list(config.PROTOCOL_FIELDS) == [name for name in spec_defaults if name not in ("mode", "seed")]
+        for name in config.PROTOCOL_FIELDS:
             assert spec_defaults[name] == config_defaults[name], name
+
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            ({"sweep": "shots"}, "unknown sweep 'shots'; choose from queries, noise, dim, unbalance"),
+            ({"sweep": "noise"}, "the noise sweep varies distractor classes and requires --mode semi"),
+            ({"sweep": "dim", "method": "nn,pca-nn,msp"}, "the dim sweep needs a projection method; nn, msp has none"),
+        ],
+        ids=["unknown", "noise", "dim"],
+    )
+    def test_sweep_rules_are_checked_with_the_other_settings(self, settings, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BenchmarkConfig(**settings).pipelines()
+
+
+def short_class_store():
+    """A mixture store whose class 3 has 10 rows; the others have 60."""
+    classes = dict(noisy_store().classes)
+    classes[3] = classes[3][:10]
+    return FeatureStore(classes=classes)
+
+
+ROWS = "shots + queries + unbalanced_r + unlabeled"
+# Runs the store cannot supply: the store, the settings, and the one error.
+STORE_OVERFLOWS = [
+    (reference_store, {"ways": 30}, "ways + distractors = 30, but the store has 20 classes"),
+    (reference_store, {"mode": "semi", "unlabeled": 100}, f"{ROWS} = 116, but the store's smallest class has 100 samples"),
+    (reference_store, {"mode": "semi", "unlabeled": 100, "workers": 2}, f"{ROWS} = 116, but the store's smallest class has 100 samples"),
+    (reference_store, {"queries": 60, "unbalanced_r": 60}, f"{ROWS} = 121, but the store's smallest class has 100 samples"),
+    (reference_store, {"mode": "semi", "unlabeled": 60, "sweep": "queries"}, f"{ROWS} = 111, but the store's smallest class has 100 samples"),
+    (short_class_store, {}, f"{ROWS} = 16, but the store's smallest class has 10 samples"),
+]
+
+
+class TestStoreCheck:
+    @pytest.mark.parametrize(
+        "make_store,settings,message",
+        STORE_OVERFLOWS,
+        ids=["ways", "semi-unlabeled", "semi-unlabeled-workers-2", "unbalanced", "queries-sweep", "short-class"],
+    )
+    def test_a_run_the_store_cannot_supply_fails_before_episode_0(self, monkeypatch, make_store, settings, message):
+        def no_episode(*args):
+            raise AssertionError("an episode was sampled")
+
+        benchmarks = []
+        real_run_benchmark = harness.run_benchmark
+        monkeypatch.setattr(harness, "sample_episode", no_episode)
+        monkeypatch.setattr(harness, "run_benchmark", lambda cfg, store=None: benchmarks.append(cfg) or real_run_benchmark(cfg, store))
+        cfg = BenchmarkConfig(method="nn", episodes=2, **settings)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            (run_ablation if cfg.sweep else run_benchmark)(cfg, store=make_store())
+        assert benchmarks == []  # a sweep runs no value at all
+
+    @pytest.mark.parametrize("settings", [{"queries": 99}, {"ways": 20}, {"queries": 49, "unbalanced_r": 50}], ids=["queries", "ways", "unbalanced"])
+    def test_a_run_the_store_can_just_supply_runs(self, settings):
+        reports = run_benchmark(BenchmarkConfig(method="nn", episodes=2, **settings), store=reference_store())
+        assert [r.episodes for r in reports] == [2]
 
 
 class TestEvaluateEpisode:
@@ -287,6 +341,34 @@ class TestRunBenchmark:
         for s, p in zip(serial, parallel):
             assert s.accuracy == p.accuracy
             assert s.ci95 == p.ci95
+
+    @pytest.mark.parametrize("episodes,workers,pools", [(3, 8, [3]), (5, 2, [2]), (1, 4, [])])
+    def test_a_pool_never_has_more_workers_than_episodes(self, monkeypatch, episodes, workers, pools):
+        started = []
+
+        class InProcessPool:
+            """Records its worker count and runs the tasks here, starting no process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "_POOL_STATE", {})
+        store = noisy_store()
+        got = run_benchmark(BenchmarkConfig(method="nn,bkm", episodes=episodes, seed=1, workers=workers), store=store)
+        assert started == pools
+        serial = run_benchmark(BenchmarkConfig(method="nn,bkm", episodes=episodes, seed=1), store=store)
+        assert [(r.accuracy, r.ci95, r.metadata) for r in got] == [(r.accuracy, r.ci95, r.metadata) for r in serial]
 
     def test_semi_mode(self):
         cfg = BenchmarkConfig(method="msp", mode="semi", unlabeled=6, distractors=1, episodes=4, seed=2)
@@ -637,12 +719,12 @@ class TestHeadsMatchParent:
     """Every method, under both ``sub_normalize_first`` settings, predicts
     and warns exactly as the parent's ``_infer`` did."""
 
-    NON_SUB = [m for m in harness.METHODS if m not in ("sub", "sub-star")]
+    NON_SUB = [m for m in config.METHODS if m not in ("sub", "sub-star")]
     CASES = [
-        (reference_store, {}, list(harness.METHODS), 50),
+        (reference_store, {}, list(config.METHODS), 50),
         (semi_wide_store, {"mode": "semi", "unlabeled": 100, "distractors": 3}, NON_SUB, 20),
         # Whitening 10-row pools to r = 9 warns (a simplex) in the first ica-* method.
-        (reference_store, {"queries": 1, "dim": 9}, list(harness.METHODS), 50),
+        (reference_store, {"queries": 1, "dim": 9}, list(config.METHODS), 50),
         (constant_store, {}, ["nn", "sub", "sub-star", "bkm", "msp"], 10),
     ]
 
@@ -720,37 +802,37 @@ class TestBlasThreads:
 class TestSweeps:
     def test_queries_sweep(self):
         cfg = BenchmarkConfig(method="nn", episodes=3, seed=0)
-        table = run_ablation(cfg, "queries", values=[2, 5], store=noisy_store())
+        table = run_ablation(replace(cfg, sweep="queries"), values=[2, 5], store=noisy_store())
         assert [v for v, _ in table] == [2, 5]
         assert all(len(reps) == 1 for _, reps in table)
 
     def test_dim_sweep_requires_projection(self):
         cfg = BenchmarkConfig(method="nn", episodes=2, seed=0)
         with pytest.raises(ValueError, match="projection"):
-            run_ablation(cfg, "dim")
+            run_ablation(replace(cfg, sweep="dim"))
 
     def test_dim_sweep_reports_argmax(self):
         cfg = BenchmarkConfig(method="pca-nn", episodes=3, seed=0, synthetic="reference")
-        table = run_ablation(cfg, "dim", values=[2, 4])
+        table = run_ablation(replace(cfg, sweep="dim"), values=[2, 4])
         text = format_reports(table, "dim")
         assert "best dim by accuracy:" in text
 
     def test_noise_sweep_requires_semi(self):
         cfg = BenchmarkConfig(method="nn", episodes=2, seed=0)
         with pytest.raises(ValueError, match="semi"):
-            run_ablation(cfg, "noise")
+            run_ablation(replace(cfg, sweep="noise"))
 
     def test_unbalance_sweep(self):
         cfg = BenchmarkConfig(method="nn", episodes=3, seed=0)
-        table = run_ablation(cfg, "unbalance", values=[0, 20], store=noisy_store())
+        table = run_ablation(replace(cfg, sweep="unbalance"), values=[0, 20], store=noisy_store())
         assert [v for v, _ in table] == [0, 20]
 
     def test_unknown_sweep(self):
         with pytest.raises(ValueError, match="unknown sweep"):
-            run_ablation(BenchmarkConfig(), "shots")
+            run_ablation(BenchmarkConfig(sweep="shots"))
 
     def test_default_sweep_values(self):
-        from tafssl.harness import SWEEP_VALUES
+        from tafssl.config import SWEEP_VALUES
 
         assert SWEEP_VALUES["queries"] == [2, 5, 10, 15, 20, 30, 50]
         assert SWEEP_VALUES["noise"] == list(range(8))
@@ -900,8 +982,15 @@ class TestMixtureConfigFile:
 
     @pytest.mark.parametrize(
         "line,message",
-        [("classes=0", "classes must be >= 1"), ("per_class=0", "per_class must be >= 1"), ("sigma_signal=nan", "sigma_signal must be > 0")],
-        ids=["classes", "per_class", "sigma_signal"],
+        [
+            ("classes=0", "classes must be >= 1"),
+            ("per_class=0", "per_class must be >= 1"),
+            ("sigma_signal=nan", "sigma_signal must be > 0"),
+            ("m=0\nsignal_dims=0", "feature dimension m must be >= 1, got 0"),
+            ("m=-1\nsignal_dims=0", "feature dimension m must be >= 1, got -1"),
+            ("seed=-2", "seed must be >= 0"),
+        ],
+        ids=["classes", "per_class", "sigma_signal", "m=0", "m=-1", "seed"],
     )
     def test_bad_value_names_path_and_key(self, tmp_path, line, message):
         p = tmp_path / "mog.cfg"
@@ -916,7 +1005,7 @@ class TestShippedConfigs:
     CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
     def test_reference_mixture_is_the_reference_store(self):
-        store = harness._store_from_mog_config(self.CONFIGS / "reference_mog.cfg")
+        store = config.read_mixture_file(self.CONFIGS / "reference_mog.cfg")
         expected = reference_store()
         assert list(store.classes) == list(expected.classes)
         assert all(np.array_equal(store.classes[c], expected.classes[c]) for c in expected.classes)
