@@ -44,49 +44,30 @@ class Prototypes:
         return self.vectors.shape[0]
 
 
-def build_prototypes(support, labels, class_ids=None) -> Prototypes:
-    """Average the support rows of each class into a prototype.
-
-    ``class_ids`` may declare the expected classes explicitly; a declared
-    class with no support rows, or a label not declared, is an error.
-    Without it the classes are the sorted distinct labels.
-    """
+def build_prototypes(support, labels) -> Prototypes:
+    """Average the support rows of each class into a prototype; the classes
+    are the sorted distinct labels."""
     support = as_matrix(support, "support")
     labels = np.asarray(labels)
     if labels.shape[0] != support.shape[0]:
         raise ValueError("labels length must match support rows")
-    if class_ids is None:
-        class_ids = np.unique(labels)
-    else:
-        class_ids = np.asarray(sorted(class_ids))
+    class_ids, counts = np.unique(labels, return_counts=True)
     # Rows grouped by class, in row order: each run averages as its boolean-mask selection.
-    order = np.argsort(labels, kind="stable")
-    grouped, sorted_labels = support[order], labels[order]
-    starts = np.searchsorted(sorted_labels, class_ids, side="left")
-    ends = np.searchsorted(sorted_labels, class_ids, side="right")
+    grouped = support[np.argsort(labels, kind="stable")]
     vectors = np.empty((len(class_ids), support.shape[1]))
-    for i, (cid, start, end) in enumerate(zip(class_ids, starts, ends)):
-        if start == end:
-            raise ValueError(f"class {cid} has no support samples")
-        vectors[i] = grouped[start:end].mean(axis=0)
-    if (ends - starts).sum() < labels.shape[0]:
-        raise ValueError(f"support labels {np.setdiff1d(labels, class_ids).tolist()} are not among the declared class_ids")
+    for i, (count, end) in enumerate(zip(counts, np.cumsum(counts))):
+        vectors[i] = grouped[end - count : end].mean(axis=0)
     return Prototypes(vectors=vectors, class_ids=class_ids)
 
 
-def nn_classify(queries, prototypes: Prototypes, temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def nn_classify(queries, prototypes: Prototypes) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-prototype decisions plus softmax posteriors.
 
     Returns ``(predictions, posterior)`` where predictions are class ids
     (ties broken toward the lowest class index) and posterior rows are
-    softmax(-temperature * d^2), computed with max-subtraction.  The argmax
-    of each posterior row equals the nearest-prototype decision, which
-    holds only for a finite ``temperature`` > 0; any other is rejected.
+    softmax(-d^2), computed with max-subtraction, so the argmax of each
+    posterior row equals the nearest-prototype decision.
     """
-    # A negative temperature puts the posterior's mode on the farthest
-    # prototype; NaN makes every posterior NaN.
-    if not 0.0 < temperature < np.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     queries = as_matrix(queries, "queries")
     if queries.shape[1] != prototypes.vectors.shape[1]:
         raise ValueError(
@@ -94,9 +75,7 @@ def nn_classify(queries, prototypes: Prototypes, temperature: float = 1.0) -> tu
             f"prototypes have {prototypes.vectors.shape[1]}"
         )
     sq = pairwise_sqdist(queries, prototypes.vectors)
-    predictions = prototypes.class_ids[np.argmin(sq, axis=1)]
-    posterior = softmax_rows(-temperature * sq)
-    return predictions, posterior
+    return prototypes.class_ids[np.argmin(sq, axis=1)], softmax_rows(-sq)
 
 
 def l2_normalize_rows(X: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 
 from tafssl.config import BenchmarkConfig, field_parsers, parse_config_file
-from tafssl.harness import format_reports, run_ablation, run_benchmark, write_csv
+from tafssl.harness import format_reports, run_ablation, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,15 +53,10 @@ def config_from_args(args: argparse.Namespace) -> BenchmarkConfig:
 def main(argv=None) -> int:
     try:
         config = config_from_args(build_parser().parse_args(argv))
-        if config.sweep:
-            table = run_ablation(config)
-            sweep = config.sweep
-        else:
-            table = [(None, run_benchmark(config))]
-            sweep = None
-        print(format_reports(table, sweep))
+        table = run_ablation(config)
+        print(format_reports(table, config.sweep))
         if config.out:
-            write_csv(config.out, table, sweep)
+            write_csv(config.out, table, config.sweep)
             print(f"wrote {config.out}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Run settings: the method table, :class:`BenchmarkConfig` and its file
 parsers, and every check a run gets before its first episode:
 :meth:`BenchmarkConfig.pipelines` before the feature source is read, and
-:meth:`BenchmarkConfig.check_store` once the store is loaded.
+:meth:`EpisodeSpec.check_store` on its episode spec once the store is loaded.
 """
 
 from __future__ import annotations
@@ -147,17 +147,6 @@ class BenchmarkConfig:
         if self.sweep == "dim" and bad:
             raise ValueError(f"the dim sweep needs a projection method; {', '.join(bad)} has none")
         return pipes
-
-    def check_store(self, store: FeatureStore) -> None:
-        """Raise ValueError unless ``store`` can supply every episode of the
-        run: enough classes for the task and distractor classes, and enough
-        rows in its smallest class, since any class may be a task class."""
-        needed, classes = self.ways + self.distractors, len(store.classes)
-        if needed > classes:
-            raise ValueError(f"ways + distractors = {needed}, but the store has {classes} classes")
-        needed, rows = self.shots + self.queries + self.unbalanced_r + self.unlabeled, min(len(X) for X in store.classes.values())
-        if needed > rows:
-            raise ValueError(f"shots + queries + unbalanced_r + unlabeled = {needed}, but the store's smallest class has {rows} samples")
 
     def episode_spec(self, index: int) -> EpisodeSpec:
         return EpisodeSpec(**{key: getattr(self, key) for key in PROTOCOL_FIELDS}, mode=self.mode, seed=(self.seed, index))

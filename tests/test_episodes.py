@@ -1,5 +1,7 @@
 """Tests for episode sampling, the synthetic generator, and the MI diagnostic."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,9 +99,18 @@ class TestSampleEpisode:
             EpisodeSpec(mode="semi", unlabeled=2, **{setting: -1})
 
     def test_insufficient_samples_names_class(self):
+        # The sampler applies a run's store rule and message: any class may
+        # be a task class, at its worst-case unbalanced query count.
         store = FeatureStore(classes={i: np.random.default_rng(i).normal(size=(10, 3)) for i in range(6)})
-        with pytest.raises(ValueError, match="class "):
-            sample_episode(store, EpisodeSpec(ways=5, queries=50, seed=0))
+        rows = "shots + queries + unbalanced_r + unlabeled"
+        for spec, store_of, message in [
+            (EpisodeSpec(ways=5, queries=50, seed=0), store, f"{rows} = 51, but the store's smallest class has 10 samples"),
+            (EpisodeSpec(ways=2, queries=5, unbalanced_r=5, seed=0), store, f"{rows} = 11, but the store's smallest class has 10 samples"),
+            (EpisodeSpec(ways=30), reference_store(), "ways + distractors = 30, but the store has 20 classes"),
+            (EpisodeSpec(ways=5, mode="semi", unlabeled=1, distractors=2), store, "ways + distractors = 7, but the store has 6 classes"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sample_episode(store_of, spec)
 
     def test_unbalanced_mean_matches_expectation(self):
         store = small_store(per_class=80)

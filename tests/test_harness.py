@@ -812,10 +812,16 @@ class TestSweeps:
             run_ablation(replace(cfg, sweep="dim"))
 
     def test_dim_sweep_reports_argmax(self):
-        cfg = BenchmarkConfig(method="pca-nn", episodes=3, seed=0, synthetic="reference")
-        table = run_ablation(replace(cfg, sweep="dim"), values=[2, 4])
-        text = format_reports(table, "dim")
-        assert "best dim by accuracy:" in text
+        for method in ("pca-nn", "pca-nn,ica-nn"):
+            cfg = BenchmarkConfig(method=method, episodes=3, seed=0, synthetic="reference")
+            table = run_ablation(replace(cfg, sweep="dim"), values=[2, 4])
+            text = format_reports(table, "dim")
+            # One entry per method: its own best dim, not the best over all methods.
+            entries = []
+            for name in cfg.methods():
+                accuracy, dim = max((rep.accuracy, value) for value, reports in table for rep in reports if rep.method == name)
+                entries.append(f"{name} {dim} ({accuracy:.2f}%)")
+            assert text.splitlines()[-1] == f"best dim by accuracy: {', '.join(entries)}"
 
     def test_noise_sweep_requires_semi(self):
         cfg = BenchmarkConfig(method="nn", episodes=2, seed=0)
@@ -830,6 +836,25 @@ class TestSweeps:
     def test_unknown_sweep(self):
         with pytest.raises(ValueError, match="unknown sweep"):
             run_ablation(BenchmarkConfig(sweep="shots"))
+
+    @pytest.mark.parametrize("sweep,method,message", [("queries", "nn", "queries must be >= 1"), ("dim", "pca-nn", "dim must be >= 1")])
+    def test_a_bad_sweep_value_fails_before_any_episode(self, monkeypatch, sweep, method, message):
+        def never(*args):
+            raise AssertionError("the store was loaded or an episode was sampled")
+
+        # A setting any store would reject fails before the store is even read.
+        monkeypatch.setattr(harness, "load_store", never)
+        monkeypatch.setattr(harness, "sample_episode", never)
+        with pytest.raises(ValueError, match=message):
+            run_ablation(BenchmarkConfig(method=method, synthetic="reference", episodes=1, sweep=sweep), values=[5, 0])
+
+    def test_no_sweep_runs_the_config_itself(self):
+        cfg = BenchmarkConfig(method="nn,pca-bkm", episodes=3, seed=2)
+        [(value, reports)] = run_ablation(cfg, store=noisy_store())
+        expected = run_benchmark(cfg, store=noisy_store())
+        assert value is None
+        # Equal but for the wall-clock timing.
+        assert [replace(r, seconds_per_episode=0.0) for r in reports] == [replace(r, seconds_per_episode=0.0) for r in expected]
 
     def test_default_sweep_values(self):
         from tafssl.config import SWEEP_VALUES
