@@ -10,6 +10,7 @@ the file.  Exit status is 0 on success and 1 on any error, with a single
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -53,6 +54,12 @@ def config_from_args(args: argparse.Namespace) -> BenchmarkConfig:
 def main(argv=None) -> int:
     try:
         config = config_from_args(build_parser().parse_args(argv))
+        if config.out:  # a bad path fails now, not after the whole run
+            folder = os.path.dirname(config.out) or "."
+            if os.path.isdir(config.out):
+                raise ValueError(f"out: {config.out} is a directory")
+            if not os.path.isdir(folder):
+                raise ValueError(f"out: no such directory: {folder}")
         table = run_ablation(config)
         print(format_reports(table, config.sweep))
         if config.out:

@@ -10,7 +10,9 @@ samples episodes from a feature store, runs every requested pipeline on
 each episode, scores the query predictions against the held-back labels
 (classifiers never see them), and aggregates per-episode accuracies into a
 mean with a 0.95 normal-approximation confidence interval, then formats or
-writes them.
+writes them.  :func:`run_ablation` is the one driver: it checks every
+config of a table once, then runs every value on one BLAS thread and, with
+``workers`` > 1, in one pool; :func:`run_benchmark` is its table of one value.
 
 Determinism contract: (config, seed) fully determines every number in the
 reports and in the CSV output, independent of the worker count.  Episode i
@@ -24,7 +26,9 @@ import csv
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -151,16 +155,15 @@ def _run_one_episode(store, config: BenchmarkConfig, pipelines, index: int):
 _POOL_STATE: dict = {}
 
 
-def _pool_init(store, config, pipelines):
+def _pool_init(store):
     # One BLAS thread per worker, for the worker's life; the parent warns
     # once per run if BLAS cannot be pinned.
     set_blas_threads(1)
-    _POOL_STATE["args"] = (store, config, pipelines)
+    _POOL_STATE["store"] = store
 
 
-def _pool_eval(index: int):
-    store, config, pipelines = _POOL_STATE["args"]
-    return _run_one_episode(store, config, pipelines, index)
+def _pool_eval(config: BenchmarkConfig, pipelines, index: int):
+    return _run_one_episode(_POOL_STATE["store"], config, pipelines, index)
 
 
 def load_store(config: BenchmarkConfig) -> FeatureStore:
@@ -178,53 +181,8 @@ def load_store(config: BenchmarkConfig) -> FeatureStore:
 
 def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) -> list[RunReport]:
     """Run every configured method over the episode batch; one report each.
-
-    All methods see the same episodes (episode i is determined by (seed, i)
-    alone), so cross-method comparisons are paired.  The config is checked
-    against the store before any episode runs.  The episode loop, and each
-    pool worker (at most one per episode), runs on one BLAS thread; the
-    process's BLAS thread count is restored when the run ends.
-    """
-    pipelines = config.pipelines()
-    if store is None:
-        store = load_store(config)
-    config.episode_spec(0).check_store(store)
-
-    indices = range(config.episodes)
-    workers = min(config.workers, config.episodes)  # a worker past the episode count would never get one
-    with single_blas_thread():
-        if workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pool_init,
-                initargs=(store, config, pipelines),
-            ) as pool:
-                results = list(pool.map(_pool_eval, indices, chunksize=max(1, config.episodes // (4 * workers))))
-        else:
-            results = [_run_one_episode(store, config, pipelines, i) for i in indices]
-
-    # Both loops return results in episode order.
-    acc, times, warns = (np.array(column) for column in zip(*results))  # each episodes x methods
-
-    reports = []
-    for j, pipeline in enumerate(pipelines):
-        mean, half = _confidence_interval(acc[:, j])
-        reports.append(
-            RunReport(
-                method=pipeline.name,
-                mode=config.mode,
-                episodes=config.episodes,
-                accuracy=mean,
-                ci95=half,
-                seconds_per_episode=float(times[:, j].mean()),
-                metadata={
-                    **{key: getattr(config, key) for key in ("seed", *PROTOCOL_FIELDS)},
-                    "dim": pipeline.r,
-                    "warnings": int(warns[:, j].sum()),
-                },
-            )
-        )
-    return reports
+    This is :func:`run_ablation` of ``config`` itself, with no sweep value."""
+    return run_ablation(config, [None], store)[0][1]
 
 
 def run_ablation(config: BenchmarkConfig, values=None, store: FeatureStore | None = None) -> list[tuple[int | None, list[RunReport]]]:
@@ -232,22 +190,51 @@ def run_ablation(config: BenchmarkConfig, values=None, store: FeatureStore | Non
     protocol knob ``config.sweep`` names (``SWEEP_VALUES`` unless ``values``
     is given), or, with no sweep, once for ``config`` itself as the value
     ``None``.  Every config is checked, on its own and against the store,
-    before the first runs.
+    and every value must be an integer, before the first episode runs.
 
-    Episode randomness is derived per episode index from the base seed, so
-    sweep values share classes and supports where the protocol permits
-    (notably the unbalance sweep, whose query sets are nested).
+    All methods see the same episodes (episode i is determined by (seed, i)
+    alone), so cross-method comparisons are paired, and sweep values share
+    classes and supports where the protocol permits (notably the unbalance
+    sweep, whose query sets are nested).  Every value runs on one BLAS
+    thread, and in one pool of at most ``episodes`` workers when
+    ``workers`` > 1; the process's BLAS thread count is restored when the
+    run ends.
     """
     config.pipelines()  # the sweep name too, before its values are read
-    values = [None] if config.sweep is None else [int(v) for v in (SWEEP_VALUES[config.sweep] if values is None else values)]
-    configs = [config if v is None else replace(config, **{SWEEP_FIELDS[config.sweep]: v}) for v in values]
-    for cfg in configs:
-        cfg.pipelines()
+    if config.sweep is None:
+        values = [None]
+    elif values is None:
+        values = SWEEP_VALUES[config.sweep]
+    for v in values:
+        if v is not None and not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{config.sweep} sweep values must be integers, got {v!r}")
+    configs = [config if v is None else replace(config, **{SWEEP_FIELDS[config.sweep]: int(v)}) for v in values]
+    pipelines = [cfg.pipelines() for cfg in configs]
     if store is None:
         store = load_store(config)
     for cfg in configs:
         cfg.episode_spec(0).check_store(store)
-    return [(v, run_benchmark(cfg, store=store)) for v, cfg in zip(values, configs)]
+
+    table = []
+    workers = min(config.workers, config.episodes)  # a worker past the episode count would never get one
+    with single_blas_thread(), (
+        ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(store,)) if workers > 1 else nullcontext()
+    ) as pool:
+        for value, cfg, pipes in zip(values, configs, pipelines):
+            indices = range(cfg.episodes)
+            if pool is None:
+                results = [_run_one_episode(store, cfg, pipes, i) for i in indices]
+            else:
+                results = list(pool.map(partial(_pool_eval, cfg, pipes), indices, chunksize=max(1, cfg.episodes // (4 * workers))))
+            # Both loops return results in episode order.
+            acc, times, warns = (np.array(column) for column in zip(*results))  # each episodes x methods
+            reports = []
+            for j, pipeline in enumerate(pipes):
+                mean, half = _confidence_interval(acc[:, j])
+                metadata = {**{key: getattr(cfg, key) for key in ("seed", *PROTOCOL_FIELDS)}, "dim": pipeline.r, "warnings": int(warns[:, j].sum())}
+                reports.append(RunReport(pipeline.name, cfg.mode, cfg.episodes, mean, half, float(times[:, j].mean()), metadata))
+            table.append((value, reports))
+    return table
 
 
 def format_reports(table: list[tuple[int | None, list[RunReport]]], sweep: str | None = None) -> str:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tafssl
+from tafssl import cli
 from tafssl.cli import build_parser, config_from_args
 from tafssl.episodes import MoGSpec, generate_mog_store
 from tafssl.features_io import save_features
@@ -139,6 +140,22 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.splitlines() == ["error: ways + distractors = 30, but the store has 20 classes"]
         assert r.stdout == ""
+
+    @pytest.mark.parametrize(
+        "out,message",
+        [("missing/dir/x.csv", "out: no such directory: {tmp}/missing/dir"), ("", "out: {tmp} is a directory")],
+        ids=["no-such-directory", "a-directory"],
+    )
+    def test_a_bad_out_path_exits_1_before_the_run(self, monkeypatch, capsys, tmp_path, out, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_ablation", never)
+        path = os.path.join(tmp_path, out) if out else str(tmp_path)
+        assert cli.main(["--synthetic", "reference", "--method", "nn", "--episodes", "300", "--out", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
 
     @pytest.mark.parametrize("flag", ["--mode", "--sweep"])
     def test_bad_mode_or_sweep_exits_before_the_source_is_read(self, flag):

@@ -209,14 +209,10 @@ class TestStoreCheck:
         def no_episode(*args):
             raise AssertionError("an episode was sampled")
 
-        benchmarks = []
-        real_run_benchmark = harness.run_benchmark
         monkeypatch.setattr(harness, "sample_episode", no_episode)
-        monkeypatch.setattr(harness, "run_benchmark", lambda cfg, store=None: benchmarks.append(cfg) or real_run_benchmark(cfg, store))
         cfg = BenchmarkConfig(method="nn", episodes=2, **settings)
         with pytest.raises(ValueError, match=re.escape(message)):
             (run_ablation if cfg.sweep else run_benchmark)(cfg, store=make_store())
-        assert benchmarks == []  # a sweep runs no value at all
 
     @pytest.mark.parametrize("settings", [{"queries": 99}, {"ways": 20}, {"queries": 49, "unbalanced_r": 50}], ids=["queries", "ways", "unbalanced"])
     def test_a_run_the_store_can_just_supply_runs(self, settings):
@@ -312,6 +308,31 @@ class TestSubBaselines:
             assert np.array_equal(preds, self.reference(ep, True, normalize_first))
 
 
+@pytest.fixture
+def in_process_pools(monkeypatch):
+    """Replaces the harness's process pool by one that runs its tasks here,
+    starting no process; returns the worker count of each pool started."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "_POOL_STATE", {})
+    return started
+
+
 class TestRunBenchmark:
     def test_separable_store_is_perfect(self):
         cfg = BenchmarkConfig(method="nn", episodes=1, seed=0)
@@ -343,30 +364,10 @@ class TestRunBenchmark:
             assert s.ci95 == p.ci95
 
     @pytest.mark.parametrize("episodes,workers,pools", [(3, 8, [3]), (5, 2, [2]), (1, 4, [])])
-    def test_a_pool_never_has_more_workers_than_episodes(self, monkeypatch, episodes, workers, pools):
-        started = []
-
-        class InProcessPool:
-            """Records its worker count and runs the tasks here, starting no process."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(harness, "_POOL_STATE", {})
+    def test_a_pool_never_has_more_workers_than_episodes(self, in_process_pools, episodes, workers, pools):
         store = noisy_store()
         got = run_benchmark(BenchmarkConfig(method="nn,bkm", episodes=episodes, seed=1, workers=workers), store=store)
-        assert started == pools
+        assert in_process_pools == pools
         serial = run_benchmark(BenchmarkConfig(method="nn,bkm", episodes=episodes, seed=1), store=store)
         assert [(r.accuracy, r.ci95, r.metadata) for r in got] == [(r.accuracy, r.ci95, r.metadata) for r in serial]
 
@@ -784,8 +785,7 @@ class TestBlasThreads:
         assert blas_threads() == two_blas_threads
 
     def test_pool_worker_runs_on_one_thread(self, two_blas_threads):
-        cfg = BenchmarkConfig(method="nn", episodes=2)
-        with ProcessPoolExecutor(max_workers=1, initializer=harness._pool_init, initargs=(noisy_store(), cfg, cfg.pipelines())) as pool:
+        with ProcessPoolExecutor(max_workers=1, initializer=harness._pool_init, initargs=(noisy_store(),)) as pool:
             assert pool.submit(blas_threads).result() == 1
 
     def test_no_controllable_blas_warns_once_and_changes_nothing(self, monkeypatch):
@@ -847,6 +847,26 @@ class TestSweeps:
         monkeypatch.setattr(harness, "sample_episode", never)
         with pytest.raises(ValueError, match=message):
             run_ablation(BenchmarkConfig(method=method, synthetic="reference", episodes=1, sweep=sweep), values=[5, 0])
+
+    @pytest.mark.parametrize("values,message", [([2.5, 5], "got 2.5"), ([5, "7"], "got '7'")], ids=["float", "string"])
+    def test_a_sweep_value_that_is_not_an_integer_fails_before_any_episode(self, monkeypatch, values, message):
+        def never(*args):
+            raise AssertionError("the store was loaded or an episode was sampled")
+
+        monkeypatch.setattr(harness, "load_store", never)
+        monkeypatch.setattr(harness, "sample_episode", never)
+        with pytest.raises(ValueError, match=re.escape(f"queries sweep values must be integers, {message}")):
+            run_ablation(BenchmarkConfig(method="nn", synthetic="reference", episodes=2, sweep="queries"), values=values)
+
+    def test_a_sweep_starts_one_pool(self, in_process_pools):
+        cfg = BenchmarkConfig(method="nn,pca-bkm", episodes=4, seed=1, sweep="queries")
+        store = noisy_store()
+        got = run_ablation(replace(cfg, workers=2), values=[2, 5, 10], store=store)
+        assert in_process_pools == [2]
+        serial = run_ablation(cfg, values=[2, 5, 10], store=store)
+        assert [v for v, _ in got] == [v for v, _ in serial] == [2, 5, 10]
+        for (_, reports), (_, expected) in zip(got, serial):
+            assert [(r.accuracy, r.ci95, r.metadata) for r in reports] == [(r.accuracy, r.ci95, r.metadata) for r in expected]
 
     def test_no_sweep_runs_the_config_itself(self):
         cfg = BenchmarkConfig(method="nn,pca-bkm", episodes=3, seed=2)
