@@ -15,7 +15,7 @@ neither the pool nor the seed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,27 +92,23 @@ def nn(support, support_labels, queries, pool, seed) -> np.ndarray:
     return nn_classify(queries, build_prototypes(support, support_labels))[0]
 
 
-def sub(support, support_labels, queries, pool, seed, normalize_first: bool = True) -> np.ndarray:
-    """The ``sub`` head: ``nn`` after centering support and queries on their
-    joint mean; see :func:`_normalized_nn` for ``normalize_first``."""
+def sub(support, support_labels, queries, pool, seed) -> np.ndarray:
+    """The ``sub`` head: :func:`_normalized_nn` after centering support and
+    queries on their joint mean."""
     mu = np.vstack([support, queries]).mean(axis=0)
-    return _normalized_nn(support - mu, support_labels, queries - mu, normalize_first)
+    return _normalized_nn(support - mu, support_labels, queries - mu)
 
 
-def sub_star(support, support_labels, queries, pool, seed, normalize_first: bool = True) -> np.ndarray:
-    """The ``sub-star`` head: ``nn`` after centering support and queries each
-    on its own mean; see :func:`_normalized_nn` for ``normalize_first``."""
-    return _normalized_nn(support - np.mean(support, axis=0), support_labels, queries - np.mean(queries, axis=0), normalize_first)
+def sub_star(support, support_labels, queries, pool, seed) -> np.ndarray:
+    """The ``sub-star`` head: :func:`_normalized_nn` after centering support
+    and queries each on its own mean."""
+    return _normalized_nn(support - np.mean(support, axis=0), support_labels, queries - np.mean(queries, axis=0))
 
 
-def _normalized_nn(S, y_s, Q, normalize_first: bool) -> np.ndarray:
-    """``nn`` on L2-normalized queries, and on L2-normalized support rows
-    (``normalize_first``) or prototypes.  Zero rows stay unnormalized, with
-    a NumericalWarning."""
-    if normalize_first:
-        S = l2_normalize_rows(S)
+def _normalized_nn(S, y_s, Q) -> np.ndarray:
+    """``nn`` after L2-normalizing the support rows, then the queries; the
+    prototypes are means of unit rows.  Zero rows stay unnormalized, with a
+    NumericalWarning."""
+    S = l2_normalize_rows(S)
     Q = l2_normalize_rows(Q)
-    protos = build_prototypes(S, y_s)
-    if not normalize_first:
-        protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
-    return nn_classify(Q, protos)[0]
+    return nn_classify(Q, build_prototypes(S, y_s))[0]

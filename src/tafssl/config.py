@@ -1,14 +1,14 @@
 """Run settings: the method table, :class:`BenchmarkConfig` and its file
-parsers, and every check a run gets before its first episode:
-:meth:`BenchmarkConfig.pipelines` before the feature source is read, and
-:meth:`EpisodeSpec.check_store` on its episode spec once the store is loaded.
+parsers, and the check a run gets before the feature source is read,
+:meth:`BenchmarkConfig.pipelines`.  Once the store is loaded, the harness
+checks each episode spec with :meth:`EpisodeSpec.check_store` and each
+pipeline's dim against the store's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
-from functools import partial
 
 from tafssl.classify import nn, sub, sub_star
 from tafssl.cluster import bkm_predict, msp_predict
@@ -22,7 +22,6 @@ __all__ = [
     "PROTOCOL_FIELDS",
     "SWEEP_FIELDS",
     "SWEEP_VALUES",
-    "boolean",
     "field_parsers",
     "parse_config_file",
     "parse_method",
@@ -67,8 +66,8 @@ PROTOCOL_FIELDS = ("ways", "shots", "queries", "unlabeled", "distractors", "unba
 class MethodPipeline:
     """One classification pipeline: a projection and an inference head.
 
-    ``head`` is called as ``head(S, support_labels, Q, pool, seed)``; the
-    sub heads carry their ``normalize_first`` setting bound."""
+    ``head`` is the method's function in :data:`METHODS`, called as
+    ``head(S, support_labels, Q, pool, seed)``."""
 
     name: str
     projection: str  # none | pca | whiten
@@ -76,7 +75,7 @@ class MethodPipeline:
     head: Callable
 
 
-def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = True) -> MethodPipeline:
+def parse_method(name: str, dim: int | None = None) -> MethodPipeline:
     """Build a pipeline from a CLI method name like ``pca-bkm``; ``dim``
     overrides the default subspace size of its projection."""
     if name not in METHODS:
@@ -85,8 +84,6 @@ def parse_method(name: str, dim: int | None = None, sub_normalize_first: bool = 
         raise ValueError("dim must be >= 1")
     projection, head = METHODS[name]
     r = None if projection == "none" else dim or _DEFAULT_DIMS[projection]
-    if head in (sub, sub_star):
-        head = partial(head, normalize_first=sub_normalize_first)
     return MethodPipeline(name, projection, r, head)
 
 
@@ -116,7 +113,6 @@ class BenchmarkConfig:
     sweep: str | None = _setting(None, f"run an ablation sweep instead of a single benchmark: {', '.join(SWEEP_VALUES)}")
     out: str | None = _setting(None, "results CSV path")
     workers: int = _setting(1, "parallel episode workers")
-    sub_normalize_first: bool = _setting(True, "sub/sub-star baselines: L2-normalize samples before prototype averaging")
 
     def methods(self) -> list[str]:
         return [m.strip() for m in self.method.split(",") if m.strip()]
@@ -135,9 +131,9 @@ class BenchmarkConfig:
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"method {name!r} is given more than once")
-        pipes = [parse_method(m, self.dim, self.sub_normalize_first) for m in names]
+        pipes = [parse_method(m, self.dim) for m in names]
         for p in pipes:
-            if METHODS[p.name][1] in (sub, sub_star) and self.mode != "transductive":
+            if p.head in (sub, sub_star) and self.mode != "transductive":
                 raise ValueError(f"method {p.name!r} is defined on the support+query pool and requires transductive mode")
         if not pipes:
             raise ValueError("no method given")
@@ -152,17 +148,7 @@ class BenchmarkConfig:
         return EpisodeSpec(**{key: getattr(self, key) for key in PROTOCOL_FIELDS}, mode=self.mode, seed=(self.seed, index))
 
 
-def boolean(value: str) -> bool:
-    """Parse a config-file or flag boolean: true/1/yes or false/0/no, any case."""
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/1/yes or false/0/no, got {value!r}")
-
-
-_PARSERS = {"int": int, "float": float, "str": str, "bool": boolean}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def field_parsers(cls) -> dict:

@@ -2,7 +2,8 @@
 
 The settings of a run, its method pipelines and their checks live in
 ``tafssl.config``, and a run checks its store before episode 0 with the one
-capacity rule, :meth:`EpisodeSpec.check_store`.  A pipeline runs in two
+capacity rule, :meth:`EpisodeSpec.check_store`, and each pipeline's dim
+against the store's feature count.  A pipeline runs in two
 stages, project then infer: :class:`EpisodeProjections` stages the
 episode's subspace views, shared by every pipeline that asks for the same
 one, and the pipeline's head, a library function, decides.  The harness
@@ -28,7 +29,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -162,8 +162,8 @@ def _pool_init(store):
     _POOL_STATE["store"] = store
 
 
-def _pool_eval(config: BenchmarkConfig, pipelines, index: int):
-    return _run_one_episode(_POOL_STATE["store"], config, pipelines, index)
+def _pool_eval(task):
+    return _run_one_episode(_POOL_STATE["store"], *task)  # task: (config, pipelines, index)
 
 
 def load_store(config: BenchmarkConfig) -> FeatureStore:
@@ -181,16 +181,20 @@ def load_store(config: BenchmarkConfig) -> FeatureStore:
 
 def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) -> list[RunReport]:
     """Run every configured method over the episode batch; one report each.
-    This is :func:`run_ablation` of ``config`` itself, with no sweep value."""
-    return run_ablation(config, [None], store)[0][1]
+    This is :func:`run_ablation` of a config that names no sweep."""
+    if config.sweep is not None:
+        raise ValueError(f"run_benchmark runs no sweep; pass the {config.sweep} sweep to run_ablation")
+    return run_ablation(config, store=store)[0][1]
 
 
 def run_ablation(config: BenchmarkConfig, values=None, store: FeatureStore | None = None) -> list[tuple[int | None, list[RunReport]]]:
     """The results table of a run: the full benchmark once per value of the
     protocol knob ``config.sweep`` names (``SWEEP_VALUES`` unless ``values``
     is given), or, with no sweep, once for ``config`` itself as the value
-    ``None``.  Every config is checked, on its own and against the store,
-    and every value must be an integer, before the first episode runs.
+    ``None``, when ``values`` must not be given.  Every config is checked, on
+    its own and against the store (its episodes, and each pipeline's dim
+    against the store's), and every value must be an integer, before the
+    first episode runs.
 
     All methods see the same episodes (episode i is determined by (seed, i)
     alone), so cross-method comparisons are paired, and sweep values share
@@ -202,18 +206,23 @@ def run_ablation(config: BenchmarkConfig, values=None, store: FeatureStore | Non
     """
     config.pipelines()  # the sweep name too, before its values are read
     if config.sweep is None:
-        values = [None]
-    elif values is None:
-        values = SWEEP_VALUES[config.sweep]
-    for v in values:
-        if v is not None and not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{config.sweep} sweep values must be integers, got {v!r}")
-    configs = [config if v is None else replace(config, **{SWEEP_FIELDS[config.sweep]: int(v)}) for v in values]
+        if values is not None:
+            raise ValueError(f"sweep values {values!r} given, but the config names no sweep")
+        values, configs = [None], [config]
+    else:
+        values = SWEEP_VALUES[config.sweep] if values is None else values
+        for v in values:
+            if not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{config.sweep} sweep values must be integers, got {v!r}")
+        configs = [replace(config, **{SWEEP_FIELDS[config.sweep]: int(v)}) for v in values]
     pipelines = [cfg.pipelines() for cfg in configs]
     if store is None:
         store = load_store(config)
-    for cfg in configs:
+    for cfg, pipes in zip(configs, pipelines):
         cfg.episode_spec(0).check_store(store)
+        for p in pipes:
+            if p.r is not None and p.r > store.m:
+                raise ValueError(f"{p.name} projects to dim = {p.r}, but the store's features have {store.m} dimensions")
 
     table = []
     workers = min(config.workers, config.episodes)  # a worker past the episode count would never get one
@@ -225,7 +234,7 @@ def run_ablation(config: BenchmarkConfig, values=None, store: FeatureStore | Non
             if pool is None:
                 results = [_run_one_episode(store, cfg, pipes, i) for i in indices]
             else:
-                results = list(pool.map(partial(_pool_eval, cfg, pipes), indices, chunksize=max(1, cfg.episodes // (4 * workers))))
+                results = list(pool.map(_pool_eval, [(cfg, pipes, i) for i in indices], chunksize=max(1, cfg.episodes // (4 * workers))))
             # Both loops return results in episode order.
             acc, times, warns = (np.array(column) for column in zip(*results))  # each episodes x methods
             reports = []

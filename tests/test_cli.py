@@ -14,7 +14,7 @@ from tafssl import cli
 from tafssl.cli import build_parser, config_from_args
 from tafssl.episodes import MoGSpec, generate_mog_store
 from tafssl.features_io import save_features
-from tafssl.config import BenchmarkConfig, boolean, field_parsers
+from tafssl.config import BenchmarkConfig, field_parsers
 
 
 # The CLI runs in a child process, which must import the same package as
@@ -141,6 +141,19 @@ class TestCli:
         assert r.stderr.splitlines() == ["error: ways + distractors = 30, but the store has 20 classes"]
         assert r.stdout == ""
 
+    def test_a_dim_the_store_cannot_hold_exits_1_before_it_starts(self):
+        r = run_cli("--synthetic", "reference", "--method", "pca-nn", "--dim", "100", "--episodes", "2")
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == ["error: pca-nn projects to dim = 100, but the store's features have 64 dimensions"]
+        assert r.stdout == ""
+
+    def test_the_deleted_sub_normalize_first_flag_exits_1(self):
+        r = run_cli("--synthetic", "reference", "--sub-normalize-first", "false", "--episodes", "1")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert r.stdout == ""
+
     @pytest.mark.parametrize(
         "out,message",
         [("missing/dir/x.csv", "out: no such directory: {tmp}/missing/dir"), ("", "out: {tmp} is a directory")],
@@ -174,7 +187,7 @@ class TestCli:
 
     @pytest.mark.parametrize("f", fields(BenchmarkConfig), ids=lambda f: f.name)
     def test_flag_and_config_line_give_the_same_value(self, f, tmp_path):
-        text = {int: "7", boolean: "no", str: "pca-nn"}[field_parsers(BenchmarkConfig)[f.name]]
+        text = {int: "7", str: "pca-nn"}[field_parsers(BenchmarkConfig)[f.name]]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{f.name}={text}\n")
         from_flag = config_from_args(build_parser().parse_args([f"--{f.name.replace('_', '-')}", text]))
@@ -184,11 +197,6 @@ class TestCli:
     def test_every_config_field_has_a_flag(self):
         dests = {action.dest for action in build_parser()._actions}
         assert {f.name for f in fields(BenchmarkConfig)} <= dests
-
-    @pytest.mark.parametrize("value,expected", [("true", True), ("yes", True), ("1", True), ("false", False), ("No", False), ("0", False)])
-    def test_sub_normalize_first_takes_the_file_spellings(self, value, expected):
-        args = build_parser().parse_args(["--sub-normalize-first", value])
-        assert config_from_args(args).sub_normalize_first is expected
 
     def test_unknown_method_errors(self, feature_file):
         r = run_cli("--features", str(feature_file), "--method", "xyz")

@@ -68,19 +68,15 @@ class TestParseMethod:
     def test_names(self, name, projection, head):
         p = parse_method(name)
         assert p.projection == projection
-        if head in (sub, sub_star):
-            assert (p.head.func, p.head.keywords) == (head, {"normalize_first": True})
-        else:
-            assert p.head is head
+        assert p.head is head
 
     def test_every_pipeline_survives_a_pickle_round_trip(self):
         # Pool workers receive the pipelines pickled.
         ep = sample_episode(noisy_store(), EpisodeSpec(seed=4))
         for name in config.METHODS:
-            for normalize_first in (True, False):
-                pipe = parse_method(name, sub_normalize_first=normalize_first)
-                copy = pickle.loads(pickle.dumps(pipe))
-                assert np.array_equal(evaluate_episode(ep, copy, seed=(0, 4)), evaluate_episode(ep, pipe, seed=(0, 4))), (name, normalize_first)
+            pipe = parse_method(name)
+            copy = pickle.loads(pickle.dumps(pipe))
+            assert np.array_equal(evaluate_episode(ep, copy, seed=(0, 4)), evaluate_episode(ep, pipe, seed=(0, 4))), name
 
     def test_default_dims(self):
         assert parse_method("pca-nn").r == 4
@@ -219,6 +215,27 @@ class TestStoreCheck:
         reports = run_benchmark(BenchmarkConfig(method="nn", episodes=2, **settings), store=reference_store())
         assert [r.episodes for r in reports] == [2]
 
+    DIM_OVERFLOWS = [
+        ({"method": "pca-nn", "dim": 100}, None, "pca-nn projects to dim = 100"),
+        ({"method": "nn,ica-msp", "dim": 65}, None, "ica-msp projects to dim = 65"),
+        ({"method": "pca-nn,ica-nn", "sweep": "dim"}, [2, 100], "pca-nn projects to dim = 100"),
+    ]
+
+    @pytest.mark.parametrize("settings,values,message", DIM_OVERFLOWS, ids=["pca", "ica", "dim-sweep"])
+    def test_a_dim_the_store_cannot_hold_fails_before_episode_0(self, monkeypatch, settings, values, message):
+        def no_episode(*args):
+            raise AssertionError("an episode was sampled")
+
+        monkeypatch.setattr(harness, "sample_episode", no_episode)
+        cfg = BenchmarkConfig(episodes=2, **settings)
+        with pytest.raises(ValueError) as info:
+            run_ablation(cfg, values=values, store=reference_store())
+        assert str(info.value) == f"{message}, but the store's features have 64 dimensions"
+
+    def test_a_dim_the_store_can_just_hold_runs(self):
+        reports = run_benchmark(BenchmarkConfig(method="pca-nn,ica-nn", dim=64, episodes=1), store=reference_store())
+        assert [r.metadata["dim"] for r in reports] == [64, 64]
+
 
 class TestEvaluateEpisode:
     def test_all_methods_run_transductive(self):
@@ -251,12 +268,12 @@ class TestEvaluateEpisode:
 
 
 class TestSubBaselines:
-    """sub / sub-star against a plain numpy reference, under both settings of
-    ``sub_normalize_first``: L2-normalize the support rows before averaging
-    them into prototypes, or normalize the averaged prototypes."""
+    """sub / sub-star against a plain numpy reference: center, L2-normalize
+    the support rows and the queries, then average the unit support rows
+    into prototypes."""
 
     @staticmethod
-    def reference(ep, joint, normalize_first):
+    def reference(ep, joint):
         S, Q = ep.support, ep.query
         if joint:
             mu = np.vstack([S, Q]).mean(axis=0)
@@ -267,29 +284,19 @@ class TestSubBaselines:
         def unit(X):
             return X / np.linalg.norm(X, axis=1, keepdims=True)
 
-        if normalize_first:
-            S = unit(S)
+        S = unit(S)
         classes = np.unique(ep.support_labels)
         protos = np.stack([S[ep.support_labels == c].mean(axis=0) for c in classes])
-        if not normalize_first:
-            protos = unit(protos)
         sq = ((unit(Q)[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
         return classes[np.argmin(sq, axis=1)]
 
     @pytest.mark.parametrize("name", ["sub", "sub-star"])
-    def test_matches_reference_under_both_settings(self, name):
+    def test_matches_the_numpy_reference(self, name):
         store = noisy_store()
-        disagreements = 0
         for i in range(20):
             ep = sample_episode(store, EpisodeSpec(shots=3, seed=(8, i)))
-            preds = {}
-            for normalize_first in (True, False):
-                pipe = parse_method(name, sub_normalize_first=normalize_first)
-                preds[normalize_first] = evaluate_episode(ep, pipe, seed=(8, i))
-                expected = self.reference(ep, name == "sub", normalize_first)
-                assert np.array_equal(preds[normalize_first], expected), (name, normalize_first, i)
-            disagreements += int((preds[True] != preds[False]).sum())
-        assert disagreements > 0  # the two settings are different classifiers
+            preds = evaluate_episode(ep, parse_method(name), seed=(8, i))
+            assert np.array_equal(preds, self.reference(ep, name == "sub")), (name, i)
 
     def test_hand_built_sub_runs_on_the_projected_view(self):
         store = noisy_store()
@@ -297,15 +304,14 @@ class TestSubBaselines:
             ep = sample_episode(store, EpisodeSpec(shots=3, seed=(9, i)))
             pipe = MethodPipeline("pca-sub", "pca", 4, sub)
             S, Q, _ = EpisodeProjections(ep, [pipe]).view(pipe)
-            expected = self.reference(replace(ep, support=S, query=Q), True, True)
+            expected = self.reference(replace(ep, support=S, query=Q), True)
             assert np.array_equal(evaluate_episode(ep, pipe, seed=(9, i)), expected)
 
     def test_sub_centers_on_support_and_queries_not_the_pool(self):
         ep = sample_episode(noisy_store(), EpisodeSpec(shots=3, seed=6))
         ep = replace(ep, unlabeled=ep.query[:10] + 50.0)  # hand-built: the pool holds far-off rows
-        for normalize_first in (True, False):
-            preds = evaluate_episode(ep, parse_method("sub", sub_normalize_first=normalize_first), seed=(0, 6))
-            assert np.array_equal(preds, self.reference(ep, True, normalize_first))
+        preds = evaluate_episode(ep, parse_method("sub"), seed=(0, 6))
+        assert np.array_equal(preds, self.reference(ep, True))
 
 
 @pytest.fixture
@@ -540,10 +546,8 @@ class TestEpisodeStaging:
 
 
 def head_pipelines():
-    """Every head on the raw features, the sub heads under both ``sub_normalize_first`` settings."""
-    return [parse_method(name) for name in ("nn", "bkm", "msp")] + [
-        parse_method(name, sub_normalize_first=first) for name in ("sub", "sub-star") for first in (True, False)
-    ]
+    """Every head on the raw features."""
+    return [parse_method(name) for name in ("nn", "bkm", "msp", "sub", "sub-star")]
 
 
 class TestHeadInvariance:
@@ -706,9 +710,7 @@ def _parent_evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0,
     if projections is None:
         projections = EpisodeProjections(episode, [pipeline])
     S, Q, pool = projections.view(pipeline)
-    head = getattr(pipeline.head, "func", pipeline.head)
-    normalize_first = getattr(pipeline.head, "keywords", {}).get("normalize_first", True)
-    return _parent_infer(S, episode.support_labels, Q, pool, _PARENT_INFERENCE[head], normalize_first, seed)
+    return _parent_infer(S, episode.support_labels, Q, pool, _PARENT_INFERENCE[pipeline.head], True, seed)
 
 
 def constant_store():
@@ -717,8 +719,8 @@ def constant_store():
 
 
 class TestHeadsMatchParent:
-    """Every method, under both ``sub_normalize_first`` settings, predicts
-    and warns exactly as the parent's ``_infer`` did."""
+    """Every method predicts and warns exactly as the parent's ``_infer`` did
+    under its default ``sub_normalize_first = True``, the sub heads' one rule."""
 
     NON_SUB = [m for m in config.METHODS if m not in ("sub", "sub-star")]
     CASES = [
@@ -730,10 +732,9 @@ class TestHeadsMatchParent:
     ]
 
     @pytest.mark.parametrize("store,settings,methods,episodes", CASES, ids=["reference", "semi-805x64", "simplex", "constant"])
-    @pytest.mark.parametrize("normalize_first", [True, False])
-    def test_predictions_and_warnings(self, monkeypatch, store, settings, methods, episodes, normalize_first):
+    def test_predictions_and_warnings(self, monkeypatch, store, settings, methods, episodes):
         store = store()
-        config = BenchmarkConfig(method=",".join(methods), episodes=episodes, seed=0, sub_normalize_first=normalize_first, **settings)
+        config = BenchmarkConfig(method=",".join(methods), episodes=episodes, seed=0, **settings)
         pipelines = config.pipelines()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -858,6 +859,18 @@ class TestSweeps:
         with pytest.raises(ValueError, match=re.escape(f"queries sweep values must be integers, {message}")):
             run_ablation(BenchmarkConfig(method="nn", synthetic="reference", episodes=2, sweep="queries"), values=values)
 
+    def test_values_without_a_sweep_fail_before_the_store_loads(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the store was loaded")
+
+        monkeypatch.setattr(harness, "load_store", never)
+        with pytest.raises(ValueError, match=re.escape("sweep values [2, 5, 'x'] given, but the config names no sweep")):
+            run_ablation(BenchmarkConfig(method="nn", synthetic="reference", episodes=2), values=[2, 5, "x"])
+
+    def test_run_benchmark_rejects_a_sweep(self):
+        with pytest.raises(ValueError, match="pass the queries sweep to run_ablation"):
+            run_benchmark(BenchmarkConfig(method="nn", episodes=2, sweep="queries"), store=noisy_store())
+
     def test_a_sweep_starts_one_pool(self, in_process_pools):
         cfg = BenchmarkConfig(method="nn,pca-bkm", episodes=4, seed=1, sweep="queries")
         store = noisy_store()
@@ -966,9 +979,9 @@ class TestOutputs:
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("# comment\nmethod=pca-nn\nepisodes=9\nseed=3\nsub_normalize_first=false\n")
+        p.write_text("# comment\nmethod=pca-nn\nepisodes=9\nseed=3\nworkers=2\n")
         values = parse_config_file(p)
-        assert values == {"method": "pca-nn", "episodes": 9, "seed": 3, "sub_normalize_first": False}
+        assert values == {"method": "pca-nn", "episodes": 9, "seed": 3, "workers": 2}
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -976,24 +989,25 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file(p)
 
+    def test_the_deleted_sub_normalize_first_key_is_unknown(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("sub_normalize_first=false\n")
+        with pytest.raises(ValueError) as info:
+            parse_config_file(p)
+        assert str(info.value) == f"{p}:1: unknown key 'sub_normalize_first'"
+
     def test_bad_line(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("episodes\n")
         with pytest.raises(ValueError, match="key=value"):
             parse_config_file(p)
 
-    @pytest.mark.parametrize("line,key", [("dim=", "dim"), ("sub_normalize_first=maybe", "sub_normalize_first")])
+    @pytest.mark.parametrize("line,key", [("dim=", "dim"), ("workers=two", "workers")])
     def test_bad_value_names_path_and_line(self, tmp_path, line, key):
         p = tmp_path / "run.cfg"
         p.write_text(f"method=nn\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}:2: {key}")):
             parse_config_file(p)
-
-    @pytest.mark.parametrize("value,expected", [("true", True), ("YES", True), ("1", True), ("false", False), ("no", False), ("0", False)])
-    def test_boolean_spellings(self, tmp_path, value, expected):
-        p = tmp_path / "run.cfg"
-        p.write_text(f"sub_normalize_first={value}\n")
-        assert parse_config_file(p) == {"sub_normalize_first": expected}
 
 
 class TestMixtureConfigFile:
