@@ -81,6 +81,8 @@ def kmeans(pool, k: int, seed: int = 0) -> Clustering:
 
     If the pool has fewer than ``k`` distinct rows, seeding stops at distinct
     rows, k is reduced to their count and the reduction recorded in ``meta``.
+    A cluster that no pool row is nearest to keeps its centroid for that
+    round.
     """
     pool = as_matrix(pool, "pool")
     if pool.shape[0] < 1:
@@ -110,11 +112,6 @@ def kmeans(pool, k: int, seed: int = 0) -> Clustering:
                 # ndarray.mean's own two steps, without its Python wrapper.
                 np.add.reduce(members[start : ends[j]], axis=0, out=centroids[j])
                 centroids[j] /= ends[j] - start
-            else:
-                # Re-seed an empty cluster at the point farthest from its
-                # assigned centroid; keeps every centroid meaningful.
-                to_own = ((pool - centroids[assign]) ** 2).sum(axis=1)
-                centroids[j] = pool[int(np.argmax(to_own))]
     return Clustering(k=k, centroids=centroids, meta=meta)
 
 
@@ -223,7 +220,6 @@ def msp(
     n_classes = protos.n
 
     pool_sq = (pool * pool).sum(axis=1)
-    rows = np.arange(pool.shape[0])
     k_history: list[int] = []
     for _ in range(iterations):
         predicted, confidence = _nearest_confidence(pairwise_sqdist(pool, vectors, pool_sq))
@@ -233,8 +229,8 @@ def msp(
         if k == 0:
             continue
         # Grouped by predicted class; within a class by decreasing
-        # confidence, pool index breaking ties.
-        order = np.lexsort((rows, -confidence, predicted))
+        # confidence, pool index breaking ties (lexsort is stable).
+        order = np.lexsort((-confidence, predicted))
         starts = np.searchsorted(predicted[order], np.arange(n_classes))
         # Each class's K top rows, gathered classes x K x m: one mean per class, as over its slice.
         vectors = pool[order[starts[:, None] + np.arange(k)]].mean(axis=1)

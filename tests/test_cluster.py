@@ -64,6 +64,19 @@ class TestKmeans:
         assert c.k == 3
         assert c.meta["k_reduced"] == {"requested": 5, "used": 3}
 
+    def test_clusters_emptied_together_keep_distinct_centroids(self):
+        # Two clusters of this pool empty in the same Lloyd round; each keeps
+        # its own centroid, so none lands on another.
+        pool = 1e8 + np.random.default_rng(0).normal(size=(20, 4)) * 1e-4
+        got = kmeans(pool, 3, seed=0)
+        assert got.k == 3
+        assert np.unique(got.centroids, axis=0).shape[0] == 3
+        # The near-duplicate pools of the loop-reference test, at their reduced k.
+        for seed in range(3):
+            pool = 1.0 + np.random.default_rng(seed).normal(size=(20, 4)) * 1e-9
+            got = kmeans(pool, 5, seed=seed)
+            assert np.unique(got.centroids, axis=0).shape[0] == got.k
+
     @pytest.mark.parametrize("k", [0, -2])
     def test_k_below_one_rejected(self, k):
         pool = np.random.default_rng(4).normal(size=(20, 4))
@@ -222,8 +235,9 @@ class TestMsp:
 
 # The k-means, seeding and MSP loops as they stood before the pool's row
 # norms were hoisted and the per-cluster / per-class mask loops replaced by
-# one sort.  Kept verbatim (with the distance helper they called) as the
-# oracle the rewrite must match bit for bit.
+# one sort.  Kept verbatim (with the distance helper they called), less the
+# empty-cluster re-seed kmeans no longer has, as the oracle the rewrite must
+# match bit for bit.
 def _ref_pairwise_sqdist(A, B):
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -259,9 +273,6 @@ def _ref_kmeans(pool, k, seed=0):
             members = assign == j
             if members.any():
                 centroids[j] = pool[members].mean(axis=0)
-            else:
-                to_own = ((pool - centroids[assign]) ** 2).sum(axis=1)
-                centroids[j] = pool[int(np.argmax(to_own))]
     return k, centroids, meta
 
 
@@ -385,11 +396,12 @@ class TestMatchesLoopReference:
             assert np.array_equal(got.centroids, centroids)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_kmeans_reseeds_in_the_lloyd_loop(self, seed):
+    def test_kmeans_keeps_an_empty_clusters_centroid(self, seed):
         # Near-duplicate rows: their expanded distances cancel to 0, so
         # seeding stops short of k = 5, and Lloyd rounds at the reduced k
-        # still empty clusters and re-seed them (16, 76 and 50 times for
-        # seeds 0, 1 and 2).  The run is the loop's at that k.
+        # still leave clusters that no row is nearest to.  Such a cluster
+        # keeps its centroid for the round, and the run is the loop's at
+        # that k.
         pool = 1.0 + np.random.default_rng(seed).normal(size=(20, 4)) * 1e-9
         got = kmeans(pool, 5, seed=seed)
         assert got.k < 5
@@ -500,7 +512,8 @@ class TestBkmMatchesLoopReference:
 # kmeans (with its seeding) and the MSP round as they stood before the
 # k-means means lost ndarray.mean's Python wrapper and msp stopped building
 # the pool x classes posterior; softmax_rows as it stood then too.  Kept
-# verbatim as the oracle the rewrite must match bit for bit.
+# verbatim, less the empty-cluster re-seed kmeans no longer has, as the
+# oracle the rewrite must match bit for bit.
 def _parent_softmax_rows(logits):
     logits = np.asarray(logits, dtype=np.float64)
     z = logits - logits.max(axis=1, keepdims=True)
@@ -549,9 +562,6 @@ def _parent_kmeans(pool, k, seed=0):
             start = ends[j - 1] if j else 0
             if ends[j] > start:
                 centroids[j] = members[start : ends[j]].mean(axis=0)
-            else:
-                to_own = ((pool - centroids[assign]) ** 2).sum(axis=1)
-                centroids[j] = pool[int(np.argmax(to_own))]
     return Clustering(k=k, centroids=centroids, meta=meta)
 
 
