@@ -11,7 +11,6 @@ from tafssl import classify, cluster, linalg
 from tafssl.classify import Prototypes, build_prototypes, nn_classify
 from tafssl.cluster import (
     KMEANS_MAX_ITER,
-    Clustering,
     _farthest_point_init,
     _nearest_confidence,
     bkm,
@@ -233,10 +232,10 @@ class TestMsp:
         assert np.isfinite(res.posterior).all()
 
 
-# The k-means, seeding and MSP loops as they stood before the pool's row
-# norms were hoisted and the per-cluster / per-class mask loops replaced by
-# one sort.  Kept verbatim (with the distance helper they called), less the
-# empty-cluster re-seed kmeans no longer has, as the oracle the rewrite must
+# The rules of k-means, its seeding and the MSP round in their plain loop
+# form, with the distance helper they call: a boolean mask per cluster and
+# per class where the library sorts once, and the pool x classes posterior
+# that msp no longer builds.  Each is the one oracle its rule's code must
 # match bit for bit.
 def _ref_pairwise_sqdist(A, B):
     A = np.asarray(A, dtype=np.float64)
@@ -249,20 +248,22 @@ def _ref_farthest_point_init(X, k, rng):
     chosen = [int(rng.integers(X.shape[0]))]
     min_sq = _ref_pairwise_sqdist(X, X[chosen[-1]][None, :])[:, 0]
     while len(chosen) < k:
-        chosen.append(int(np.argmax(min_sq)))
-        min_sq = np.minimum(min_sq, _ref_pairwise_sqdist(X, X[chosen[-1]][None, :])[:, 0])
+        far = int(np.argmax(min_sq))
+        if any(np.array_equal(X[c], X[far]) for c in chosen):
+            break  # only distinct rows are seeded
+        chosen.append(far)
+        min_sq = np.minimum(min_sq, _ref_pairwise_sqdist(X, X[far][None, :])[:, 0])
     return X[chosen].copy()
 
 
 def _ref_kmeans(pool, k, seed=0):
     pool = as_matrix(pool, "pool")
+    centroids = _ref_farthest_point_init(pool, k, np.random.default_rng(seed))
     meta = {}
-    if pool.shape[0] < k:
-        meta["k_reduced"] = {"requested": k, "used": pool.shape[0]}
-        k = pool.shape[0]
+    if centroids.shape[0] < k:
+        meta["k_reduced"] = {"requested": k, "used": centroids.shape[0]}
+        k = centroids.shape[0]
 
-    rng = np.random.default_rng(seed)
-    centroids = _ref_farthest_point_init(pool, k, rng)
     assign = np.full(pool.shape[0], -1)
     for _ in range(KMEANS_MAX_ITER):
         new_assign = np.argmin(_ref_pairwise_sqdist(pool, centroids), axis=1)
@@ -276,6 +277,12 @@ def _ref_kmeans(pool, k, seed=0):
     return k, centroids, meta
 
 
+def _ref_nearest_confidence(sq):
+    posterior = softmax_rows(-sq)
+    predicted = np.argmin(sq, axis=1)
+    return predicted, posterior[np.arange(sq.shape[0]), predicted]
+
+
 def _ref_msp(support, support_labels, queries, pool, threshold=0.3, iterations=4):
     support = as_matrix(support, "support")
     queries = as_matrix(queries, "queries")
@@ -286,11 +293,7 @@ def _ref_msp(support, support_labels, queries, pool, threshold=0.3, iterations=4
 
     k_history = []
     for _ in range(iterations):
-        sq = _ref_pairwise_sqdist(pool, vectors)
-        posterior = softmax_rows(-sq)
-        predicted = np.argmin(sq, axis=1)
-        confidence = posterior[np.arange(pool.shape[0]), predicted]
-
+        predicted, confidence = _ref_nearest_confidence(_ref_pairwise_sqdist(pool, vectors))
         counts = np.array(
             [int(((predicted == i) & (confidence > threshold)).sum()) for i in range(n_classes)]
         )
@@ -300,7 +303,7 @@ def _ref_msp(support, support_labels, queries, pool, threshold=0.3, iterations=4
             continue
         for i in range(n_classes):
             members = np.flatnonzero(predicted == i)
-            order = members[np.lexsort((members, -posterior[members, i]))]
+            order = members[np.lexsort((members, -confidence[members]))]
             vectors[i] = pool[order[:k]].mean(axis=0)
 
     final = Prototypes(vectors=vectors, class_ids=protos.class_ids)
@@ -344,6 +347,7 @@ class TestMatchesLoopReference:
         assert got.k == ref_k
         assert np.array_equal(got.centroids, centroids)
         assert got.meta == meta
+        return got
 
     def assert_msp_matches(self, support, labels, queries, pool, **kwargs):
         got = msp(support, labels, queries, pool, **kwargs)
@@ -356,10 +360,10 @@ class TestMatchesLoopReference:
         return got
 
     @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
-    @pytest.mark.parametrize("k", [1, 5, 12])
+    @pytest.mark.parametrize("k", [1, 5, 8, 12])
     def test_kmeans(self, n, m, k):
-        for seed in range(3):
-            pool = _episode_sets((n, m, seed), n, m, spread=2.0)[3]
+        for seed, *salt in [(0,), (1,), (2,), (0, 1), (1, 1)]:
+            pool = _episode_sets((n, m, seed, *salt), n, m, spread=2.0)[3]
             self.assert_kmeans_matches(pool, k, seed=(seed, 2))
 
     @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
@@ -381,32 +385,24 @@ class TestMatchesLoopReference:
         assert kmeans(pool, 5, seed=1).meta["k_reduced"] == {"requested": 5, "used": 3}
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_kmeans_reseeds_empty_clusters(self, seed):
-        # Fewer distinct rows than k, the pools that once seeded a row twice
-        # and left its copies empty: seeding now stops at the distinct rows,
-        # k drops to their count, and the run is the loop's at that k.
+    def test_kmeans_seeds_distinct_rows_only(self, seed):
+        # Fewer distinct rows than k: seeding stops at the distinct rows and
+        # k drops to their count.
         rng = np.random.default_rng(seed)
         for distinct in (2, 3):
             pool = rng.normal(size=(distinct, 6))[rng.integers(distinct, size=30)]
-            got = kmeans(pool, 5, seed=seed)
-            assert got.k == distinct
-            assert np.unique(got.centroids, axis=0).shape[0] == distinct
+            got = self.assert_kmeans_matches(pool, 5, seed=seed)
             assert got.meta["k_reduced"] == {"requested": 5, "used": distinct}
-            _, centroids, _ = _ref_kmeans(pool, distinct, seed=seed)
-            assert np.array_equal(got.centroids, centroids)
+            assert np.unique(got.centroids, axis=0).shape[0] == distinct
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kmeans_keeps_an_empty_clusters_centroid(self, seed):
         # Near-duplicate rows: their expanded distances cancel to 0, so
         # seeding stops short of k = 5, and Lloyd rounds at the reduced k
         # still leave clusters that no row is nearest to.  Such a cluster
-        # keeps its centroid for the round, and the run is the loop's at
-        # that k.
+        # keeps its centroid for the round.
         pool = 1.0 + np.random.default_rng(seed).normal(size=(20, 4)) * 1e-9
-        got = kmeans(pool, 5, seed=seed)
-        assert got.k < 5
-        _, centroids, _ = _ref_kmeans(pool, got.k, seed=seed)
-        assert np.array_equal(got.centroids, centroids)
+        assert self.assert_kmeans_matches(pool, 5, seed=seed).k < 5
 
     def test_msp_breaks_confidence_ties_by_pool_index(self):
         differs = []
@@ -509,76 +505,24 @@ class TestBkmMatchesLoopReference:
         assert np.array_equal(post, bkm_from_centroids(support, labels, queries, made[0].centroids))
 
 
-# kmeans (with its seeding) and the MSP round as they stood before the
-# k-means means lost ndarray.mean's Python wrapper and msp stopped building
-# the pool x classes posterior; softmax_rows as it stood then too.  Kept
-# verbatim, less the empty-cluster re-seed kmeans no longer has, as the
-# oracle the rewrite must match bit for bit.
-def _parent_softmax_rows(logits):
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _parent_msp_round(sq):
-    rows = np.arange(sq.shape[0])
-    posterior = _parent_softmax_rows(-sq)
-    predicted = np.argmin(sq, axis=1)  # == posterior argmax, ties to lowest class
-    confidence = posterior[rows, predicted]
-    return predicted, confidence
-
-
-def _parent_farthest_point_init(X, k, rng):
-    x_sq = (X * X).sum(axis=1)
-    chosen = [int(rng.integers(X.shape[0]))]
-    min_sq = pairwise_sqdist(X, X[chosen[-1]][None, :], x_sq)[:, 0]
-    while len(chosen) < k:
-        far = int(np.argmax(min_sq))
-        if (X[chosen] == X[far]).all(axis=1).any():
-            break
-        chosen.append(far)
-        min_sq = np.minimum(min_sq, pairwise_sqdist(X, X[far][None, :], x_sq)[:, 0])
-    return X[chosen].copy()
-
-
-def _parent_kmeans(pool, k, seed=0):
-    pool = as_matrix(pool, "pool")
-    centroids = _parent_farthest_point_init(pool, k, np.random.default_rng(seed))
-    meta = {}
-    if centroids.shape[0] < k:
-        meta["k_reduced"] = {"requested": k, "used": centroids.shape[0]}
-        k = centroids.shape[0]
-    pool_sq = (pool * pool).sum(axis=1)
-    assign = np.full(pool.shape[0], -1)
-    for _ in range(KMEANS_MAX_ITER):
-        new_assign = np.argmin(pairwise_sqdist(pool, centroids, pool_sq), axis=1)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        members = pool[np.argsort(assign, kind="stable")]
-        ends = np.cumsum(np.bincount(assign, minlength=k))
-        for j in range(k):
-            start = ends[j - 1] if j else 0
-            if ends[j] > start:
-                centroids[j] = members[start : ends[j]].mean(axis=0)
-    return Clustering(k=k, centroids=centroids, meta=meta)
-
-
 class TestMatchesParent:
-    """The MSP round's decisions and k-means are bit-identical to the parent
-    code above, and msp builds no pool x classes posterior."""
+    """The MSP round's decisions are bit-identical to the round as it stood
+    before msp stopped building the pool x classes posterior
+    (``_ref_nearest_confidence``), and msp builds no such posterior."""
+
+    def assert_round_matches(self, sq):
+        predicted, confidence = _nearest_confidence(sq)
+        ref_predicted, ref_confidence = _ref_nearest_confidence(sq)
+        assert np.array_equal(predicted, ref_predicted)
+        assert np.array_equal(confidence, ref_confidence)
+        return predicted, confidence
 
     @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
     @pytest.mark.parametrize("n_classes", [5, 12])
     def test_msp_round(self, n, m, n_classes):
         for spread in (0.3, 3.0, 30.0):  # at 30 most confidences round to exactly 1.0
             _, _, _, pool = _episode_sets((n, m, n_classes), n, m, n_way=n_classes, spread=spread)
-            sq = pairwise_sqdist(pool, pool[:n_classes])
-            predicted, confidence = _nearest_confidence(sq)
-            ref_predicted, ref_confidence = _parent_msp_round(sq)
-            assert np.array_equal(predicted, ref_predicted)
-            assert np.array_equal(confidence, ref_confidence)
+            self.assert_round_matches(pairwise_sqdist(pool, pool[:n_classes]))
 
     def test_msp_round_edge_rows(self):
         sq = np.array(
@@ -591,27 +535,8 @@ class TestMatchesParent:
             ]
         )
         for width in (2, 5, 8, 9, 10):
-            predicted, confidence = _nearest_confidence(sq[:, :width])
-            ref_predicted, ref_confidence = _parent_msp_round(sq[:, :width])
-            assert np.array_equal(predicted, ref_predicted)
-            assert np.array_equal(confidence, ref_confidence)
+            predicted, confidence = self.assert_round_matches(sq[:, :width])
         assert confidence[1] == 1.0 and predicted[2] == 0
-
-    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
-    @pytest.mark.parametrize("k", [1, 5, 8, 12])
-    def test_kmeans(self, n, m, k):
-        for seed in range(2):
-            pool = _episode_sets((n, m, seed, 1), n, m, spread=2.0)[3]
-            got = kmeans(pool, k, seed=(seed, 2))
-            ref = _parent_kmeans(pool, k, seed=(seed, 2))
-            assert got.k == ref.k and got.meta == ref.meta
-            assert np.array_equal(got.centroids, ref.centroids)
-
-    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
-    def test_farthest_point_init_with_given_norms(self, n, m):
-        pool = _episode_sets((n, m), n, m)[3]
-        got = _farthest_point_init(pool, 7, np.random.default_rng(4), (pool * pool).sum(axis=1))
-        assert np.array_equal(got, _parent_farthest_point_init(pool, 7, np.random.default_rng(4)))
 
     def test_msp_builds_no_pool_posterior(self, monkeypatch):
         shapes = []

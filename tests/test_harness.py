@@ -29,7 +29,7 @@ from tafssl.harness import (
 from tafssl import linalg
 from tafssl.linalg import BlasThreadWarning, blas_threads, covariance, set_blas_threads
 from tafssl import subspace
-from tafssl.classify import build_prototypes, l2_normalize_rows, nn, nn_classify, sub, sub_star
+from tafssl.classify import build_prototypes, nn, nn_classify, sub, sub_star
 from tafssl.cluster import bkm, bkm_predict, msp, msp_predict
 from tafssl.features_io import save_features
 from tafssl.subspace import PoolDecomposition, fit_ica
@@ -48,6 +48,11 @@ def separable_store(n_classes=8, per_class=40, m=6, spread=60.0):
 
 def noisy_store():
     return generate_mog_store(MoGSpec(m=12, signal_dims=4), 10, 60, seed=4)
+
+
+def constant_store():
+    """Every row the same: the sub heads center it to zero rows, which warn."""
+    return FeatureStore(classes={c: np.ones((20, 6)) for c in range(6)})
 
 
 class TestParseMethod:
@@ -395,6 +400,21 @@ class TestRunBenchmark:
         reps = run_benchmark(cfg, store=noisy_store())
         assert [r.metadata["warnings"] for r in reps] == [0, 3, 0]
 
+    def test_a_constant_store_ties_every_head_to_the_first_label(self):
+        # Every distance ties, so each head predicts label 0.  The sub heads
+        # warn twice an episode: once for the zero supports, once for the
+        # zero queries.
+        store = constant_store()
+        cfg = BenchmarkConfig(method="nn,sub,sub-star,bkm,msp", episodes=10, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for i in range(cfg.episodes):
+                ep = sample_episode(store, cfg.episode_spec(i))
+                for pipe in cfg.pipelines():
+                    assert (evaluate_episode(ep, pipe, seed=(0, i)) == 0).all(), (pipe.name, i)
+        reports = run_benchmark(cfg, store=store)
+        assert [r.metadata["warnings"] for r in reports] == [0, 20, 20, 0, 0]
+
 
 class TestIcaShortcut:
     """``ica-*`` whitens and skips FastICA's unmixing rotation; every head
@@ -591,9 +611,11 @@ class TestHeadInvariance:
 
 
 class TestQueryPermutation:
-    """Predictions of ``nn``, ``pca-nn`` and ``ica-nn`` permute with the
-    queries.  ``msp`` and ``bkm`` are left out: MSP's top-K confidence ties,
-    common on raw features, and the k-means seed row both go by pool index."""
+    """Predictions of the ``nn`` and cluster methods permute with the
+    queries.  The cluster heads (``bkm`` and ``msp``, raw and projected) are
+    left out only when the queries are in the pool: MSP's top-K confidence
+    ties, common on raw features, and the k-means seed row both go by pool
+    index."""
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -622,7 +644,10 @@ class TestQueryPermutation:
         # Whitened to its full rank, n - 1, a pool of n rows is a regular
         # simplex on which every decision is a tie; stay below it.
         r = min(dim, m, ep.pool.shape[0] - 2)
-        for name in ("nn", "pca-nn", "ica-nn"):
+        names = ["nn", "pca-nn", "ica-nn"]
+        if unlabeled:  # the pool excludes the queries
+            names += ["bkm", "msp", "pca-bkm", "pca-msp", "ica-bkm", "ica-msp"]
+        for name in names:
             pipe = parse_method(name, dim=r)
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
             after = evaluate_episode(permuted, pipe, seed=(seed, 0))
@@ -661,93 +686,6 @@ class TestClassRelabelling:
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
             after = evaluate_episode(relabelled, pipe, seed=(seed, 0))
             assert np.array_equal(after, [relabel[c] for c in before.tolist()]), (pipe.name, pipe.head)
-
-
-# harness._infer and evaluate_episode as they stood before each head became
-# one library function, with the helpers they called.  Kept verbatim as the
-# oracle the heads must match bit for bit, warnings included.
-_SUB_HEADS = ("sub", "sub_star")
-
-
-def _derive_seed(seed, salt: int):
-    if isinstance(seed, tuple):
-        return (*seed, salt)
-    return (seed, salt)
-
-
-def _parent_infer(S, y_s, Q, pool, inference: str, sub_normalize_first: bool, seed) -> np.ndarray:
-    """The pipeline's head: query predictions from S, its labels, Q and the pool.
-    ``sub`` centers S and Q on their joint mean, ``sub_star`` each on its own;
-    both L2-normalize Q, and S (``sub_normalize_first``) or the prototypes, then run ``nn``."""
-    head = inference
-    if head == "bkm":
-        posterior = bkm(S, y_s, Q, pool, seed=_derive_seed(seed, 2))
-        return np.unique(y_s)[np.argmax(posterior, axis=1)]
-    if head == "msp":
-        return msp(S, y_s, Q, pool).predictions
-    if head in _SUB_HEADS:
-        if head == "sub":
-            mu = np.vstack([S, Q]).mean(axis=0)
-            S, Q = S - mu, Q - mu
-        else:
-            S, Q = S - S.mean(axis=0), Q - Q.mean(axis=0)
-        if sub_normalize_first:
-            S = l2_normalize_rows(S)
-        Q = l2_normalize_rows(Q)
-    elif head != "nn":
-        raise ValueError(f"unknown inference {head!r}")
-    protos = build_prototypes(S, y_s)
-    if head in _SUB_HEADS and not sub_normalize_first:
-        protos = replace(protos, vectors=l2_normalize_rows(protos.vectors))
-    return nn_classify(Q, protos)[0]
-
-
-# The parent's name for each head, as its MethodPipeline.inference held it.
-_PARENT_INFERENCE = {nn: "nn", sub: "sub", sub_star: "sub_star", bkm_predict: "bkm", msp_predict: "msp"}
-
-
-def _parent_evaluate_episode(episode: Episode, pipeline: MethodPipeline, seed=0, projections: EpisodeProjections | None = None) -> np.ndarray:
-    if projections is None:
-        projections = EpisodeProjections(episode, [pipeline])
-    S, Q, pool = projections.view(pipeline)
-    return _parent_infer(S, episode.support_labels, Q, pool, _PARENT_INFERENCE[pipeline.head], True, seed)
-
-
-def constant_store():
-    """Every row the same: the sub heads center it to zero rows, which warn."""
-    return FeatureStore(classes={c: np.ones((20, 6)) for c in range(6)})
-
-
-class TestHeadsMatchParent:
-    """Every method predicts and warns exactly as the parent's ``_infer`` did
-    under its default ``sub_normalize_first = True``, the sub heads' one rule."""
-
-    NON_SUB = [m for m in config.METHODS if m not in ("sub", "sub-star")]
-    CASES = [
-        (reference_store, {}, list(config.METHODS), 50),
-        (semi_wide_store, {"mode": "semi", "unlabeled": 100, "distractors": 3}, NON_SUB, 20),
-        # Whitening 10-row pools to r = 9 warns (a simplex) in the first ica-* method.
-        (reference_store, {"queries": 1, "dim": 9}, list(config.METHODS), 50),
-        (constant_store, {}, ["nn", "sub", "sub-star", "bkm", "msp"], 10),
-    ]
-
-    @pytest.mark.parametrize("store,settings,methods,episodes", CASES, ids=["reference", "semi-805x64", "simplex", "constant"])
-    def test_predictions_and_warnings(self, monkeypatch, store, settings, methods, episodes):
-        store = store()
-        config = BenchmarkConfig(method=",".join(methods), episodes=episodes, seed=0, **settings)
-        pipelines = config.pipelines()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for i in range(episodes):
-                ep = sample_episode(store, config.episode_spec(i))
-                projections = EpisodeProjections(ep, pipelines)
-                for pipe in pipelines:
-                    got = evaluate_episode(ep, pipe, seed=(0, i), projections=projections)
-                    assert np.array_equal(got, _parent_evaluate_episode(ep, pipe, seed=(0, i), projections=projections)), (pipe.name, i)
-        reports = run_benchmark(config, store=store)
-        monkeypatch.setattr(harness, "evaluate_episode", _parent_evaluate_episode)
-        parent = run_benchmark(config, store=store)
-        assert [(r.accuracy, r.metadata) for r in reports] == [(r.accuracy, r.metadata) for r in parent]
 
 
 @pytest.fixture
