@@ -23,7 +23,7 @@ from tafssl.episodes import (
 )
 from tafssl.features_io import load_features, save_features
 from tafssl.harness import RunReport, run_ablation, run_benchmark
-from tafssl.linalg import NumericalWarning, covariance, sym_eig
+from tafssl.linalg import NumericalWarning, sym_eig
 from tafssl.subspace import SubspaceProjection, fit_ica, fit_pca, whiten
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "SubspaceProjection",
     "bkm",
     "build_prototypes",
-    "covariance",
     "fit_ica",
     "fit_pca",
     "generate_mog_store",

@@ -128,6 +128,8 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
     queries = as_matrix(queries, "queries")
     centroids = as_matrix(centroids, "centroids")
     labels = np.asarray(support_labels)
+    if labels.shape[0] != support.shape[0]:
+        raise ValueError("labels length must match support rows")
     class_ids, counts = np.unique(labels, return_counts=True)
 
     q_sq = (queries * queries).sum(axis=1)

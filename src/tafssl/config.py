@@ -1,14 +1,15 @@
 """Run settings: the method table, :class:`BenchmarkConfig` and its file
-parsers, and the check a run gets before the feature source is read,
-:meth:`BenchmarkConfig.pipelines`.  Once the store is loaded, the harness
-checks each episode spec with :meth:`EpisodeSpec.check_store` and each
-pipeline's dim against the store's.
+parsers, and the checks a run gets before episode 0.
+:meth:`BenchmarkConfig.table` expands a run into its rows, one per sweep
+value, and checks each row's settings with :meth:`BenchmarkConfig.pipelines`
+before the feature source is read; once the store is loaded,
+:meth:`BenchmarkConfig.check_store` checks each row against it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from tafssl.classify import nn, sub, sub_star
 from tafssl.cluster import bkm_predict, msp_predict
@@ -20,7 +21,6 @@ __all__ = [
     "METHODS",
     "MethodPipeline",
     "PROTOCOL_FIELDS",
-    "SWEEP_FIELDS",
     "SWEEP_VALUES",
     "field_parsers",
     "parse_config_file",
@@ -55,7 +55,7 @@ SWEEP_VALUES = {
 }
 
 # The BenchmarkConfig field each sweep varies.
-SWEEP_FIELDS = {"queries": "queries", "noise": "distractors", "dim": "dim", "unbalance": "unbalanced_r"}
+_SWEEP_FIELDS = {"queries": "queries", "noise": "distractors", "dim": "dim", "unbalance": "unbalanced_r"}
 
 # The episode protocol: BenchmarkConfig fields passed by name to EpisodeSpec
 # and copied into every report's metadata and CSV row.
@@ -143,6 +143,27 @@ class BenchmarkConfig:
         if self.sweep == "dim" and bad:
             raise ValueError(f"the dim sweep needs a projection method; {', '.join(bad)} has none")
         return pipes
+
+    def table(self) -> list[tuple[int | None, BenchmarkConfig, list[MethodPipeline]]]:
+        """The run's rows ``(value, config, pipelines)``: one per value in
+        ``SWEEP_VALUES[self.sweep]``, with the field that sweep varies set to
+        the value, or the one row ``(None, self, pipelines)`` with no sweep.
+        This config is checked first, so an unknown sweep fails before any
+        value is read, and then every row's config."""
+        pipes = self.pipelines()
+        if self.sweep is None:
+            return [(None, self, pipes)]
+        rows = [(v, replace(self, **{_SWEEP_FIELDS[self.sweep]: v})) for v in SWEEP_VALUES[self.sweep]]
+        return [(v, cfg, cfg.pipelines()) for v, cfg in rows]
+
+    def check_store(self, store: FeatureStore) -> None:
+        """Check this config against a loaded store, before episode 0: the
+        capacity rule, :meth:`EpisodeSpec.check_store`, then each pipeline's
+        dim against the store's feature count."""
+        self.episode_spec(0).check_store(store)
+        for p in self.pipelines():
+            if p.r is not None and p.r > store.m:
+                raise ValueError(f"{p.name} projects to dim = {p.r}, but the store's features have {store.m} dimensions")
 
     def episode_spec(self, index: int) -> EpisodeSpec:
         return EpisodeSpec(**{key: getattr(self, key) for key in PROTOCOL_FIELDS}, mode=self.mode, seed=(self.seed, index))

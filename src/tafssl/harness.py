@@ -1,9 +1,9 @@
 """Benchmark harness: pipeline staging, the episode loop, statistics and output.
 
-The settings of a run, its method pipelines and their checks live in
-``tafssl.config``, and a run checks its store before episode 0 with the one
-capacity rule, :meth:`EpisodeSpec.check_store`, and each pipeline's dim
-against the store's feature count.  A pipeline runs in two
+The settings of a run, its table of sweep values and every check it gets
+before episode 0 live in ``tafssl.config``: :meth:`BenchmarkConfig.table`
+builds and checks the rows, and :meth:`BenchmarkConfig.check_store` checks
+each row against the loaded store.  A pipeline runs in two
 stages, project then infer: :class:`EpisodeProjections` stages the
 episode's subspace views, shared by every pipeline that asks for the same
 one, and the pipeline's head, a library function, decides.  The harness
@@ -11,9 +11,9 @@ samples episodes from a feature store, runs every requested pipeline on
 each episode, scores the query predictions against the held-back labels
 (classifiers never see them), and aggregates per-episode accuracies into a
 mean with a 0.95 normal-approximation confidence interval, then formats or
-writes them.  :func:`run_ablation` is the one driver: it checks every
-config of a table once, then runs every value on one BLAS thread and, with
-``workers`` > 1, in one pool; :func:`run_benchmark` is its table of one value.
+writes them.  :func:`run_ablation` is the one driver: it runs every row of
+a table on one BLAS thread and, with ``workers`` > 1, in one pool;
+:func:`run_benchmark` is its table of one row.
 
 Determinism contract: (config, seed) fully determines every number in the
 reports and in the CSV output, independent of the worker count.  Episode i
@@ -28,11 +28,11 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from tafssl.config import PROTOCOL_FIELDS, SWEEP_FIELDS, SWEEP_VALUES, BenchmarkConfig, MethodPipeline, read_mixture_file
+from tafssl.config import PROTOCOL_FIELDS, BenchmarkConfig, MethodPipeline, read_mixture_file
 from tafssl.episodes import Episode, FeatureStore, reference_store, sample_episode
 from tafssl.features_io import load_features
 from tafssl.linalg import set_blas_threads, single_blas_thread
@@ -187,14 +187,12 @@ def run_benchmark(config: BenchmarkConfig, store: FeatureStore | None = None) ->
     return run_ablation(config, store=store)[0][1]
 
 
-def run_ablation(config: BenchmarkConfig, values=None, store: FeatureStore | None = None) -> list[tuple[int | None, list[RunReport]]]:
-    """The results table of a run: the full benchmark once per value of the
-    protocol knob ``config.sweep`` names (``SWEEP_VALUES`` unless ``values``
-    is given), or, with no sweep, once for ``config`` itself as the value
-    ``None``, when ``values`` must not be given.  Every config is checked, on
-    its own and against the store (its episodes, and each pipeline's dim
-    against the store's), and every value must be an integer, before the
-    first episode runs.
+def run_ablation(config: BenchmarkConfig, store: FeatureStore | None = None) -> list[tuple[int | None, list[RunReport]]]:
+    """The results table of a run: the full benchmark once per row of
+    :meth:`BenchmarkConfig.table`, that is per value of the protocol knob
+    ``config.sweep`` names, or once for ``config`` itself as the value
+    ``None``.  Every row is checked, on its own and then against the store,
+    before the first episode runs.
 
     All methods see the same episodes (episode i is determined by (seed, i)
     alone), so cross-method comparisons are paired, and sweep values share
@@ -204,32 +202,18 @@ def run_ablation(config: BenchmarkConfig, values=None, store: FeatureStore | Non
     ``workers`` > 1; the process's BLAS thread count is restored when the
     run ends.
     """
-    config.pipelines()  # the sweep name too, before its values are read
-    if config.sweep is None:
-        if values is not None:
-            raise ValueError(f"sweep values {values!r} given, but the config names no sweep")
-        values, configs = [None], [config]
-    else:
-        values = SWEEP_VALUES[config.sweep] if values is None else values
-        for v in values:
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{config.sweep} sweep values must be integers, got {v!r}")
-        configs = [replace(config, **{SWEEP_FIELDS[config.sweep]: int(v)}) for v in values]
-    pipelines = [cfg.pipelines() for cfg in configs]
+    rows = config.table()
     if store is None:
         store = load_store(config)
-    for cfg, pipes in zip(configs, pipelines):
-        cfg.episode_spec(0).check_store(store)
-        for p in pipes:
-            if p.r is not None and p.r > store.m:
-                raise ValueError(f"{p.name} projects to dim = {p.r}, but the store's features have {store.m} dimensions")
+    for _, cfg, _ in rows:
+        cfg.check_store(store)
 
     table = []
     workers = min(config.workers, config.episodes)  # a worker past the episode count would never get one
     with single_blas_thread(), (
         ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(store,)) if workers > 1 else nullcontext()
     ) as pool:
-        for value, cfg, pipes in zip(values, configs, pipelines):
+        for value, cfg, pipes in rows:
             indices = range(cfg.episodes)
             if pool is None:
                 results = [_run_one_episode(store, cfg, pipes, i) for i in indices]

@@ -26,7 +26,6 @@ __all__ = [
     "NumericalWarning",
     "as_matrix",
     "blas_threads",
-    "covariance",
     "pairwise_sqdist",
     "row_max",
     "set_blas_threads",
@@ -55,21 +54,6 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ValueError(f"non-finite value in {name}, row {row}")
     return X
-
-
-def covariance(X) -> np.ndarray:
-    """Population covariance (divisor n) of the rows of ``X``.
-
-    The result is symmetrized exactly, so it is safe to feed straight into
-    :func:`sym_eig`.  Requires at least two rows.
-    """
-    X = as_matrix(X)
-    n = X.shape[0]
-    if n < 2:
-        raise ValueError("insufficient samples")
-    Xc = X - X.mean(axis=0)
-    C = (Xc.T @ Xc) / n
-    return (C + C.T) / 2.0
 
 
 def sym_eig(C) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from tafssl.cluster import (
     _nearest_confidence,
     bkm,
     bkm_from_centroids,
+    bkm_predict,
     kmeans,
     msp,
 )
@@ -135,6 +136,14 @@ class TestBkm:
         perm = rng.permutation(len(support))
         permuted = bkm_from_centroids(support[perm], labels[perm], queries, centroids)
         np.testing.assert_allclose(permuted, base, atol=1e-9)
+
+    @pytest.mark.parametrize("n_labels", [5, 7])
+    @pytest.mark.parametrize("head", [bkm, bkm_predict])
+    def test_labels_of_the_wrong_length_fail(self, head, n_labels):
+        rng = np.random.default_rng(6)
+        support, queries = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
+        with pytest.raises(ValueError, match="labels length must match support rows"):
+            head(support, np.arange(n_labels) % 3, queries, np.vstack([support, queries]), seed=0)
 
     def test_degenerate_denominator_falls_back_uniform(self):
         # One cluster sits so far away that every support's membership in it

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tafssl import cluster, config, harness
-from tafssl.config import BenchmarkConfig, MethodPipeline, parse_config_file, parse_method
+from tafssl.config import SWEEP_VALUES, BenchmarkConfig, MethodPipeline, parse_config_file, parse_method
 from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_mog_spec, reference_store, sample_episode
 from tafssl.harness import (
     EpisodeProjections,
@@ -27,12 +27,12 @@ from tafssl.harness import (
     write_csv,
 )
 from tafssl import linalg
-from tafssl.linalg import BlasThreadWarning, blas_threads, covariance, set_blas_threads
+from tafssl.linalg import BlasThreadWarning, blas_threads, set_blas_threads
 from tafssl import subspace
 from tafssl.classify import build_prototypes, nn, nn_classify, sub, sub_star
 from tafssl.cluster import bkm, bkm_predict, msp, msp_predict
 from tafssl.features_io import save_features
-from tafssl.subspace import PoolDecomposition, fit_ica
+from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, fit_ica
 
 
 def separable_store(n_classes=8, per_class=40, m=6, spread=60.0):
@@ -221,21 +221,21 @@ class TestStoreCheck:
         assert [r.episodes for r in reports] == [2]
 
     DIM_OVERFLOWS = [
-        ({"method": "pca-nn", "dim": 100}, None, "pca-nn projects to dim = 100"),
-        ({"method": "nn,ica-msp", "dim": 65}, None, "ica-msp projects to dim = 65"),
-        ({"method": "pca-nn,ica-nn", "sweep": "dim"}, [2, 100], "pca-nn projects to dim = 100"),
+        (reference_store, {"method": "pca-nn", "dim": 100}, "pca-nn projects to dim = 100, but the store's features have 64 dimensions"),
+        (reference_store, {"method": "nn,ica-msp", "dim": 65}, "ica-msp projects to dim = 65, but the store's features have 64 dimensions"),
+        (noisy_store, {"method": "pca-nn,ica-nn", "sweep": "dim"}, "pca-nn projects to dim = 15, but the store's features have 12 dimensions"),
     ]
 
-    @pytest.mark.parametrize("settings,values,message", DIM_OVERFLOWS, ids=["pca", "ica", "dim-sweep"])
-    def test_a_dim_the_store_cannot_hold_fails_before_episode_0(self, monkeypatch, settings, values, message):
+    @pytest.mark.parametrize("make_store,settings,message", DIM_OVERFLOWS, ids=["pca", "ica", "dim-sweep"])
+    def test_a_dim_the_store_cannot_hold_fails_before_episode_0(self, monkeypatch, make_store, settings, message):
         def no_episode(*args):
             raise AssertionError("an episode was sampled")
 
         monkeypatch.setattr(harness, "sample_episode", no_episode)
         cfg = BenchmarkConfig(episodes=2, **settings)
         with pytest.raises(ValueError) as info:
-            run_ablation(cfg, values=values, store=reference_store())
-        assert str(info.value) == f"{message}, but the store's features have 64 dimensions"
+            run_ablation(cfg, store=make_store())
+        assert str(info.value) == message
 
     def test_a_dim_the_store_can_just_hold_runs(self):
         reports = run_benchmark(BenchmarkConfig(method="pca-nn,ica-nn", dim=64, episodes=1), store=reference_store())
@@ -489,7 +489,7 @@ class TestEpisodeStaging:
         assert S is ep.support and Q is ep.query
         assert np.array_equal(pool, np.vstack([ep.support, ep.query]))
         assert [X.shape[1] for X in view["pca-nn"] + view["ica-nn"]] == [4] * 3 + [10] * 3
-        np.testing.assert_allclose(covariance(view["ica-nn"][2]), np.eye(10), atol=1e-6)  # whitened pool
+        np.testing.assert_allclose(np.cov(view["ica-nn"][2], rowvar=False, bias=True), np.eye(10), atol=1e-6)  # whitened pool
 
     @pytest.mark.parametrize("mode", ["transductive", "semi"])
     def test_sets_are_views_of_one_pool_buffer(self, mode):
@@ -741,8 +741,8 @@ class TestBlasThreads:
 class TestSweeps:
     def test_queries_sweep(self):
         cfg = BenchmarkConfig(method="nn", episodes=3, seed=0)
-        table = run_ablation(replace(cfg, sweep="queries"), values=[2, 5], store=noisy_store())
-        assert [v for v, _ in table] == [2, 5]
+        table = run_ablation(replace(cfg, sweep="queries"), store=noisy_store())
+        assert [v for v, _ in table] == SWEEP_VALUES["queries"]
         assert all(len(reps) == 1 for _, reps in table)
 
     def test_dim_sweep_requires_projection(self):
@@ -753,7 +753,7 @@ class TestSweeps:
     def test_dim_sweep_reports_argmax(self):
         for method in ("pca-nn", "pca-nn,ica-nn"):
             cfg = BenchmarkConfig(method=method, episodes=3, seed=0, synthetic="reference")
-            table = run_ablation(replace(cfg, sweep="dim"), values=[2, 4])
+            table = run_ablation(replace(cfg, sweep="dim"))
             text = format_reports(table, "dim")
             # One entry per method: its own best dim, not the best over all methods.
             entries = []
@@ -768,42 +768,14 @@ class TestSweeps:
             run_ablation(replace(cfg, sweep="noise"))
 
     def test_unbalance_sweep(self):
-        cfg = BenchmarkConfig(method="nn", episodes=3, seed=0)
-        table = run_ablation(replace(cfg, sweep="unbalance"), values=[0, 20], store=noisy_store())
-        assert [v for v, _ in table] == [0, 20]
+        # 1 + 15 + 50 rows would exceed the store's 60 per class.
+        cfg = BenchmarkConfig(method="nn", queries=5, episodes=3, seed=0)
+        table = run_ablation(replace(cfg, sweep="unbalance"), store=noisy_store())
+        assert [v for v, _ in table] == SWEEP_VALUES["unbalance"]
 
     def test_unknown_sweep(self):
         with pytest.raises(ValueError, match="unknown sweep"):
             run_ablation(BenchmarkConfig(sweep="shots"))
-
-    @pytest.mark.parametrize("sweep,method,message", [("queries", "nn", "queries must be >= 1"), ("dim", "pca-nn", "dim must be >= 1")])
-    def test_a_bad_sweep_value_fails_before_any_episode(self, monkeypatch, sweep, method, message):
-        def never(*args):
-            raise AssertionError("the store was loaded or an episode was sampled")
-
-        # A setting any store would reject fails before the store is even read.
-        monkeypatch.setattr(harness, "load_store", never)
-        monkeypatch.setattr(harness, "sample_episode", never)
-        with pytest.raises(ValueError, match=message):
-            run_ablation(BenchmarkConfig(method=method, synthetic="reference", episodes=1, sweep=sweep), values=[5, 0])
-
-    @pytest.mark.parametrize("values,message", [([2.5, 5], "got 2.5"), ([5, "7"], "got '7'")], ids=["float", "string"])
-    def test_a_sweep_value_that_is_not_an_integer_fails_before_any_episode(self, monkeypatch, values, message):
-        def never(*args):
-            raise AssertionError("the store was loaded or an episode was sampled")
-
-        monkeypatch.setattr(harness, "load_store", never)
-        monkeypatch.setattr(harness, "sample_episode", never)
-        with pytest.raises(ValueError, match=re.escape(f"queries sweep values must be integers, {message}")):
-            run_ablation(BenchmarkConfig(method="nn", synthetic="reference", episodes=2, sweep="queries"), values=values)
-
-    def test_values_without_a_sweep_fail_before_the_store_loads(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("the store was loaded")
-
-        monkeypatch.setattr(harness, "load_store", never)
-        with pytest.raises(ValueError, match=re.escape("sweep values [2, 5, 'x'] given, but the config names no sweep")):
-            run_ablation(BenchmarkConfig(method="nn", synthetic="reference", episodes=2), values=[2, 5, "x"])
 
     def test_run_benchmark_rejects_a_sweep(self):
         with pytest.raises(ValueError, match="pass the queries sweep to run_ablation"):
@@ -812,10 +784,10 @@ class TestSweeps:
     def test_a_sweep_starts_one_pool(self, in_process_pools):
         cfg = BenchmarkConfig(method="nn,pca-bkm", episodes=4, seed=1, sweep="queries")
         store = noisy_store()
-        got = run_ablation(replace(cfg, workers=2), values=[2, 5, 10], store=store)
+        got = run_ablation(replace(cfg, workers=2), store=store)
         assert in_process_pools == [2]
-        serial = run_ablation(cfg, values=[2, 5, 10], store=store)
-        assert [v for v, _ in got] == [v for v, _ in serial] == [2, 5, 10]
+        serial = run_ablation(cfg, store=store)
+        assert [v for v, _ in got] == [v for v, _ in serial] == SWEEP_VALUES["queries"]
         for (_, reports), (_, expected) in zip(got, serial):
             assert [(r.accuracy, r.ci95, r.metadata) for r in reports] == [(r.accuracy, r.ci95, r.metadata) for r in expected]
 
@@ -827,9 +799,21 @@ class TestSweeps:
         # Equal but for the wall-clock timing.
         assert [replace(r, seconds_per_episode=0.0) for r in reports] == [replace(r, seconds_per_episode=0.0) for r in expected]
 
-    def test_default_sweep_values(self):
-        from tafssl.config import SWEEP_VALUES
+    @pytest.mark.parametrize("sweep,field", [("queries", "queries"), ("noise", "distractors"), ("dim", "dim"), ("unbalance", "unbalanced_r")])
+    def test_table_sets_the_swept_field_to_each_value(self, sweep, field):
+        base = BenchmarkConfig(method="pca-nn,ica-nn", mode="semi", unlabeled=5, sweep=sweep)
+        table = base.table()
+        assert [value for value, _, _ in table] == SWEEP_VALUES[sweep]
+        for value, cfg, pipes in table:
+            assert cfg == replace(base, **{field: value})
+            assert [p.r for p in pipes] == ([value, value] if sweep == "dim" else [PCA_DEFAULT_DIM, ICA_DEFAULT_DIM])
 
+    def test_table_without_a_sweep_is_the_config_itself(self):
+        cfg = BenchmarkConfig(method="nn,pca-bkm")
+        [(value, row, pipes)] = cfg.table()
+        assert value is None and row is cfg and pipes == cfg.pipelines()
+
+    def test_default_sweep_values(self):
         assert SWEEP_VALUES["queries"] == [2, 5, 10, 15, 20, 30, 50]
         assert SWEEP_VALUES["noise"] == list(range(8))
         assert SWEEP_VALUES["unbalance"] == [0, 10, 20, 30, 40, 50]

@@ -8,7 +8,6 @@ from tafssl.linalg import (
     BlasThreadWarning,
     as_matrix,
     blas_threads,
-    covariance,
     pairwise_sqdist,
     row_max,
     set_blas_threads,
@@ -16,55 +15,6 @@ from tafssl.linalg import (
     softmax_rows,
     sym_eig,
 )
-
-
-def cov_bruteforce(X):
-    """Independent double-loop covariance with divisor n."""
-    X = np.asarray(X, dtype=float)
-    n, m = X.shape
-    mu = [sum(X[i, j] for i in range(n)) / n for j in range(m)]
-    C = np.zeros((m, m))
-    for a in range(m):
-        for b in range(m):
-            C[a, b] = sum((X[i, a] - mu[a]) * (X[i, b] - mu[b]) for i in range(n)) / n
-    return C
-
-
-class TestCovariance:
-    def test_hand_example(self):
-        np.testing.assert_allclose(covariance([[1, 1], [-1, -1]]), [[1, 1], [1, 1]])
-
-    def test_repeated_row_is_zero(self):
-        X = np.tile([[3.0, -2.0, 7.0]], (6, 1))
-        np.testing.assert_allclose(covariance(X), np.zeros((3, 3)), atol=1e-12)
-
-    def test_matches_bruteforce(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            X = rng.standard_normal((rng.integers(2, 12), rng.integers(1, 5)))
-            np.testing.assert_allclose(covariance(X), cov_bruteforce(X), atol=1e-12)
-
-    def test_orthogonal_points_diagonal(self):
-        # Scaled axis vectors and their negatives: coordinates are uncorrelated.
-        X = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        C = covariance(X)
-        np.testing.assert_allclose(C, np.diag(np.diag(C)), atol=1e-12)
-        np.testing.assert_allclose(C, cov_bruteforce(X), atol=1e-12)
-
-    def test_row_permutation_invariant(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((20, 4))
-        np.testing.assert_allclose(covariance(X), covariance(X[rng.permutation(20)]), atol=1e-12)
-
-    def test_psd_and_symmetric(self):
-        rng = np.random.default_rng(3)
-        C = covariance(rng.standard_normal((30, 6)))
-        assert np.abs(C - C.T).max() <= 1e-10
-        assert np.linalg.eigvalsh(C).min() >= -1e-10
-
-    def test_single_row_rejected(self):
-        with pytest.raises(ValueError, match="insufficient samples"):
-            covariance([[1.0, 2.0]])
 
 
 class TestSymEig:
