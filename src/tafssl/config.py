@@ -142,6 +142,8 @@ class BenchmarkConfig:
         bad = [p.name for p in pipes if p.projection == "none"]
         if self.sweep == "dim" and bad:
             raise ValueError(f"the dim sweep needs a projection method; {', '.join(bad)} has none")
+        if self.dim is not None and len(bad) == len(pipes):
+            raise ValueError(f"dim = {self.dim} is set, but no method projects: {', '.join(bad)}")
         return pipes
 
     def table(self) -> list[tuple[int | None, BenchmarkConfig, list[MethodPipeline]]]:
@@ -193,6 +195,8 @@ def _read_key_values(path, parsers: dict) -> dict:
             key, value = key.strip(), value.strip()
             if key not in parsers:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 out[key] = parsers[key](value)
             except ValueError as exc:

@@ -300,6 +300,8 @@ def mutual_information_diagnostic(features, labels=None, bins: int = 32) -> np.n
     """
     if isinstance(features, FeatureStore):
         features, labels = features.stacked()
+    elif labels is None:
+        raise ValueError("labels are required unless features is a FeatureStore")
     X = as_matrix(features, "features")
     y = np.asarray(labels)
     if y.shape[0] != X.shape[0]:

@@ -34,11 +34,6 @@ __all__ = [
     "sym_eig",
 ]
 
-# Eigenvalues at or below this threshold are treated as numerically zero
-# when deciding how many usable dimensions a sample pool spans.
-RANK_EPS = 1e-10
-
-
 class NumericalWarning(UserWarning):
     """Degenerate numerical input handled by a documented fallback."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tafssl.linalg import RANK_EPS, NumericalWarning, as_matrix, flip_signs
+from tafssl.linalg import NumericalWarning, as_matrix, flip_signs
 
 __all__ = [
     "ICA_DEFAULT_DIM",
@@ -35,6 +35,9 @@ __all__ = [
 
 PCA_DEFAULT_DIM = 4
 ICA_DEFAULT_DIM = 10
+
+# An eigenvalue at or below RANK_EPS times its pool's largest counts as zero.
+RANK_EPS = 1e-10
 
 # FastICA settings: symmetric (parallel) decorrelation with g = tanh.
 ICA_MAX_ITER = 200
@@ -78,19 +81,20 @@ def _decompose(Xc: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     The eigenvalues are all min(n, m) eigenvalues of the divisor-n
     covariance, from ``eigh`` of the smaller squared matrix: the n x n Gram
     matrix when m > n, with axes ``Xc^T U / s``, else the m x m scatter
-    matrix.  At most ``r`` sign-fixed principal axes are returned; the Gram
-    route stops at the last eigenvalue above ``RANK_EPS``.
+    matrix.  An eigenvalue counts as zero (returned as 0) unless it exceeds
+    ``RANK_EPS`` times the largest: the cut is relative, so a pool's rank
+    does not depend on its units, and it exceeds ``eigh``'s rounding noise
+    (eps * max(n, m) times the largest) while max(n, m) < 450,000.  At most
+    ``r`` sign-fixed axes are returned; the Gram route stops at the last
+    non-zero eigenvalue.
     """
     n, m = Xc.shape
     gram = m > n
     w, V = np.linalg.eigh(Xc @ Xc.T if gram else Xc.T @ Xc)
     w, V = w[::-1], V[:, ::-1]
-    # eigh of a squared matrix resolves eigenvalues only down to about
-    # eps * max(n, m) * the largest; anything below is rounding noise and
-    # counts as zero.
-    w = np.where(w > w[0] * max(n, m) * np.finfo(np.float64).eps, w, 0.0)
+    w = np.where(w > w[0] * RANK_EPS, w, 0.0)
     if gram:
-        k = min(r, int((w / n > RANK_EPS).sum()))
+        k = min(r, np.count_nonzero(w))
         vecs = (Xc.T @ V[:, :k]) / np.sqrt(w[:k])
     else:
         vecs = V[:, :r]
@@ -115,10 +119,12 @@ class PoolDecomposition:
     """One decomposition of a sample pool, shared by all of its projections.
 
     Holds the pool mean, the centered pool, the descending covariance
-    eigenvalues and the leading sign-fixed principal axes, up to the ``r``
-    it was built for.  :meth:`project` then builds a PCA or whitening
-    projection of any dimension up to ``r`` without touching the pool
-    again; ``centered @ P.W.T`` is ``P.apply(pool)`` bit for bit.
+    eigenvalues (0 where ``_decompose``'s relative cut says zero) and the
+    leading sign-fixed principal axes, up to the ``r`` it was built for.
+    :meth:`project` then builds a PCA or whitening projection of any
+    dimension up to ``r`` that the non-zero eigenvalues span, without
+    touching the pool again; ``centered @ P.W.T`` is ``P.apply(pool)`` bit
+    for bit.
     """
 
     def __init__(self, X, r: int):
@@ -144,7 +150,7 @@ class PoolDecomposition:
     def _project(self, r: int, method: str, meta: dict) -> SubspaceProjection:
         if r < 1:
             raise ValueError("r must be >= 1")
-        available = int((self.eigenvalues > RANK_EPS).sum())
+        available = np.count_nonzero(self.eigenvalues)
         if r > available:
             raise ValueError(f"rank deficient: requested {r}, available {available}")
         if r > self.axes.shape[0]:
@@ -169,7 +175,8 @@ def whiten(X, r: int) -> tuple[np.ndarray, SubspaceProjection]:
 
     Output columns have zero mean, unit (divisor-n) variance and zero
     pairwise covariance.  Raises when fewer than ``r`` eigenvalues exceed
-    the rank threshold.
+    ``RANK_EPS`` times the largest; the cut is relative, so whether it
+    raises does not depend on the units of ``X``.
     """
     proj = PoolDecomposition(X, r)._project(r, "whiten", {})
     return proj.apply(X), proj

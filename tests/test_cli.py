@@ -135,6 +135,12 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.splitlines() == ["error: method 'nn' is given more than once"]
 
+    def test_dim_without_a_projection_exits_1_before_the_source_is_read(self):
+        r = run_cli("--features", "/nonexistent/path.feats", "--method", "nn,sub", "--dim", "8", "--episodes", "1")
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == ["error: dim = 8 is set, but no method projects: nn, sub"]
+        assert r.stdout == ""
+
     def test_a_run_the_store_cannot_supply_exits_1_before_it_starts(self):
         r = run_cli("--synthetic", "reference", "--ways", "30", "--episodes", "1")
         assert r.returncode == 1

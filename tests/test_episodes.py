@@ -266,3 +266,7 @@ class TestMutualInformation:
     def test_rejects_few_bins(self):
         with pytest.raises(ValueError, match="bins"):
             mutual_information_diagnostic(np.ones((4, 1)), [0, 0, 1, 1], bins=1)
+
+    def test_a_matrix_without_labels_is_rejected(self):
+        with pytest.raises(ValueError, match="labels are required unless features is a FeatureStore"):
+            mutual_information_diagnostic(np.ones((4, 1)))

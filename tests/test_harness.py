@@ -155,6 +155,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run_benchmark(cfg, store=separable_store())
 
+    @pytest.mark.parametrize("method", ["nn", "nn,sub,msp"])
+    def test_dim_without_a_projection_checked_before_store_loads(self, tmp_path, method):
+        cfg = BenchmarkConfig(method=method, dim=8, features=str(tmp_path / "missing.feats"))
+        with pytest.raises(ValueError) as info:
+            run_benchmark(cfg)
+        assert str(info.value) == f"dim = 8 is set, but no method projects: {method.replace(',', ', ')}"
+        BenchmarkConfig(method=f"{method},pca-nn", dim=8).pipelines()
+
     def test_repeated_method_checked_before_store_loads(self, tmp_path):
         cfg = BenchmarkConfig(method="nn,pca-nn,nn", features=str(tmp_path / "missing.feats"))
         with pytest.raises(ValueError, match="method 'nn' is given more than once"):
@@ -609,6 +617,41 @@ class TestHeadInvariance:
             after = evaluate_episode(moved, pipe, seed=(seed, 0))
             assert np.array_equal(before, after), (pipe.name, pipe.head)
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.integers(2, 12),
+        st.integers(0, 4),
+        st.integers(1, 12),
+        st.sampled_from([-20, 20]),
+    )
+    def test_scale_free_methods_decide_the_same_at_any_scale(self, seed, n_way, k_shot, queries, m, unlabeled, dim, k):
+        # Scaling the whole episode by 2^k is exact, and no rank decision
+        # reads the units.  Left out: bkm, msp, pca-bkm and pca-msp, whose
+        # temperature-1 softmax reads distances in feature units.
+        rng = np.random.default_rng(seed)
+        means = rng.normal(0.0, 2.0, size=(n_way, m))
+
+        def draw(per_class):
+            labels = np.repeat(np.arange(n_way), per_class)
+            return means[labels] + rng.normal(size=(labels.size, m)), labels
+
+        support, support_labels = draw(k_shot)
+        query, query_labels = draw(queries)
+        pool_extra, pool_labels = draw(unlabeled)
+        ep = Episode(support, support_labels, query, query_labels, pool_extra, pool_labels, list(range(n_way)))
+        c = 2.0**k
+        scaled = replace(ep, support=support * c, query=query * c, unlabeled=pool_extra * c)
+        r = min(dim, m, ep.pool.shape[0] - 2)  # below the simplex, as in TestQueryPermutation
+        for name in ("nn", "sub", "sub-star", "pca-nn", "ica-nn", "ica-bkm", "ica-msp"):
+            pipe = parse_method(name, dim=r)
+            before = evaluate_episode(ep, pipe, seed=(seed, 0))
+            after = evaluate_episode(scaled, pipe, seed=(seed, 0))
+            assert np.array_equal(before, after), name
+
 
 class TestQueryPermutation:
     """Predictions of the ``nn`` and cluster methods permute with the
@@ -918,6 +961,13 @@ class TestConfigFile:
             parse_config_file(p)
         assert str(info.value) == f"{p}:1: unknown key 'sub_normalize_first'"
 
+    def test_a_repeated_key_names_its_line(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("episodes=5\nmethod=nn\nepisodes=7\n")
+        with pytest.raises(ValueError) as info:
+            parse_config_file(p)
+        assert str(info.value) == f"{p}:3: duplicate key 'episodes'"
+
     def test_bad_line(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("episodes\n")
@@ -947,6 +997,7 @@ class TestMixtureConfigFile:
             ("m=6\nsignal_dims\n", 2, "expected key=value"),
             ("m=6\nsignal_dims=3\nrho_signal=high\n", 3, "rho_signal"),
             ("m=6\nclasses=4\nbogus=1\n", 3, "unknown key 'bogus'"),
+            ("m=6\nclasses=4\nm=8\n", 3, "duplicate key 'm'"),
         ],
     )
     def test_errors_name_path_and_line(self, tmp_path, text, line, match):
@@ -974,8 +1025,10 @@ class TestMixtureConfigFile:
         ids=["classes", "per_class", "sigma_signal", "m=0", "m=-1", "seed"],
     )
     def test_bad_value_names_path_and_key(self, tmp_path, line, message):
+        # ``line`` replaces the base value of each key it sets: a file may not repeat a key.
+        keys = dict(kv.split("=") for kv in f"m=6\nsignal_dims=3\nclasses=4\nper_class=10\n{line}".splitlines())
         p = tmp_path / "mog.cfg"
-        p.write_text(f"m=6\nsignal_dims=3\nclasses=4\nper_class=10\n{line}\n")
+        p.write_text("".join(f"{key}={value}\n" for key, value in keys.items()))
         with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
             load_store(BenchmarkConfig(synthetic=str(p)))
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from tafssl import subspace
-from tafssl.linalg import RANK_EPS, NumericalWarning, flip_signs, pairwise_sqdist
-from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, fit_ica, fit_pca, whiten
+from tafssl.linalg import NumericalWarning, flip_signs, pairwise_sqdist
+from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, RANK_EPS, PoolDecomposition, fit_ica, fit_pca, whiten
 
 
 def mixed_uniform_sources(seed, n=1500):
@@ -195,9 +195,11 @@ SVD_SHAPES = ROUTE_SHAPES + [((80, 100), "gram"), ((100, 80), "scatter")]
 
 def svd_decompose(Xc, r):
     """Thin-SVD oracle for ``subspace._decompose``: the divisor-n covariance
-    eigenvalues s^2 / n and the sign-fixed first r rows of vt."""
+    eigenvalues s^2 / n, 0 at or below RANK_EPS times the largest, and the
+    sign-fixed first r rows of vt."""
     _, s, vt = np.linalg.svd(Xc, full_matrices=False)
-    return s * s / len(Xc), flip_signs(vt[:r].T).T
+    w = s * s / len(Xc)
+    return np.where(w > w[0] * RANK_EPS, w, 0.0), flip_signs(vt[:r].T).T
 
 
 def decomposition_route(monkeypatch, Xc):
@@ -239,8 +241,8 @@ class TestDecompositionRoutes:
         evals, axes = subspace._decompose(Xc, r)
         evals_ref, axes_ref = svd_decompose(Xc, r)
         assert evals.shape == evals_ref.shape and axes.shape == axes_ref.shape == (r, shape[1])
-        assert (evals > RANK_EPS).sum() == (evals_ref > RANK_EPS).sum()
-        live = evals_ref > RANK_EPS
+        assert np.count_nonzero(evals) == np.count_nonzero(evals_ref)
+        live = evals_ref > 0
         assert np.abs(evals[live] / evals_ref[live] - 1.0).max() <= 1e-9
         Y, Y_ref = Xc @ axes.T, Xc @ axes_ref.T
         D, D_ref = pairwise_sqdist(Y, Y), pairwise_sqdist(Y_ref, Y_ref)
@@ -278,11 +280,26 @@ class TestDecompositionRoutes:
         with pytest.raises(ValueError, match="unknown projection 'ica'; choose from pca, whiten"):
             PoolDecomposition(wide_pool(2, 80, 64), 4).project("ica", 4)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    @pytest.mark.parametrize("k", [-20, 20])
+    @pytest.mark.parametrize("shape,route", ROUTE_SHAPES)
+    def test_a_power_of_two_scale_changes_no_fit(self, shape, route, k):
+        # The zero-eigenvalue cut is relative, so the units of the pool
+        # decide nothing: scaling by 2^k is exact in every step of the fit.
+        X = wide_pool(7, *shape)
+        c = 2.0**k
+        p, p_c = fit_pca(X, 10), fit_pca(X * c, 10)
+        assert np.array_equal(p_c.W, p.W)
+        assert np.array_equal(p_c.meta["eigenvalues"], p.meta["eigenvalues"] * c * c)
+        (_, w), (_, w_c) = whiten(X, 10), whiten(X * c, 10)
+        assert np.array_equal(w_c.W, w.W / c)
+        assert np.array_equal(w_c.meta["eigenvalues"], w.meta["eigenvalues"] * c * c)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e4])
     @pytest.mark.parametrize("shape,route", ROUTE_SHAPES)
     def test_rank_deficient_pool_still_raises(self, shape, route, scale):
-        # At large feature scales the squared matrix's rounding noise exceeds
-        # RANK_EPS; it must still count as zero.
+        # The cut is relative to the largest eigenvalue: at any feature scale
+        # the squared matrix's rounding noise counts as zero and the pool's
+        # three real directions count.
         X = wide_pool(3, *shape, rank=3) * scale
         with pytest.raises(ValueError, match="rank deficient: requested 4, available 3"):
             fit_pca(X, 4)
