@@ -18,6 +18,7 @@ that makes signal dimensions class-discriminative.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,22 +48,31 @@ DISTRACTOR_LABEL = -1
 class FeatureStore:
     """Labeled pool of feature vectors grouped by class id.
 
+    A store has one dtype: float32 when every class is given as float32
+    (as the feature loaders give them), float64 otherwise.  Episodes are
+    float64 either way; :func:`sample_episode` widens the rows it gathers.
     The stores the library builds (:func:`generate_mog_store`, the binary
-    loader) keep every class in one float64 buffer; each class array is a
-    row view of it."""
+    loader) keep every class in one buffer; each class array is a row view
+    of it."""
 
     classes: dict[int, np.ndarray]
 
     def __post_init__(self):
         if not self.classes:
             raise ValueError("feature store has no classes")
+        float32 = all(getattr(X, "dtype", None) == np.float32 for X in self.classes.values())
+        dtype = np.float32 if float32 else np.float64
         validated: dict[int, np.ndarray] = {}
         dims = set()
         for cid, X in self.classes.items():
-            X = as_matrix(X, f"class {cid}")
+            try:
+                key = operator.index(cid)
+            except TypeError:
+                raise ValueError(f"class id {cid!r} is not an integer") from None
+            X = as_matrix(X, f"class {cid}", dtype)
             if X.shape[0] < 1:
                 raise ValueError(f"class {cid} has no samples")
-            validated[int(cid)] = X
+            validated[key] = X
             dims.add(X.shape[1])
         if len(dims) != 1:
             raise ValueError(f"classes disagree on feature dimension: {sorted(dims)}")
@@ -235,9 +245,10 @@ def sample_episode(store: FeatureStore, spec: EpisodeSpec) -> Episode:
     per-class sample permutations, one for the unbalanced extra-query
     draws.  Runs differing only in ``unbalanced_r`` therefore share classes
     and support samples, and their per-class query sets are nested.  Rows
-    are gathered straight into the :attr:`Episode.pool` buffer; semi-mode
-    queries get a buffer of their own.  A store that cannot supply the
-    spec fails :meth:`EpisodeSpec.check_store` before any draw.
+    are gathered, in the store's dtype, into one buffer that becomes the
+    float64 :attr:`Episode.pool`; semi-mode queries get a buffer of their
+    own.  A store that cannot supply the spec fails
+    :meth:`EpisodeSpec.check_store` before any draw.
     """
     spec.check_store(store)
     structure, unbalance = [np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(2)]
@@ -276,12 +287,15 @@ def sample_episode(store: FeatureStore, spec: EpisodeSpec) -> Episode:
 
 
 def _gather(parts, m: int) -> np.ndarray:
-    """Copy each (class rows, row indices) part into consecutive rows of one new buffer."""
-    out = np.empty((sum(idx.size for _, idx in parts), m))
+    """Copy each (class rows, row indices) part into consecutive rows of one
+    new buffer in the store's dtype, then widen that buffer to float64 once
+    (no copy for a float64 store).  Widening float32 is exact, so the rows
+    equal those of the store's float64 twin bit for bit."""
+    out = np.empty((sum(idx.size for _, idx in parts), m), dtype=parts[0][0].dtype)
     for (X, idx), end in zip(parts, np.cumsum([idx.size for _, idx in parts])):
         # "clip" never clips a permutation's indices; it lets numpy write into ``out`` directly.
         np.take(X, idx, axis=0, out=out[end - idx.size : end], mode="clip")
-    return out
+    return np.asarray(out, dtype=np.float64)
 
 
 def _entropy(counts: np.ndarray) -> float:

@@ -7,7 +7,7 @@ Binary layout (little-endian):
         class_id u32 | count u32 | count*m float32 row-major
 
 CSV files carry a ``label,f0,...,f{m-1}`` header and one sample per row.
-Both formats store float32; loading widens to float64, so a CSV and a
+Both formats store float32 and load to a float32 store, so a CSV and a
 binary file written from the same store load to identical values.  The
 format is chosen by file suffix: ``.csv`` is CSV, anything else binary.
 """
@@ -65,9 +65,9 @@ def _save_binary(store: FeatureStore, path: Path) -> None:
 def _load_binary(path: Path) -> FeatureStore:
     """Two passes over the file.  The first reads the headers, seeking past
     every payload, and checks the sizes against the file size; the second
-    reads each class's float32 payload into one staging buffer and widens it
-    into that class's rows of the store's single float64 buffer.
-    ``FeatureStore`` then checks the values for finiteness."""
+    reads each class's float32 payload straight into that class's rows of
+    the store's single float32 buffer.  ``FeatureStore`` then checks the
+    values for finiteness."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size < HEADER.size:
@@ -95,19 +95,15 @@ def _load_binary(path: Path) -> FeatureStore:
         if offset != size:
             raise ValueError(f"trailing data: expected {offset} bytes, got {size}")
 
-        counts = [count for _, count in layout.values()]
-        X = np.empty((sum(counts), m))
-        staging = np.empty(max(counts, default=0) * m, dtype="<f4")
+        X = np.empty((sum(count for _, count in layout.values()), m), dtype="<f4")
         classes: dict[int, np.ndarray] = {}
         row = 0
         for cid, (payload, count) in layout.items():
-            chunk = staging[: count * m].reshape(count, m)
-            f.seek(payload)
-            if f.readinto(chunk) != chunk.nbytes:
-                raise ValueError(f"truncated file: class {cid} payload ended early")
             classes[cid] = X[row : row + count]
-            classes[cid][...] = chunk
             row += count
+            f.seek(payload)
+            if f.readinto(classes[cid]) != classes[cid].nbytes:
+                raise ValueError(f"truncated file: class {cid} payload ended early")
     return FeatureStore(classes=classes)
 
 

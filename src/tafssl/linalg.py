@@ -38,10 +38,11 @@ class NumericalWarning(UserWarning):
     """Degenerate numerical input handled by a documented fallback."""
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate ``x`` as a finite 2-D float64 array and return it.  A
-    non-finite value is reported by the first row that holds one."""
-    X = np.asarray(x, dtype=np.float64)
+def as_matrix(x, name: str = "matrix", dtype=np.float64) -> np.ndarray:
+    """Validate ``x`` as a finite 2-D array of ``dtype`` (float64 unless
+    given) and return it, uncopied if it already is one.  A non-finite value
+    is reported by the first row that holds one."""
+    X = np.asarray(x, dtype=dtype)
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {X.shape}")
     # The row search runs only on failure: a per-row check costs more than one over the whole array.

@@ -40,6 +40,28 @@ class TestFeatureStore:
         with pytest.raises(ValueError, match="feature dimension m must be >= 1, got 0"):
             FeatureStore(classes={0: np.ones((3, 0)), 1: np.ones((3, 0))})
 
+    @pytest.mark.parametrize(
+        "dtypes,expected",
+        [
+            ((np.float32, np.float32), np.float32),
+            ((np.float32, np.float64), np.float64),
+            ((np.int64, np.float32), np.float64),
+        ],
+        ids=["all-float32", "mixed-float", "integer"],
+    )
+    def test_one_dtype_per_store(self, dtypes, expected):
+        store = FeatureStore(classes={c: np.ones((2, 3), dtype=t) for c, t in enumerate(dtypes)})
+        assert [X.dtype for X in store.classes.values()] == [expected] * len(dtypes)
+
+    @pytest.mark.parametrize("ids,message", [((1.2, 1.7), "class id 1.2 is not an integer"), (("a",), "class id 'a' is not an integer")])
+    def test_rejects_non_integer_class_ids(self, ids, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FeatureStore(classes={cid: np.ones((2, 3)) for cid in ids})
+
+    def test_numpy_integer_class_ids_become_ints(self):
+        store = FeatureStore(classes={np.int64(4): np.ones((2, 3)), np.uint32(1): np.zeros((2, 3))})
+        assert [type(c) for c in store.classes] == [int, int] and list(store.classes) == [4, 1]
+
     def test_stacked(self):
         store = FeatureStore(classes={1: np.ones((2, 2)), 0: np.zeros((3, 2))})
         X, y = store.stacked()

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from tafssl import features_io
-from tafssl.episodes import FeatureStore, MoGSpec, generate_mog_store
+from tafssl.config import BenchmarkConfig
+from tafssl.episodes import EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, mutual_information_diagnostic, sample_episode
 from tafssl.features_io import CLASS_HEADER, HEADER, MAGIC, VERSION, load_features, save_features
+from tafssl.harness import run_benchmark, write_csv
 
 
 @pytest.fixture
@@ -103,8 +105,9 @@ class TestBinaryLoaderMatchesParent:
         assert list(store.classes) == list(expected.classes)
         for cid, X in expected.classes.items():
             got = store.classes[cid]
-            assert (got.dtype, got.shape) == (X.dtype, X.shape)
-            assert got.tobytes() == X.tobytes()
+            # The oracle widens to float64; the store keeps the file's float32.
+            assert (got.dtype, got.shape) == (np.float32, X.shape)
+            assert got.astype(np.float64).tobytes() == X.tobytes()
 
     @pytest.mark.parametrize("name", VALID_FILES)
     def test_classes_are_row_views_of_one_buffer(self, name, tmp_path):
@@ -112,7 +115,7 @@ class TestBinaryLoaderMatchesParent:
         path.write_bytes(VALID_FILES[name])
         store = load_features(path)
         buffer = next(iter(store.classes.values())).base
-        assert buffer.dtype == np.float64 and buffer.flags.c_contiguous
+        assert buffer.dtype == np.float32 and buffer.flags.c_contiguous
         assert buffer.shape == (sum(X.shape[0] for X in store.classes.values()), store.m)
         row = 0
         for X in store.classes.values():  # file order
@@ -225,6 +228,56 @@ class TestBinary:
         p.write_bytes(binary_file([(0, np.empty((3, 0))), (1, np.empty((2, 0)))], 0))
         with pytest.raises(ValueError, match="feature dimension m must be >= 1, got 0"):
             load_features(p)
+
+
+EPISODE_FIELDS = ("support", "support_labels", "query", "query_labels", "unlabeled", "unlabeled_labels", "pool")
+
+
+class TestFloat32StoreMatchesFloat64Twin:
+    """A loaded store stays float32 and episodes widen the rows they gather,
+    so every number downstream equals that of the store's float64 twin."""
+
+    @pytest.fixture
+    def stores(self, tmp_path):
+        path = tmp_path / "a.feats"
+        save_features(generate_mog_store(MoGSpec(m=12, signal_dims=4), 10, 40, seed=3), path)
+        loaded = load_features(path)
+        twin = FeatureStore(classes={c: X.astype(np.float64) for c, X in loaded.classes.items()})
+        assert next(iter(loaded.classes.values())).dtype == np.float32
+        assert next(iter(twin.classes.values())).dtype == np.float64
+        return loaded, twin
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {},
+            {"mode": "semi", "unlabeled": 6, "distractors": 2},
+            {"unbalanced_r": 5},
+        ],
+        ids=["transductive", "semi-distractors", "unbalanced"],
+    )
+    def test_episodes_are_byte_identical(self, stores, settings):
+        loaded, twin = stores
+        for seed in range(5):
+            spec = EpisodeSpec(seed=seed, **settings)
+            a, b = sample_episode(loaded, spec), sample_episode(twin, spec)
+            assert a.class_ids == b.class_ids
+            assert a.pool.dtype == b.pool.dtype == np.float64
+            for field in EPISODE_FIELDS:
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x.dtype, x.shape) == (y.dtype, y.shape), field
+                assert x.tobytes() == y.tobytes(), field
+
+    def test_run_csv_is_byte_identical(self, stores, tmp_path):
+        cfg = BenchmarkConfig(method="bkm,msp,pca-bkm,pca-msp", mode="semi", unlabeled=6, distractors=2, dim=4, episodes=6)
+        paths = [tmp_path / "loaded.csv", tmp_path / "twin.csv"]
+        for store, path in zip(stores, paths):
+            write_csv(path, [(None, run_benchmark(cfg, store=store))])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_mutual_information_is_byte_identical(self, stores):
+        loaded, twin = stores
+        assert mutual_information_diagnostic(loaded).tobytes() == mutual_information_diagnostic(twin).tobytes()
 
 
 class TestNonFiniteMessage:
