@@ -313,6 +313,8 @@ def mutual_information_diagnostic(features, labels=None, bins: int = 32) -> np.n
     FeatureStore or an explicit (features, labels) pair.
     """
     if isinstance(features, FeatureStore):
+        if labels is not None:
+            raise ValueError("labels come from the store; pass labels only with a feature matrix")
         features, labels = features.stacked()
     elif labels is None:
         raise ValueError("labels are required unless features is a FeatureStore")

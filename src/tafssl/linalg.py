@@ -1,9 +1,11 @@
 """Dense linear-algebra primitives shared by the rest of the package.
 
-Everything here operates on plain float64 numpy arrays and is a pure
-function of its inputs, so all routines are safe to call concurrently from
-parallel episode workers.  The exception is the BLAS thread control at the
-end (:func:`single_blas_thread`), which sets a process-wide count.
+Everything here computes in float64, except :func:`as_matrix`, which
+validates to the ``dtype`` it is given (float32 for a float32 feature
+store).  Each routine is a pure function of its inputs, so all are safe to
+call concurrently from parallel episode workers.  The exception is the
+BLAS thread control at the end (:func:`single_blas_thread`), which sets a
+process-wide count.
 
 Convention: covariances use the population divisor ``n`` (not ``n - 1``).
 Eigenvalues quoted anywhere in this package follow that convention, which
@@ -61,12 +63,15 @@ def sym_eig(C) -> tuple[np.ndarray, np.ndarray]:
     making the output deterministic up to degenerate eigenvalues.
 
     Input must be symmetric within 1e-8 (relative to its largest entry);
-    it is symmetrized via (C + C^T)/2 before decomposition.
+    it is symmetrized via (C + C^T)/2 before decomposition.  A 0 x 0 input
+    returns two empty arrays.
     """
     C = as_matrix(C)
     if C.shape[0] != C.shape[1]:
         raise ValueError(f"matrix must be square, got shape {C.shape}")
-    scale = max(1.0, float(np.abs(C).max())) if C.size else 1.0
+    if not C.size:
+        return np.zeros(0), np.zeros((0, 0))
+    scale = max(1.0, float(np.abs(C).max()))
     if float(np.abs(C - C.T).max()) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
     evals, evecs = np.linalg.eigh((C + C.T) / 2.0)

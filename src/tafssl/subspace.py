@@ -101,53 +101,42 @@ def _decompose(Xc: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return w / n, flip_signs(vecs).T
 
 
-def _effective_dim(requested: int, n_rows: int, meta: dict) -> int:
-    """Shrink ``requested`` to n_rows - 1 when the pool is too small.
-
-    A pool of n samples spans at most n - 1 centered directions, so rather
-    than failing the episode the fit proceeds at the reduced dimension and
-    records the reduction.
-    """
-    if n_rows < requested + 1:
-        reduced = n_rows - 1
-        meta["r_reduced"] = {"requested": requested, "used": reduced}
-        return reduced
-    return requested
-
-
 class PoolDecomposition:
     """One decomposition of a sample pool, shared by all of its projections.
 
     Holds the pool mean, the centered pool, the descending covariance
     eigenvalues (0 where ``_decompose``'s relative cut says zero) and the
     leading sign-fixed principal axes, up to the ``r`` it was built for.
-    :meth:`project` then builds a PCA or whitening projection of any
-    dimension up to ``r`` that the non-zero eigenvalues span, without
-    touching the pool again; ``centered @ P.W.T`` is ``P.apply(pool)`` bit
-    for bit.
+    :meth:`project` is the one place a projection is made from them: a PCA
+    or whitening projection of any dimension up to ``r``, without touching
+    the pool again; ``centered @ P.W.T`` is ``P.apply(pool)`` bit for bit.
     """
 
     def __init__(self, X, r: int):
         X = as_matrix(X)
         if X.shape[0] < 2:
             raise ValueError("insufficient samples")
-        self.n_rows = X.shape[0]
         self.mean = X.mean(axis=0)
         self.centered = X - self.mean
         self.eigenvalues, self.axes = _decompose(self.centered, r)
 
     def project(self, kind: str, r: int) -> SubspaceProjection:
-        """The ``kind`` projection onto the top ``r`` axes, with ``r`` shrunk
-        on a small pool as ``fit_pca`` and ``fit_ica`` do (``whiten`` raises
-        instead).  ``"pca"`` is what ``fit_pca(pool, r)`` returns;
-        ``"whiten"`` is ``fit_ica`` without its final orthogonal unmixing
-        rotation."""
+        """The ``kind`` projection onto the top ``r`` axes: ``"pca"`` is
+        ``fit_pca(pool, r)``, ``"whiten"`` is ``whiten(pool, r)``, which is
+        ``fit_ica`` without its final orthogonal unmixing rotation.
+
+        A pool of n rows spans at most n - 1 centered directions, so on a
+        pool of n <= r rows the projection has r = n - 1 and records the
+        reduction in ``meta["r_reduced"]`` rather than failing the episode.
+        Raises when fewer eigenvalues than that ``r`` are non-zero.
+        """
         if kind not in ("pca", "whiten"):
             raise ValueError(f"unknown projection {kind!r}; choose from pca, whiten")
+        n = self.centered.shape[0]
         meta: dict = {}
-        return self._project(_effective_dim(r, self.n_rows, meta), kind, meta)
-
-    def _project(self, r: int, method: str, meta: dict) -> SubspaceProjection:
+        if r > n - 1:
+            meta["r_reduced"] = {"requested": r, "used": n - 1}
+            r = n - 1
         if r < 1:
             raise ValueError("r must be >= 1")
         available = np.count_nonzero(self.eigenvalues)
@@ -155,31 +144,33 @@ class PoolDecomposition:
             raise ValueError(f"rank deficient: requested {r}, available {available}")
         if r > self.axes.shape[0]:
             raise ValueError(f"decomposition holds {self.axes.shape[0]} axes, {r} requested")
-        if method == "whiten" and r == self.n_rows - 1:
+        if kind == "whiten" and r == n - 1:
             # n rows span n - 1 centered directions; whitened to all of them
             # they sit pairwise equidistant, so distances there decide nothing.
             warnings.warn(
-                f"whitening a pool of n = {self.n_rows} rows to r = {r} = n - 1 dimensions makes it a regular "
+                f"whitening a pool of n = {n} rows to r = {r} = n - 1 dimensions makes it a regular "
                 "simplex; distance-based decisions there are rounding noise",
                 NumericalWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         evals = self.eigenvalues[:r]
-        W = self.axes[:r] / np.sqrt(evals)[:, None] if method == "whiten" else self.axes[:r].copy()
+        W = self.axes[:r] / np.sqrt(evals)[:, None] if kind == "whiten" else self.axes[:r].copy()
         meta["eigenvalues"] = evals.copy()
-        return SubspaceProjection(W=W, center=self.mean, method=method, meta=meta)
+        return SubspaceProjection(W=W, center=self.mean, method=kind, meta=meta)
 
 
 def whiten(X, r: int) -> tuple[np.ndarray, SubspaceProjection]:
-    """Whiten ``X`` down to ``r`` dimensions.
+    """Whiten ``X`` down to ``r`` dimensions; returns (whitened ``X``, projection).
 
     Output columns have zero mean, unit (divisor-n) variance and zero
-    pairwise covariance.  Raises when fewer than ``r`` eigenvalues exceed
-    ``RANK_EPS`` times the largest; the cut is relative, so whether it
-    raises does not depend on the units of ``X``.
+    pairwise covariance.  On a pool of n <= r rows ``r`` shrinks to n - 1
+    as in :meth:`PoolDecomposition.project`.  Raises when fewer eigenvalues
+    than that ``r`` exceed ``RANK_EPS`` times the largest; the cut is
+    relative, so whether it raises does not depend on the units of ``X``.
     """
-    proj = PoolDecomposition(X, r)._project(r, "whiten", {})
-    return proj.apply(X), proj
+    d = PoolDecomposition(X, r)
+    proj = d.project("whiten", r)
+    return d.centered @ proj.W.T, proj
 
 
 def fit_pca(X, r: int = PCA_DEFAULT_DIM) -> SubspaceProjection:
@@ -241,12 +232,11 @@ def fit_ica(X, r: int = ICA_DEFAULT_DIM, seed: int = 0) -> SubspaceProjection:
     a fixed seed.  Components are ordered by descending excess kurtosis of
     the projected training data.  If the fixed point does not converge
     within the iteration budget the best iterate is returned with
-    ``meta["converged"] = False``.
+    ``meta["converged"] = False``.  On a small pool ``r`` shrinks as in
+    :func:`whiten`, whose ``meta["r_reduced"]`` it carries.
     """
-    X = as_matrix(X)
-    meta: dict = {}
-    r = _effective_dim(r, X.shape[0], meta)
     Z, white = whiten(X, r)
+    meta = {"r_reduced": white.meta["r_reduced"]} if "r_reduced" in white.meta else {}
 
     rng = np.random.default_rng(seed)
     W_unmix, converged, iterations = _fastica_parallel(Z, rng)

@@ -292,3 +292,9 @@ class TestMutualInformation:
     def test_a_matrix_without_labels_is_rejected(self):
         with pytest.raises(ValueError, match="labels are required unless features is a FeatureStore"):
             mutual_information_diagnostic(np.ones((4, 1)))
+
+    def test_a_store_with_labels_is_rejected(self):
+        store = small_store()
+        _, y = store.stacked()
+        with pytest.raises(ValueError, match="labels come from the store"):
+            mutual_information_diagnostic(store, labels=y)

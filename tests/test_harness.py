@@ -423,6 +423,18 @@ class TestRunBenchmark:
         reports = run_benchmark(cfg, store=store)
         assert [r.metadata["warnings"] for r in reports] == [0, 20, 20, 0, 0]
 
+    @pytest.mark.parametrize("queries", [1, 2])
+    def test_a_small_pool_shrinks_every_projection(self, queries):
+        # 2-way 1-shot pools hold n = 2 + 2 * queries rows; dim = 12 shrinks
+        # to n - 1, where whitening warns once per episode (charged to ica-nn).
+        cfg = BenchmarkConfig(method="pca-nn,ica-nn,pca-bkm,ica-bkm,pca-msp,ica-msp", ways=2, queries=queries, episodes=30, seed=0)
+        store = reference_store()
+        shrunk = run_benchmark(replace(cfg, dim=12), store=store)
+        exact = run_benchmark(replace(cfg, dim=2 + 2 * queries - 1), store=store)
+        for reports in (shrunk, exact):
+            assert [r.metadata["warnings"] for r in reports] == [0, 30, 0, 0, 0, 0]
+        assert [r.accuracy for r in shrunk] == [r.accuracy for r in exact]
+
 
 class TestIcaShortcut:
     """``ica-*`` whitens and skips FastICA's unmixing rotation; every head
@@ -573,6 +585,20 @@ class TestEpisodeStaging:
                 assert np.array_equal(evaluate_episode(moved, pipe, seed=(0, 2)), evaluate_episode(copy_sets(moved), pipe, seed=(0, 2)))
 
 
+def gaussian_episode(rng, means, k_shot, queries, unlabeled, ids=None):
+    """An episode of unit-variance Gaussian classes, one per row of
+    ``means``, labelled by ``ids`` (default 0, 1, ...).  Each class gets
+    ``k_shot`` support, ``queries`` query and ``unlabeled`` pool rows, whose
+    noise ``rng`` draws in that order."""
+    ids = np.arange(len(means)) if ids is None else ids
+
+    def draw(per_class):
+        index = np.repeat(np.arange(len(ids)), per_class)
+        return means[index] + rng.normal(size=(index.size, means.shape[1])), ids[index]
+
+    return Episode(*draw(k_shot), *draw(queries), *draw(unlabeled), ids.tolist())
+
+
 def head_pipelines():
     """Every head on the raw features."""
     return [parse_method(name) for name in ("nn", "bkm", "msp", "sub", "sub-star")]
@@ -594,23 +620,14 @@ class TestHeadInvariance:
     )
     def test_decisions_survive_rotation_and_translation(self, seed, n_way, k_shot, queries, m, unlabeled):
         rng = np.random.default_rng(seed)
-        means = rng.normal(0.0, 2.0, size=(n_way, m))
-
-        def draw(per_class):
-            labels = np.repeat(np.arange(n_way), per_class)
-            return means[labels] + rng.normal(size=(labels.size, m)), labels
-
-        support, support_labels = draw(k_shot)
-        query, query_labels = draw(queries)
-        pool_extra, pool_labels = draw(unlabeled)
-        ep = Episode(support, support_labels, query, query_labels, pool_extra, pool_labels, list(range(n_way)))
+        ep = gaussian_episode(rng, rng.normal(0.0, 2.0, size=(n_way, m)), k_shot, queries, unlabeled)
         rotation, _ = np.linalg.qr(rng.normal(size=(m, m)))
         shift = rng.normal(0.0, 3.0, size=m)
         moved = replace(
             ep,
-            support=support @ rotation + shift,
-            query=query @ rotation + shift,
-            unlabeled=pool_extra @ rotation + shift,
+            support=ep.support @ rotation + shift,
+            query=ep.query @ rotation + shift,
+            unlabeled=ep.unlabeled @ rotation + shift,
         )
         for pipe in head_pipelines():
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
@@ -633,18 +650,9 @@ class TestHeadInvariance:
         # reads the units.  Left out: bkm, msp, pca-bkm and pca-msp, whose
         # temperature-1 softmax reads distances in feature units.
         rng = np.random.default_rng(seed)
-        means = rng.normal(0.0, 2.0, size=(n_way, m))
-
-        def draw(per_class):
-            labels = np.repeat(np.arange(n_way), per_class)
-            return means[labels] + rng.normal(size=(labels.size, m)), labels
-
-        support, support_labels = draw(k_shot)
-        query, query_labels = draw(queries)
-        pool_extra, pool_labels = draw(unlabeled)
-        ep = Episode(support, support_labels, query, query_labels, pool_extra, pool_labels, list(range(n_way)))
+        ep = gaussian_episode(rng, rng.normal(0.0, 2.0, size=(n_way, m)), k_shot, queries, unlabeled)
         c = 2.0**k
-        scaled = replace(ep, support=support * c, query=query * c, unlabeled=pool_extra * c)
+        scaled = replace(ep, support=ep.support * c, query=ep.query * c, unlabeled=ep.unlabeled * c)
         r = min(dim, m, ep.pool.shape[0] - 2)  # below the simplex, as in TestQueryPermutation
         for name in ("nn", "sub", "sub-star", "pca-nn", "ica-nn", "ica-bkm", "ica-msp"):
             pipe = parse_method(name, dim=r)
@@ -672,18 +680,9 @@ class TestQueryPermutation:
     )
     def test_predictions_permute_with_the_queries(self, seed, n_way, k_shot, queries, m, unlabeled, dim):
         rng = np.random.default_rng(seed)
-        means = rng.normal(0.0, 2.0, size=(n_way, m))
-
-        def draw(per_class):
-            labels = np.repeat(np.arange(n_way), per_class)
-            return means[labels] + rng.normal(size=(labels.size, m)), labels
-
-        support, support_labels = draw(k_shot)
-        query, query_labels = draw(queries)
-        pool_extra, pool_labels = draw(unlabeled)
-        ep = Episode(support, support_labels, query, query_labels, pool_extra, pool_labels, list(range(n_way)))
-        order = rng.permutation(query.shape[0])
-        permuted = replace(ep, query=query[order], query_labels=query_labels[order])
+        ep = gaussian_episode(rng, rng.normal(0.0, 2.0, size=(n_way, m)), k_shot, queries, unlabeled)
+        order = rng.permutation(ep.query.shape[0])
+        permuted = replace(ep, query=ep.query[order], query_labels=ep.query_labels[order])
         # Whitened to its full rank, n - 1, a pool of n rows is a regular
         # simplex on which every decision is a tie; stay below it.
         r = min(dim, m, ep.pool.shape[0] - 2)
@@ -715,16 +714,8 @@ class TestClassRelabelling:
         means = rng.normal(0.0, 2.0, size=(n_way, m))
         ids = np.sort(rng.choice(100, size=n_way, replace=False))
         relabel = dict(zip(ids.tolist(), rng.permutation(ids).tolist()))
-
-        def draw(per_class):
-            index = np.repeat(np.arange(n_way), per_class)
-            return means[index] + rng.normal(size=(index.size, m)), ids[index]
-
-        support, support_labels = draw(k_shot)
-        query, query_labels = draw(queries)
-        pool_extra, pool_labels = draw(unlabeled)
-        ep = Episode(support, support_labels, query, query_labels, pool_extra, pool_labels, ids.tolist())
-        relabelled = replace(ep, support_labels=np.array([relabel[c] for c in support_labels.tolist()]))
+        ep = gaussian_episode(rng, means, k_shot, queries, unlabeled, ids)
+        relabelled = replace(ep, support_labels=np.array([relabel[c] for c in ep.support_labels.tolist()]))
         for pipe in head_pipelines():
             before = evaluate_episode(ep, pipe, seed=(seed, 0))
             after = evaluate_episode(relabelled, pipe, seed=(seed, 0))

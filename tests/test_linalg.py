@@ -50,6 +50,10 @@ class TestSymEig:
         with pytest.raises(ValueError, match="square"):
             sym_eig(np.ones((2, 3)))
 
+    def test_empty_matrix_returns_empty_arrays(self):
+        evals, evecs = sym_eig(np.zeros((0, 0)))
+        assert evals.shape == (0,) and evecs.shape == (0, 0)
+
 
 class TestHelpers:
     def test_pairwise_sqdist_matches_naive(self):

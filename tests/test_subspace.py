@@ -308,9 +308,11 @@ class TestDecompositionRoutes:
         assert fit_pca(X, 3).r == 3
         n = shape[0]
         if n < shape[1]:
-            Xs = wide_pool(3, *shape) * scale  # full rank: the centered pool spans n - 1
-            with pytest.raises(ValueError, match=f"rank deficient: requested {n}, available {n - 1}"):
-                whiten(Xs, n)
+            # Full rank, so the centered pool spans n - 1: too few rows shrink r, they do not raise.
+            Xs = wide_pool(3, *shape) * scale
+            with pytest.warns(NumericalWarning, match=f"n = {n} rows to r = {n - 1} = n - 1"):
+                Z, proj = whiten(Xs, n)
+            assert Z.shape == (n, n - 1) and proj.meta["r_reduced"] == {"requested": n, "used": n - 1}
 
     @pytest.mark.parametrize("route", ["gram", "scatter"])
     def test_small_pool_reduces_or_raises(self, monkeypatch, route):
@@ -318,13 +320,31 @@ class TestDecompositionRoutes:
         assert decomposition_route(monkeypatch, X - X.mean(axis=0)) == route
         p = fit_pca(X, 8)
         assert p.r == 3 and p.meta["r_reduced"] == {"requested": 8, "used": 3}
-        assert PoolDecomposition(X, 8).project("whiten", 8).meta["r_reduced"] == {"requested": 8, "used": 3}
-        with pytest.raises(ValueError, match="rank deficient: requested 8, available 3"):
-            whiten(X, 8)
+        with pytest.warns(NumericalWarning, match="n = 4 rows to r = 3 = n - 1"):
+            assert PoolDecomposition(X, 8).project("whiten", 8).meta["r_reduced"] == {"requested": 8, "used": 3}
+        with pytest.warns(NumericalWarning, match="n = 4 rows to r = 3 = n - 1"):
+            _, w = whiten(X, 8)
+        assert w.r == 3 and w.meta["r_reduced"] == {"requested": 8, "used": 3}
+        # Shrunk to n - 1 = 7, an 8 x 3 pool still spans only 3 directions.
+        with pytest.raises(ValueError, match="rank deficient: requested 7, available 3"):
+            whiten(wide_pool(5, 8, 3), 10)
         with pytest.raises(ValueError, match="rank deficient: requested 100, available 64"):
             fit_pca(wide_pool(5, 805, 64), 100)
         with pytest.raises(ValueError, match="insufficient samples"):
             fit_pca(X[:1], 2)
+
+    @pytest.mark.filterwarnings("ignore::tafssl.linalg.NumericalWarning")
+    @pytest.mark.parametrize("route", ["gram", "scatter"])
+    @pytest.mark.parametrize("r", [3, 10])
+    def test_every_projection_shrinks_a_small_pool_alike(self, monkeypatch, r, route):
+        for n in range(2, r + 3):
+            X = wide_pool(8, n, {"gram": 64, "scatter": n}[route])
+            assert decomposition_route(monkeypatch, X - X.mean(axis=0)) == route
+            Z, white = whiten(X, r)
+            fits = [fit_pca(X, r), white, fit_ica(X, r)] + [PoolDecomposition(X, r).project(kind, r) for kind in ("pca", "whiten")]
+            reduced = {"requested": r, "used": n - 1} if n <= r else None
+            assert [(p.r, p.meta.get("r_reduced")) for p in fits] == [(min(r, n - 1), reduced)] * len(fits)
+            assert Z.tobytes() == white.apply(X).tobytes()
 
 
 class TestSimplexWarning:
