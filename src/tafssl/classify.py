@@ -14,12 +14,11 @@ neither the pool nor the seed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from tafssl.linalg import NumericalWarning, as_matrix, pairwise_sqdist, softmax_rows
+from tafssl.linalg import as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
 
 __all__ = [
     "Prototypes",
@@ -83,7 +82,7 @@ def l2_normalize_rows(X: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     zero = norms[:, 0] == 0.0
     if zero.any():
-        warnings.warn(f"{int(zero.sum())} zero-norm row(s) left unnormalized", NumericalWarning, stacklevel=2)
+        warn_numerical(f"{int(zero.sum())} zero-norm row(s) left unnormalized")
     return np.divide(X, norms, out=X.copy(), where=norms > 0)
 
 

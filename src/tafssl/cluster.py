@@ -20,13 +20,12 @@ queries, pool, seed) -> predictions``, and the defaults below.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from tafssl.classify import Prototypes, build_prototypes, nn_classify
-from tafssl.linalg import NumericalWarning, as_matrix, pairwise_sqdist, row_max, softmax_rows
+from tafssl.linalg import as_matrix, pairwise_sqdist, row_max, softmax_rows, warn_numerical
 
 __all__ = ["Clustering", "MspResult", "bkm", "bkm_from_centroids", "bkm_predict", "kmeans", "msp", "msp_predict"]
 
@@ -77,12 +76,15 @@ def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator, x_sq: 
 
 
 def kmeans(pool, k: int, seed: int = 0) -> Clustering:
-    """Hard Lloyd iterations to an assignment fixpoint (at most 100 rounds).
+    """Hard Lloyd iterations to an assignment fixpoint (at most 100 rounds),
+    from greedy farthest-point seeding.
 
     If the pool has fewer than ``k`` distinct rows, seeding stops at distinct
-    rows, k is reduced to their count and the reduction recorded in ``meta``.
-    A cluster that no pool row is nearest to keeps its centroid for that
-    round.
+    rows, k is reduced to their count and the reduction recorded as
+    ``meta["k_reduced"] = {"requested": k, "used": ...}``.  A cluster that no
+    pool row is nearest to keeps its centroid for that round, as an MSP
+    round with K = 0 keeps its prototypes.  It is not re-seeded: a re-seed
+    put two clusters that emptied in the same round on the same row.
     """
     pool = as_matrix(pool, "pool")
     if pool.shape[0] < 1:
@@ -150,11 +152,7 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
 
     degenerate = denom <= 0.0
     if degenerate.any():
-        warnings.warn(
-            f"{int(degenerate.sum())} degenerate cluster denominator(s); using uniform class mix",
-            NumericalWarning,
-            stacklevel=2,
-        )
+        warn_numerical(f"{int(degenerate.sum())} degenerate cluster denominator(s); using uniform class mix")
         numer[np.broadcast_to(degenerate[:, None, :], numer.shape)] = 1.0
         denom = np.where(degenerate, float(len(class_ids)), denom)
 
@@ -167,8 +165,10 @@ def bkm(support, support_labels, queries, pool, k: int = BKM_DEFAULT_CLUSTERS, s
     """Bayesian k-means posteriors: cluster the pool, then marginalize.
 
     ``pool`` is the episode's full sample set (support + queries, or support
-    + unlabeled).  Returns a queries x classes posterior matrix whose rows
-    sum to one; predictions are the row argmax.
+    + unlabeled).  Only the supports and queries are soft-assigned to the
+    centroids (:func:`bkm_from_centroids`); the pool's own soft assignment
+    is never computed.  Returns a queries x classes posterior matrix whose
+    rows sum to one; predictions are the row argmax.
     """
     clustering = kmeans(pool, k, seed)
     return bkm_from_centroids(support, support_labels, queries, clustering.centroids)

@@ -31,7 +31,8 @@ __all__ = [
 # CLI method name -> (projection, inference head).  ``ica-*`` whitens:
 # FastICA's unmixing only rotates the whitened pool (Hyvarinen & Oja 2000),
 # and every head decides from distances and means, which no rotation changes.
-# A head is named after its projection-free method, ``_`` for ``-``.
+# A head that is not rotation-invariant would need a projection kind of its
+# own.  A head is named after its projection-free method, ``_`` for ``-``.
 METHODS = {
     "nn": ("none", nn),
     "sub": ("none", sub),
@@ -211,7 +212,9 @@ def parse_config_file(path) -> dict:
 
 def read_mixture_file(path) -> FeatureStore:
     """Build a synthetic store from a mixture config file: the MoGSpec fields
-    plus the store's ``classes``, ``per_class`` and ``seed``."""
+    plus the store's ``classes``, ``per_class`` and ``seed``.  A bad line
+    fails naming ``path:line``; a missing key, or a value out of range,
+    fails naming the file and the key."""
     raw = _read_key_values(path, {**field_parsers(MoGSpec), "classes": int, "per_class": int, "seed": int})
     required = [f.name for f in fields(MoGSpec) if f.default is MISSING] + ["classes", "per_class"]
     for key in required:

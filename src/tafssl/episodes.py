@@ -52,8 +52,11 @@ class FeatureStore:
     (as the feature loaders give them), float64 otherwise.  Episodes are
     float64 either way; :func:`sample_episode` widens the rows it gathers.
     The stores the library builds (:func:`generate_mog_store`, the binary
-    loader) keep every class in one buffer; each class array is a row view
-    of it."""
+    loader) keep every class in one C-contiguous (total rows, m) buffer, in
+    class insertion order; each class array is a row view of it.  The CSV
+    loader gives each class an array of its own, and a store built by hand
+    keeps the arrays it is given when they already have the store's
+    dtype."""
 
     classes: dict[int, np.ndarray]
 
@@ -126,7 +129,8 @@ class EpisodeSpec:
     def check_store(self, store: FeatureStore) -> None:
         """Raise ValueError unless ``store`` can supply every episode of this
         shape: enough classes for the task and distractor classes, and enough
-        rows in its smallest class, since any class may be a task class."""
+        rows in its smallest class for the largest ``unbalanced_r`` draw,
+        since any class may be a task class."""
         needed, classes = self.ways + self.distractors, len(store.classes)
         if needed > classes:
             raise ValueError(f"ways + distractors = {needed}, but the store has {classes} classes")
@@ -151,9 +155,10 @@ class Episode:
 
     @cached_property
     def pool(self) -> np.ndarray:
-        """Support rows, then queries (transductive) or unlabeled rows (semi).
-        A sampled episode's sets are row views of this buffer; any other
-        episode (``dataclasses.replace`` too) stacks its own on first read."""
+        """Support rows, class by class, then the queries (transductive) or
+        the unlabeled rows, task classes then distractors (semi).  A sampled
+        episode's sets are row views of this buffer; any other episode
+        (``dataclasses.replace`` too) stacks its own on first read."""
         rest = self.query if self.unlabeled.shape[0] == 0 else self.unlabeled
         return np.vstack([self.support, rest])
 

@@ -32,12 +32,30 @@ CLASS_HEADER = struct.Struct("<II")
 
 
 def save_features(store: FeatureStore, path) -> None:
-    """Write a store to ``path``; values are quantized to float32."""
+    """Write a store to ``path``; values are quantized to float32.
+
+    Every class is quantized before the file is opened, so a value outside
+    float32's range raises ``value out of float32 range in class c, row r``
+    (r counted within the class) in either format and leaves no file."""
     path = Path(path)
+    for cid in sorted(store.classes):  # the writers cast again: one class's copy is held at a time
+        _float32_rows(store, cid)
     if path.suffix.lower() == ".csv":
         _save_csv(store, path)
     else:
         _save_binary(store, path)
+
+
+def _float32_rows(store: FeatureStore, cid: int) -> np.ndarray:
+    """Class ``cid`` as contiguous little-endian float32; raises if a finite
+    value overflows to an infinity there, which no loader would accept."""
+    X = np.asarray(store.classes[cid])
+    with np.errstate(over="ignore"):
+        X32 = np.ascontiguousarray(X, dtype="<f4")
+    overflow = np.isinf(X32) & np.isfinite(X)
+    if overflow.any():
+        raise ValueError(f"value out of float32 range in class {cid}, row {int(np.argmax(overflow.any(axis=1)))}")
+    return X32
 
 
 def load_features(path) -> FeatureStore:
@@ -57,7 +75,7 @@ def _save_binary(store: FeatureStore, path: Path) -> None:
     with open(path, "wb") as f:
         f.write(HEADER.pack(MAGIC, VERSION, store.m, len(ids)))
         for cid in ids:
-            X = np.ascontiguousarray(store.classes[cid], dtype="<f4")
+            X = _float32_rows(store, cid)
             f.write(CLASS_HEADER.pack(cid, X.shape[0]))
             f.write(X.tobytes())
 
@@ -66,8 +84,12 @@ def _load_binary(path: Path) -> FeatureStore:
     """Two passes over the file.  The first reads the headers, seeking past
     every payload, and checks the sizes against the file size; the second
     reads each class's float32 payload straight into that class's rows of
-    the store's single float32 buffer.  ``FeatureStore`` then checks the
-    values for finiteness."""
+    the store's single float32 buffer, with no staging buffer and no
+    widening copy, so peak memory is the store, about the size of the file.
+    ``FeatureStore`` then checks the values for finiteness.  Every
+    structural check runs before any payload is read, so a file with both a
+    structural fault (truncation, trailing data, a duplicate class id) and a
+    non-finite value reports the structural fault."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size < HEADER.size:
@@ -112,7 +134,7 @@ def _save_csv(store: FeatureStore, path: Path) -> None:
         writer = csv.writer(f)
         writer.writerow(["label"] + [f"f{j}" for j in range(store.m)])
         for cid in sorted(store.classes):
-            for row in store.classes[cid].astype(np.float32):
+            for row in _float32_rows(store, cid):
                 writer.writerow([cid] + [str(v) for v in row])
 
 

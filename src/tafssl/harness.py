@@ -83,8 +83,10 @@ class EpisodeProjections:
     not project, otherwise the sets mapped into its subspace.  The first
     pipeline that projects decomposes the pool, to the largest r any of
     ``pipelines`` asks for, and centers each set once: S, and Q in
-    transductive mode, are row slices of the centered pool.  A (projection,
-    r) view is then one product per set, shared by every pipeline using it.
+    transductive mode, are row slices of the centered pool, and semi-mode Q
+    is centered on the pool mean.  A (projection, r) view is then one
+    product per set, shared by every pipeline using it (``pca-nn`` and
+    ``pca-bkm`` share one).
     """
 
     def __init__(self, episode: Episode, pipelines):
@@ -198,9 +200,10 @@ def run_ablation(config: BenchmarkConfig, store: FeatureStore | None = None) -> 
     alone), so cross-method comparisons are paired, and sweep values share
     classes and supports where the protocol permits (notably the unbalance
     sweep, whose query sets are nested).  Every value runs on one BLAS
-    thread, and in one pool of at most ``episodes`` workers when
-    ``workers`` > 1; the process's BLAS thread count is restored when the
-    run ends.
+    thread (:func:`single_blas_thread`), and in one pool, shared by every
+    value, of at most ``episodes`` workers when ``workers`` > 1, so a run of
+    one episode starts none.  The process's BLAS thread count is restored
+    when the run ends.
     """
     rows = config.table()
     if store is None:

@@ -18,6 +18,7 @@ import ctypes
 import functools
 import glob
 import os
+import sys
 import warnings
 from contextlib import contextmanager
 
@@ -38,6 +39,20 @@ __all__ = [
 
 class NumericalWarning(UserWarning):
     """Degenerate numerical input handled by a documented fallback."""
+
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def warn_numerical(message: str) -> None:
+    """Issue a :class:`NumericalWarning` at the caller's line: the first
+    frame outside this package, however deep in it the fallback ran.
+    Python reports a warning once per location, so a fixed ``stacklevel``
+    that lands inside the package would show it once per process."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, NumericalWarning, stacklevel=level)
 
 
 def as_matrix(x, name: str = "matrix", dtype=np.float64) -> np.ndarray:
@@ -112,8 +127,9 @@ def row_max(X: np.ndarray) -> np.ndarray:
     copy down its columns runs across all rows at once (805 x 5 on a 2-CPU
     x86 host, numpy 2.4: 7 us against 56 us).  A max does not round, so the
     order changes no value.  Row sums
-    get no such helper: numpy's summation order depends on the row length,
-    so a transposed sum is not bit-identical for every width.
+    get no such helper: numpy's summation order depends on the row length
+    (it changes at 8 columns), so a transposed sum is not bit-identical for
+    every width.
     """
     return np.ascontiguousarray(X.T).max(axis=0)
 
@@ -196,9 +212,10 @@ def single_blas_thread():
     exit, also when the block raises.
 
     On the small matrices of an episode, a second BLAS thread only spins
-    beside the first, and in a process pool it competes with the other
-    workers.  Without a controllable OpenBLAS the block runs unchanged, with
-    a :class:`BlasThreadWarning`.
+    beside the first, doubling the CPU time per episode, and in a process
+    pool it competes with the other workers, which made two workers slower
+    than one.  Without a controllable OpenBLAS the block runs unchanged,
+    with a :class:`BlasThreadWarning`; results do not depend on it.
     """
     previous = set_blas_threads(1)
     if previous is None:

@@ -9,19 +9,19 @@ subspace where classification happens.
 Every projection of a pool derives from one decomposition of it
 (:class:`PoolDecomposition`): ``eigh`` of the smaller of the pool's two
 squared matrices, the n x n Gram matrix when it has more columns m than
-rows n, the m x m scatter matrix otherwise.
+rows n, the m x m scatter matrix otherwise.  No projection takes an SVD; a
+thin SVD is only the tests' oracle for the decomposition.
 
 Dimension defaults: 4 components for PCA, 10 for ICA.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from tafssl.linalg import NumericalWarning, as_matrix, flip_signs
+from tafssl.linalg import as_matrix, flip_signs, warn_numerical
 
 __all__ = [
     "ICA_DEFAULT_DIM",
@@ -128,7 +128,9 @@ class PoolDecomposition:
         A pool of n rows spans at most n - 1 centered directions, so on a
         pool of n <= r rows the projection has r = n - 1 and records the
         reduction in ``meta["r_reduced"]`` rather than failing the episode.
-        Raises when fewer eigenvalues than that ``r`` are non-zero.
+        Raises when fewer eigenvalues than that ``r`` are non-zero.  A
+        whitening to r = n - 1 warns (:class:`NumericalWarning`); a PCA
+        projection to r = n - 1 does not.
         """
         if kind not in ("pca", "whiten"):
             raise ValueError(f"unknown projection {kind!r}; choose from pca, whiten")
@@ -147,11 +149,9 @@ class PoolDecomposition:
         if kind == "whiten" and r == n - 1:
             # n rows span n - 1 centered directions; whitened to all of them
             # they sit pairwise equidistant, so distances there decide nothing.
-            warnings.warn(
+            warn_numerical(
                 f"whitening a pool of n = {n} rows to r = {r} = n - 1 dimensions makes it a regular "
-                "simplex; distance-based decisions there are rounding noise",
-                NumericalWarning,
-                stacklevel=2,
+                "simplex; distance-based decisions there are rounding noise"
             )
         evals = self.eigenvalues[:r]
         W = self.axes[:r] / np.sqrt(evals)[:, None] if kind == "whiten" else self.axes[:r].copy()
@@ -166,7 +166,9 @@ def whiten(X, r: int) -> tuple[np.ndarray, SubspaceProjection]:
     pairwise covariance.  On a pool of n <= r rows ``r`` shrinks to n - 1
     as in :meth:`PoolDecomposition.project`.  Raises when fewer eigenvalues
     than that ``r`` exceed ``RANK_EPS`` times the largest; the cut is
-    relative, so whether it raises does not depend on the units of ``X``.
+    relative, so whether it raises does not depend on the units of ``X``:
+    scaling ``X`` by c divides ``W`` by c and leaves the output unchanged up
+    to rounding.
     """
     d = PoolDecomposition(X, r)
     proj = d.project("whiten", r)

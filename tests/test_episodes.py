@@ -154,8 +154,9 @@ class TestSampleEpisode:
             assert np.array_equal(a, b[: len(a)])
 
 
-def parent_generate_mog_store(spec, n_classes, per_class, seed=0):
-    """The generator as it was before it filled one shared buffer: the oracle."""
+def _ref_generate_mog_store(spec, n_classes, per_class, seed=0):
+    """The generator in its plainest form, one array per class: the oracle
+    for the draws and values of the one-buffer generator."""
     rng = np.random.default_rng(seed)
     s = spec.signal_dims
     class_means = rng.normal(0.0, spec.sigma_between, size=(n_classes, s))
@@ -186,7 +187,7 @@ class TestMoGGenerator:
     )
     def test_matches_parent_generator_bit_for_bit(self, spec, n_classes, per_class, seed):
         store, means = generate_mog_store(spec, n_classes, per_class, seed, return_class_means=True)
-        expected, expected_means = parent_generate_mog_store(spec, n_classes, per_class, seed)
+        expected, expected_means = _ref_generate_mog_store(spec, n_classes, per_class, seed)
         assert means.tobytes() == expected_means.tobytes()
         assert list(store.classes) == list(expected.classes)
         for cid, X in expected.classes.items():

@@ -23,8 +23,10 @@ def stores_equal(a: FeatureStore, b: FeatureStore) -> bool:
     return all(np.array_equal(a.classes[c], b.classes[c]) for c in a.classes)
 
 
-def parent_load_binary(path):
-    """The binary loader as it was before the staging buffer: the oracle."""
+def _ref_load_binary(path):
+    """The binary loader in its plainest form, one pass over the whole file
+    that checks each class's values as it reads them: the oracle for the
+    two-pass loader's values and messages."""
     blob = path.read_bytes()
     if len(blob) < HEADER.size:
         raise ValueError(f"truncated file: expected at least {HEADER.size} header bytes, got {len(blob)}")
@@ -101,7 +103,7 @@ class TestBinaryLoaderMatchesParent:
     def test_values_dtype_shapes_and_order(self, name, tmp_path):
         path = tmp_path / "a.feats"
         path.write_bytes(VALID_FILES[name])
-        store, expected = load_features(path), parent_load_binary(path)
+        store, expected = load_features(path), _ref_load_binary(path)
         assert list(store.classes) == list(expected.classes)
         for cid, X in expected.classes.items():
             got = store.classes[cid]
@@ -127,7 +129,7 @@ class TestBinaryLoaderMatchesParent:
         path = tmp_path / "a.feats"
         path.write_bytes(FAULTY_FILES[name])
         with pytest.raises(ValueError) as expected:
-            parent_load_binary(path)
+            _ref_load_binary(path)
         with pytest.raises(ValueError) as got:
             load_features(path)
         assert str(got.value) == str(expected.value)
@@ -142,12 +144,12 @@ class TestBinaryLoaderMatchesParent:
         ids=["trailing", "duplicate", "truncated"],
     )
     def test_structural_errors_come_before_non_finite_values(self, blob, message, tmp_path):
-        # The parent checked each class's values as it went, so it named the
-        # NaN in class 0; every structural check now runs before any payload is read.
+        # The oracle checks each class's values as it goes, so it names the
+        # NaN in class 0; the loader runs every structural check before any payload is read.
         path = tmp_path / "a.feats"
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="non-finite value in class 0, row 0"):
-            parent_load_binary(path)
+            _ref_load_binary(path)
         with pytest.raises(ValueError, match=message):
             load_features(path)
 
@@ -300,6 +302,30 @@ class TestNonFiniteMessage:
             with pytest.raises(ValueError) as err:
                 make()
             assert str(err.value) == "non-finite value in class 3, row 5", name
+
+
+class TestSaveOutOfFloat32Range:
+    """A float64 value beyond float32's range would be written as an
+    infinity that no loader accepts; the save refuses it instead."""
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_every_format_raises_the_same_message_and_writes_nothing(self, value, tmp_path):
+        rows64 = rows(0, 4, 3).astype(np.float64)
+        bad = rows64.copy()
+        bad[2, 1] = value
+        store = FeatureStore(classes={1: rows64, 5: bad, 0: np.full((2, 3), 3e38)})
+        for name in ("a.feats", "a.csv"):
+            path = tmp_path / name
+            with pytest.raises(ValueError) as err:
+                save_features(store, path)
+            assert str(err.value) == "value out of float32 range in class 5, row 2", name
+            assert not path.exists(), name
+
+    def test_the_largest_float32_values_still_save(self, tmp_path):
+        store = FeatureStore(classes={0: EXTREMES.astype(np.float64), 1: np.ones((1, EXTREMES.shape[1]))})
+        for name in ("a.feats", "a.csv"):
+            save_features(store, tmp_path / name)
+            assert load_features(tmp_path / name).classes[0].tobytes() == EXTREMES.tobytes(), name
 
 
 class TestCsv:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from tafssl import linalg
+from tafssl.classify import sub
+from tafssl.cluster import bkm
 from tafssl.linalg import (
     BlasThreadWarning,
+    NumericalWarning,
     as_matrix,
     blas_threads,
     pairwise_sqdist,
@@ -15,6 +18,7 @@ from tafssl.linalg import (
     softmax_rows,
     sym_eig,
 )
+from tafssl.subspace import PoolDecomposition, fit_ica, whiten
 
 
 class TestSymEig:
@@ -90,9 +94,9 @@ class TestHelpers:
             as_matrix(X, "pool")
 
 
-# softmax_rows as it stood before its row max moved to row_max.  Kept
-# verbatim as the oracle the rewrite must match bit for bit.
-def _parent_softmax_rows(logits):
+# softmax_rows in its plainest form, with numpy's own row max: the oracle
+# that softmax_rows (through row_max) must match bit for bit.
+def _ref_softmax_rows(logits):
     logits = np.asarray(logits, dtype=np.float64)
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -101,7 +105,7 @@ def _parent_softmax_rows(logits):
 
 class TestRowMax:
     """row_max is X.max(axis=1), and softmax_rows is bit-identical to the
-    parent above, at the pool shapes the heads see and at widths on both
+    reference above, at the pool shapes the heads see and at widths on both
     sides of numpy's 8-column summation change."""
 
     @pytest.mark.parametrize("n, m", [(805, 64), (805, 4), (80, 1024), (80, 10)])
@@ -112,7 +116,7 @@ class TestRowMax:
         for scale in (0.1, 1.0, 30.0):  # at 30 most rows underflow to one-hot
             logits = -pairwise_sqdist(scale * pool, scale * pool[rng.integers(n, size=width)])
             assert np.array_equal(row_max(logits), logits.max(axis=1))
-            assert np.array_equal(softmax_rows(logits), _parent_softmax_rows(logits))
+            assert np.array_equal(softmax_rows(logits), _ref_softmax_rows(logits))
 
     def test_ties_zeros_and_infinities(self):
         X = np.array(
@@ -126,7 +130,7 @@ class TestRowMax:
         for width in range(1, X.shape[1] + 1):
             assert np.array_equal(row_max(X[:, :width]), X[:, :width].max(axis=1))
         logits = X[:3]
-        assert np.array_equal(softmax_rows(logits), _parent_softmax_rows(logits))
+        assert np.array_equal(softmax_rows(logits), _ref_softmax_rows(logits))
 
     def test_no_rows(self):
         assert row_max(np.empty((0, 5))).shape == (0,)
@@ -140,6 +144,26 @@ def test_numpy_floating_point_warnings_fail_tests():
         np.log(np.array([0.0]))
     with pytest.raises(RuntimeWarning, match="invalid value encountered"):
         np.sqrt(np.array([-1.0]))
+
+
+SIMPLEX_POOL = np.random.default_rng(3).standard_normal((5, 10))
+WARNING_CALLS = {
+    "whiten": (lambda: whiten(SIMPLEX_POOL, 4), "regular simplex"),
+    "fit_ica": (lambda: fit_ica(SIMPLEX_POOL, 4), "regular simplex"),
+    "project": (lambda: PoolDecomposition(SIMPLEX_POOL, 4).project("whiten", 4), "regular simplex"),
+    # The pool row at 1000 gets a cluster of its own, which no support reaches.
+    "bkm": (lambda: bkm([[0.0], [1.0]], [0, 1], [[0.5]], [[0.0], [1.0], [0.5], [1000.0]], k=2), "degenerate"),
+    # The query is the joint mean, so it centers to a zero row.
+    "sub": (lambda: sub(np.array([[1.0, 0.0], [-1.0, 0.0]]), [0, 1], np.array([[0.0, 0.0]]), None, 0), "zero-norm"),
+}
+
+
+@pytest.mark.parametrize("name", WARNING_CALLS)
+def test_a_numerical_warning_points_at_the_callers_line(name):
+    call, match = WARNING_CALLS[name]
+    with pytest.warns(NumericalWarning, match=match) as caught:
+        call()
+    assert [w.filename for w in caught] == [__file__]
 
 
 class TestSingleBlasThread:
