@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tafssl.linalg import as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
+from tafssl.linalg import as_matrix, check_widths, pairwise_sqdist, softmax_rows, warn_numerical
 
 __all__ = [
     "Prototypes",
@@ -50,12 +50,10 @@ def build_prototypes(support, labels) -> Prototypes:
     labels = np.asarray(labels)
     if labels.shape[0] != support.shape[0]:
         raise ValueError("labels length must match support rows")
-    class_ids, counts = np.unique(labels, return_counts=True)
-    # Rows grouped by class, in row order: each run averages as its boolean-mask selection.
-    grouped = support[np.argsort(labels, kind="stable")]
+    class_ids = np.unique(labels)
     vectors = np.empty((len(class_ids), support.shape[1]))
-    for i, (count, end) in enumerate(zip(counts, np.cumsum(counts))):
-        vectors[i] = grouped[end - count : end].mean(axis=0)
+    for i, c in enumerate(class_ids):
+        vectors[i] = support[labels == c].mean(axis=0)
     return Prototypes(vectors=vectors, class_ids=class_ids)
 
 
@@ -68,11 +66,7 @@ def nn_classify(queries, prototypes: Prototypes) -> tuple[np.ndarray, np.ndarray
     posterior row equals the nearest-prototype decision.
     """
     queries = as_matrix(queries, "queries")
-    if queries.shape[1] != prototypes.vectors.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: queries have {queries.shape[1]} columns, "
-            f"prototypes have {prototypes.vectors.shape[1]}"
-        )
+    check_widths(queries=queries, prototypes=prototypes.vectors)
     sq = pairwise_sqdist(queries, prototypes.vectors)
     return prototypes.class_ids[np.argmin(sq, axis=1)], softmax_rows(-sq)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tafssl.classify import Prototypes, build_prototypes, nn_classify
-from tafssl.linalg import as_matrix, pairwise_sqdist, row_max, softmax_rows, warn_numerical
+from tafssl.linalg import as_matrix, check_widths, pairwise_sqdist, softmax_rows, warn_numerical
 
 __all__ = ["Clustering", "MspResult", "bkm", "bkm_from_centroids", "bkm_predict", "kmeans", "msp", "msp_predict"]
 
@@ -129,10 +129,11 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
     support = as_matrix(support, "support")
     queries = as_matrix(queries, "queries")
     centroids = as_matrix(centroids, "centroids")
+    check_widths(support=support, queries=queries, centroids=centroids)
     labels = np.asarray(support_labels)
     if labels.shape[0] != support.shape[0]:
         raise ValueError("labels length must match support rows")
-    class_ids, counts = np.unique(labels, return_counts=True)
+    class_ids = np.unique(labels)
 
     q_sq = (queries * queries).sum(axis=1)
     member_q = softmax_rows(-pairwise_sqdist(queries, centroids, q_sq))  # queries x k
@@ -141,13 +142,10 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
     # Support affinities exp(-d^2), max-subtracted per query; the common
     # factor cancels in the conditional ratio so this is exact.
     neg_sq = -pairwise_sqdist(queries, support, q_sq)
-    affinity = np.exp(neg_sq - row_max(neg_sq)[:, None])  # queries x supports
+    affinity = np.exp(neg_sq - neg_sq.max(axis=1, keepdims=True))  # queries x supports
 
     denom = affinity @ member_s  # queries x k
-    # Supports grouped by class, in row order: each slice is its class's boolean-mask selection.
-    order = np.argsort(labels, kind="stable")
-    affinity, member_s, ends = affinity[:, order], member_s[order], np.cumsum(counts)
-    numer = np.stack([affinity[:, e - c : e] @ member_s[e - c : e] for c, e in zip(counts, ends)], axis=1)
+    numer = np.stack([affinity[:, labels == c] @ member_s[labels == c] for c in class_ids], axis=1)
     # queries x classes x k
 
     degenerate = denom <= 0.0
@@ -170,6 +168,8 @@ def bkm(support, support_labels, queries, pool, k: int = BKM_DEFAULT_CLUSTERS, s
     is never computed.  Returns a queries x classes posterior matrix whose
     rows sum to one; predictions are the row argmax.
     """
+    support, queries, pool = as_matrix(support, "support"), as_matrix(queries, "queries"), as_matrix(pool, "pool")
+    check_widths(support=support, queries=queries, pool=pool)
     clustering = kmeans(pool, k, seed)
     return bkm_from_centroids(support, support_labels, queries, clustering.centroids)
 
@@ -217,6 +217,7 @@ def msp(
     support = as_matrix(support, "support")
     queries = as_matrix(queries, "queries")
     pool = as_matrix(pool, "pool")
+    check_widths(support=support, queries=queries, pool=pool)
     protos = build_prototypes(support, support_labels)
     vectors = protos.vectors
     n_classes = protos.n

@@ -30,7 +30,6 @@ __all__ = [
     "as_matrix",
     "blas_threads",
     "pairwise_sqdist",
-    "row_max",
     "set_blas_threads",
     "single_blas_thread",
     "softmax_rows",
@@ -67,6 +66,15 @@ def as_matrix(x, name: str = "matrix", dtype=np.float64) -> np.ndarray:
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ValueError(f"non-finite value in {name}, row {row}")
     return X
+
+
+def check_widths(**sets: np.ndarray) -> None:
+    """Raise a ValueError if the 2-D ``sets`` differ in width, naming the
+    first set and the first that differs from it."""
+    (first, A), *rest = sets.items()
+    for name, B in rest:
+        if B.shape[1] != A.shape[1]:
+            raise ValueError(f"dimension mismatch: {A.shape[1]} columns in {first}, {B.shape[1]} in {name}")
 
 
 def sym_eig(C) -> tuple[np.ndarray, np.ndarray]:
@@ -120,24 +128,14 @@ def pairwise_sqdist(A: np.ndarray, B: np.ndarray, a_sq: np.ndarray | None = None
     return np.maximum(sq, 0.0)
 
 
-def row_max(X: np.ndarray) -> np.ndarray:
-    """The maximum of each row of ``X``, equal to ``X.max(axis=1)``.
-
-    numpy reduces a short row one row at a time; reducing the transposed
-    copy down its columns runs across all rows at once (805 x 5 on a 2-CPU
-    x86 host, numpy 2.4: 7 us against 56 us).  A max does not round, so the
-    order changes no value.  Row sums
-    get no such helper: numpy's summation order depends on the row length
-    (it changes at 8 columns), so a transposed sum is not bit-identical for
-    every width.
-    """
-    return np.ascontiguousarray(X.T).max(axis=0)
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for numerical stability."""
+    """Row-wise softmax with max-subtraction for numerical stability, by
+    numpy's plain row max and sum.  A max over the transposed copy is exact
+    and faster on 805 x 5 logits, but no benchmark workload passes more than
+    80 rows, where it gains nothing; a transposed sum is not exact, as
+    numpy's summation order depends on the row length."""
     logits = np.asarray(logits, dtype=np.float64)
-    z = logits - row_max(logits)[:, None]
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 

@@ -34,6 +34,11 @@ class TestBuildPrototypes:
         assert protos.class_ids.tolist() == [0, 1, 2]
         np.testing.assert_allclose(protos.vectors[:, 0], [2.0, 3.0, 1.0])
 
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_labels_of_the_wrong_length_fail(self, n_labels):
+        with pytest.raises(ValueError, match="^labels length must match support rows$"):
+            build_prototypes(np.ones((2, 3)), np.arange(n_labels))
+
     def test_five_shot_concentration(self):
         # Prototype error shrinks like sigma/sqrt(shots); allow a wide margin.
         rng = np.random.default_rng(0)
@@ -184,8 +189,9 @@ class TestCenterAndNormalize:
 
 
 def _ref_build_prototypes(support, labels):
-    """build_prototypes as it stood before its per-class boolean masks were
-    replaced by one stable grouping; the oracle it must match bit for bit."""
+    """build_prototypes in its plainest form, one boolean mask per class: the
+    oracle it must match bit for bit.  The library computes the same masks;
+    this copy stays so that a faster form cannot drift from them unseen."""
     support = np.asarray(support, dtype=np.float64)
     labels = np.asarray(labels)
     class_ids = np.unique(labels)

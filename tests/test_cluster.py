@@ -77,6 +77,10 @@ class TestKmeans:
             got = kmeans(pool, 5, seed=seed)
             assert np.unique(got.centroids, axis=0).shape[0] == got.k
 
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ValueError, match="^empty pool$"):
+            kmeans(np.empty((0, 3)), 2)
+
     @pytest.mark.parametrize("k", [0, -2])
     def test_k_below_one_rejected(self, k):
         pool = np.random.default_rng(4).normal(size=(20, 4))
@@ -155,6 +159,18 @@ class TestBkm:
         with pytest.warns(NumericalWarning, match="degenerate"):
             post = bkm_from_centroids(support, labels, queries, centroids)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "head,third", [(msp, "pool"), (bkm, "pool"), (bkm_from_centroids, "centroids")], ids=["msp", "bkm", "bkm_from_centroids"]
+)
+def test_sets_of_different_widths_are_named(head, third):
+    rng = np.random.default_rng(8)
+    S, y, Q = rng.normal(size=(5, 4)), np.arange(5), rng.normal(size=(10, 4))
+    with pytest.raises(ValueError, match=rf"^dimension mismatch: 4 columns in support, 3 in {third}$"):
+        head(S, y, Q, rng.normal(size=(5, 3)))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 4 columns in support, 3 in queries$"):
+        head(S, y, Q[:, :3], rng.normal(size=(5, 4)))
 
 
 class TestMsp:
@@ -435,9 +451,10 @@ class TestMatchesLoopReference:
         assert self.assert_msp_matches(*sets, threshold=0.9).k_history == [0, 0, 0, 0]
 
 
-# bkm_from_centroids as it stood before the queries' squared norms were
-# shared and the per-class boolean masks replaced by one stable grouping.
-# Kept verbatim as the oracle the rewrite must match bit for bit.
+# bkm_from_centroids in its plainest form: the oracle it must match bit for
+# bit.  The library builds ``numer`` from the same per-class boolean masks
+# and differs only in sharing the queries' squared norms; this copy stays so
+# that a faster form cannot drift from it unseen.
 def _ref_bkm_from_centroids(support, support_labels, queries, centroids):
     support = as_matrix(support, "support")
     queries = as_matrix(queries, "queries")

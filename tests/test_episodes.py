@@ -120,6 +120,10 @@ class TestSampleEpisode:
         with pytest.raises(ValueError, match=f"{setting} must be >= 0"):
             EpisodeSpec(mode="semi", unlabeled=2, **{setting: -1})
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown mode 'x'; choose from transductive, semi$"):
+            EpisodeSpec(mode="x")
+
     def test_insufficient_samples_names_class(self):
         # The sampler applies a run's store rule and message: any class may
         # be a task class, at its worst-case unbalanced query count.
@@ -205,6 +209,20 @@ class TestMoGGenerator:
         with pytest.raises(ValueError, match="feature dimension m must be >= 1, got 0"):
             generate_mog_store(MoGSpec(m=0, signal_dims=0), 5, 4, seed=0)
 
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            ({"signal_dims": -1}, "signal_dims must lie in [0, m]"),
+            ({"signal_dims": 5}, "signal_dims must lie in [0, m]"),
+            ({"rho_signal": -0.1}, "rho_signal must lie in [0, 1]"),
+            ({"rho_signal": 1.5}, "rho_signal must lie in [0, 1]"),
+        ],
+        ids=["signal-below", "signal-above", "rho-below", "rho-above"],
+    )
+    def test_out_of_range_spec_is_rejected(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MoGSpec(**{"m": 4, "signal_dims": 2, **settings})
+
     def test_deterministic(self):
         spec = MoGSpec(m=8, signal_dims=3)
         a = generate_mog_store(spec, 4, 10, seed=3)
@@ -285,6 +303,14 @@ class TestMutualInformation:
     def test_signal_dims_outrank_noise_dims_on_reference(self):
         mi = mutual_information_diagnostic(reference_store(), bins=32)
         assert mi[:8].mean() > mi[8:].mean()
+
+    def test_a_single_label_scores_zero(self):
+        X = np.random.default_rng(2).normal(size=(12, 3))
+        np.testing.assert_array_equal(mutual_information_diagnostic(X, np.full(12, 4)), np.zeros(3))
+
+    def test_labels_of_the_wrong_length_are_rejected(self):
+        with pytest.raises(ValueError, match="^labels length must match feature rows$"):
+            mutual_information_diagnostic(np.ones((4, 1)), [0, 1, 0])
 
     def test_rejects_few_bins(self):
         with pytest.raises(ValueError, match="bins"):

@@ -1,5 +1,6 @@
 """Round-trip and error-contract tests for the feature file formats."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -180,6 +181,12 @@ class TestBinary:
                 loaded.classes[cid], store.classes[cid].astype(np.float32).astype(np.float64)
             )
 
+    def test_a_negative_class_id_is_not_saved(self, tmp_path):
+        p = tmp_path / "a.feats"
+        with pytest.raises(ValueError, match=re.escape("binary format requires class ids in [0, 2^32)")):
+            save_features(FeatureStore(classes={-1: np.ones((2, 3)), 0: np.zeros((2, 3))}), p)
+        assert not p.exists()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.feats"
         p.write_bytes(b"NOPE" + bytes(12))
@@ -344,6 +351,21 @@ class TestCsv:
         p = tmp_path / "a.csv"
         p.write_text("id,f0\n0,1.0\n")
         with pytest.raises(ValueError, match="bad CSV header"):
+            load_features(p)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "empty CSV file"),
+            ("label,f1,f0\n0,1.0,2.0\n", "bad CSV header: feature columns must be f0..f{m-1} in order"),
+            ("label,f0,f1\n", "CSV file has no data rows"),
+        ],
+        ids=["empty", "misordered", "header-only"],
+    )
+    def test_a_malformed_file_names_its_fault(self, tmp_path, text, message):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_features(p)
 
     def test_bad_value_names_line(self, tmp_path):

@@ -163,6 +163,22 @@ class TestConfigValidation:
         assert str(info.value) == f"dim = 8 is set, but no method projects: {method.replace(',', ', ')}"
         BenchmarkConfig(method=f"{method},pca-nn", dim=8).pipelines()
 
+    def test_an_empty_method_list_is_rejected(self):
+        with pytest.raises(ValueError, match="^no method given$"):
+            BenchmarkConfig(method=",").pipelines()
+
+    @pytest.mark.parametrize(
+        "sources,message",
+        [
+            ({"features": "a.feats", "synthetic": "reference"}, "give either --features or --synthetic, not both"),
+            ({}, "no feature source: pass --features <path> or --synthetic <config|reference>"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_load_store_needs_exactly_one_source(self, sources, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_store(BenchmarkConfig(**sources))
+
     def test_repeated_method_checked_before_store_loads(self, tmp_path):
         cfg = BenchmarkConfig(method="nn,pca-nn,nn", features=str(tmp_path / "missing.feats"))
         with pytest.raises(ValueError, match="method 'nn' is given more than once"):

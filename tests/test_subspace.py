@@ -114,6 +114,10 @@ class TestPca:
         assert p.r == 3
         assert p.meta["r_reduced"] == {"requested": 8, "used": 3}
 
+    def test_r_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^r must be >= 1$"):
+            fit_pca(np.random.default_rng(1).normal(size=(10, 4)), 0)
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(9)
         p = fit_pca(rng.standard_normal((10, 4)), 2)
