@@ -88,6 +88,7 @@ def nn(support, support_labels, queries, pool, seed) -> np.ndarray:
 def sub(support, support_labels, queries, pool, seed) -> np.ndarray:
     """The ``sub`` head: :func:`_normalized_nn` after centering support and
     queries on their joint mean."""
+    check_widths(support=np.asarray(support), queries=np.asarray(queries))
     mu = np.vstack([support, queries]).mean(axis=0)
     return _normalized_nn(support - mu, support_labels, queries - mu)
 
@@ -95,6 +96,7 @@ def sub(support, support_labels, queries, pool, seed) -> np.ndarray:
 def sub_star(support, support_labels, queries, pool, seed) -> np.ndarray:
     """The ``sub-star`` head: :func:`_normalized_nn` after centering support
     and queries each on its own mean."""
+    check_widths(support=np.asarray(support), queries=np.asarray(queries))
     return _normalized_nn(support - np.mean(support, axis=0), support_labels, queries - np.mean(queries, axis=0))
 
 

@@ -12,7 +12,8 @@ each episode, scores the query predictions against the held-back labels
 (classifiers never see them), and aggregates per-episode accuracies into a
 mean with a 0.95 normal-approximation confidence interval, then formats or
 writes them.  :func:`run_ablation` is the one driver: it runs every row of
-a table on one BLAS thread and, with ``workers`` > 1, in one pool;
+a table on one BLAS thread and, with ``workers`` > 1, in one pool; only a
+run that starts a pool imports the pool machinery (``multiprocessing``).
 :func:`run_benchmark` is its table of one row.
 
 Determinism contract: (config, seed) fully determines every number in the
@@ -26,7 +27,6 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -202,8 +202,9 @@ def run_ablation(config: BenchmarkConfig, store: FeatureStore | None = None) -> 
     sweep, whose query sets are nested).  Every value runs on one BLAS
     thread (:func:`single_blas_thread`), and in one pool, shared by every
     value, of at most ``episodes`` workers when ``workers`` > 1, so a run of
-    one episode starts none.  The process's BLAS thread count is restored
-    when the run ends.
+    one episode starts none.  Only a run that starts a pool imports the pool
+    machinery.  The process's BLAS thread count is restored when the run
+    ends.
     """
     rows = config.table()
     if store is None:
@@ -213,6 +214,8 @@ def run_ablation(config: BenchmarkConfig, store: FeatureStore | None = None) -> 
 
     table = []
     workers = min(config.workers, config.episodes)  # a worker past the episode count would never get one
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads multiprocessing
     with single_blas_thread(), (
         ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(store,)) if workers > 1 else nullcontext()
     ) as pool:

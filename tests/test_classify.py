@@ -109,6 +109,13 @@ class TestNnClassify:
         with pytest.raises(ValueError, match="dimension mismatch"):
             nn_classify([[1.0]], protos)
 
+    @pytest.mark.parametrize("head", [sub, sub_star])
+    def test_sub_heads_reject_a_dimension_mismatch(self, head, recwarn):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^dimension mismatch: 4 columns in support, 3 in queries$"):
+            head(rng.normal(size=(5, 4)), np.arange(5) % 5, rng.normal(size=(10, 3)), None, 0)
+        assert not recwarn.list
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6))
     def test_posterior_hygiene_fuzz(self, seed):

@@ -22,13 +22,17 @@ from tafssl.config import BenchmarkConfig, field_parsers
 SRC = str(Path(tafssl.__file__).resolve().parents[1])
 
 
-def run_cli(*args):
+def run_python(*args):
     return subprocess.run(
-        [sys.executable, "-m", "tafssl.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "tafssl.cli", *args)
 
 
 @pytest.fixture
@@ -229,3 +233,18 @@ class TestCli:
             assert r.returncode == 0, r.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_a_serial_run_loads_no_process_pool(self):
+        # The last run starts a pool, so the check is seen to find the modules.
+        r = run_python("-c", """
+import sys
+from tafssl import BenchmarkConfig, run_benchmark
+from tafssl.cli import main
+POOL = {"multiprocessing", "concurrent.futures.process"}
+run_benchmark(BenchmarkConfig(method="nn,pca-nn", synthetic="reference", episodes=2))
+assert main(["--synthetic", "reference", "--method", "nn,pca-msp", "--episodes", "2"]) == 0
+assert not POOL & set(sys.modules), sorted(POOL & set(sys.modules))
+assert main(["--synthetic", "reference", "--method", "nn", "--episodes", "2", "--workers", "2"]) == 0
+assert POOL <= set(sys.modules)
+""")
+        assert r.returncode == 0, r.stderr

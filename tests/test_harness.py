@@ -345,8 +345,9 @@ class TestSubBaselines:
 
 @pytest.fixture
 def in_process_pools(monkeypatch):
-    """Replaces the harness's process pool by one that runs its tasks here,
-    starting no process; returns the worker count of each pool started."""
+    """Replaces ``concurrent.futures.ProcessPoolExecutor``, which the harness
+    imports when it starts a pool, by one that runs its tasks here, starting
+    no process; returns the worker count of each pool started."""
     started = []
 
     class InProcessPool:
@@ -363,7 +364,7 @@ def in_process_pools(monkeypatch):
         def map(self, fn, iterable, chunksize):
             return map(fn, iterable)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(harness, "_POOL_STATE", {})
     return started
 
