@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tafssl.classify import Prototypes, build_prototypes, nn_classify
+from tafssl.classify import Prototypes, _class_ids, build_prototypes, nn_classify
 from tafssl.linalg import as_matrix, check_widths, pairwise_sqdist, softmax_rows, warn_numerical
 
 __all__ = ["Clustering", "MspResult", "bkm", "bkm_from_centroids", "bkm_predict", "kmeans", "msp", "msp_predict"]
@@ -131,9 +131,7 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
     centroids = as_matrix(centroids, "centroids")
     check_widths(support=support, queries=queries, centroids=centroids)
     labels = np.asarray(support_labels)
-    if labels.shape[0] != support.shape[0]:
-        raise ValueError("labels length must match support rows")
-    class_ids = np.unique(labels)
+    class_ids = _class_ids(labels, support.shape[0])
 
     q_sq = (queries * queries).sum(axis=1)
     member_q = softmax_rows(-pairwise_sqdist(queries, centroids, q_sq))  # queries x k
@@ -176,7 +174,8 @@ def bkm(support, support_labels, queries, pool, k: int = BKM_DEFAULT_CLUSTERS, s
 
 def bkm_predict(support, support_labels, queries, pool, seed) -> np.ndarray:
     """The ``bkm`` head: each query's most probable class under :func:`bkm`."""
-    return np.unique(support_labels)[np.argmax(bkm(support, support_labels, queries, pool, seed=seed), axis=1)]
+    labels = np.asarray(support_labels)
+    return _class_ids(labels, len(support))[np.argmax(bkm(support, labels, queries, pool, seed=seed), axis=1)]
 
 
 def _nearest_confidence(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,34 @@ class TestBuildPrototypes:
         with pytest.raises(ValueError, match="^labels length must match support rows$"):
             build_prototypes(np.ones((2, 3)), np.arange(n_labels))
 
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ((np.arange(6) % 3)[:, None], r"^labels must be 1-dimensional, got shape \(6, 1\)$"),
+            (np.array([0.0, 1.0, 2.0, np.nan, 1.0, 2.0]), "^labels must not contain NaN$"),
+        ],
+        ids=["2-d", "nan"],
+    )
+    def test_bad_labels_are_named(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            build_prototypes(np.ones((6, 3)), labels)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 20), max_size=30).map(lambda v: np.array(v, dtype=np.int64)),
+            st.lists(st.integers(-(2**40), 2**40), max_size=30).map(lambda v: np.array(v, dtype=np.int64)),
+            st.lists(st.integers(-128, 127), max_size=30).map(lambda v: np.array(v, dtype=np.int8)),
+            st.lists(st.floats(allow_nan=False), max_size=30).map(lambda v: np.array(v, dtype=np.float64)),
+            st.lists(st.text(max_size=3), max_size=30).map(lambda v: np.array(v, dtype=str)),
+            st.just(np.array([])),
+        )
+    )
+    def test_class_ids_equal_np_unique(self, labels):
+        got, expected = classify._class_ids(labels, labels.shape[0]), np.unique(labels)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
     def test_five_shot_concentration(self):
         # Prototype error shrinks like sigma/sqrt(shots); allow a wide margin.
         rng = np.random.default_rng(0)

@@ -248,3 +248,18 @@ assert main(["--synthetic", "reference", "--method", "nn", "--episodes", "2", "-
 assert POOL <= set(sys.modules)
 """)
         assert r.returncode == 0, r.stderr
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy < 2 imports numpy.ma itself")
+    def test_a_run_loads_no_numpy_ma(self):
+        # numpy imports numpy.ma on first use; touching np.ma last shows the check sees it.
+        r = run_python("-c", """
+import sys
+import numpy as np
+from tafssl.cli import main
+assert main(["--synthetic", "reference", "--method", "nn,sub,sub-star,pca-nn,ica-nn,pca-bkm,ica-bkm,pca-msp,ica-msp,bkm,msp", "--episodes", "2", "--shots", "3"]) == 0
+assert main(["--synthetic", "reference", "--mode", "semi", "--unlabeled", "30", "--method", "bkm,msp,pca-bkm,pca-msp", "--episodes", "2"]) == 0
+assert "numpy.ma" not in sys.modules
+np.ma
+assert "numpy.ma" in sys.modules
+""")
+        assert r.returncode == 0, r.stderr

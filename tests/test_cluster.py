@@ -173,6 +173,22 @@ def test_sets_of_different_widths_are_named(head, third):
         head(S, y, Q[:, :3], rng.normal(size=(5, 4)))
 
 
+@pytest.mark.parametrize("head", [msp, bkm, bkm_from_centroids], ids=["msp", "bkm", "bkm_from_centroids"])
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        ((np.arange(6) % 3)[:, None], r"^labels must be 1-dimensional, got shape \(6, 1\)$"),
+        (np.array([0.0, 1.0, 2.0, np.nan, 1.0, 2.0]), "^labels must not contain NaN$"),
+    ],
+    ids=["2-d", "nan"],
+)
+def test_bad_labels_are_named(head, labels, message):
+    rng = np.random.default_rng(9)
+    S, Q = rng.normal(size=(6, 4)), rng.normal(size=(10, 4))
+    with pytest.raises(ValueError, match=message):
+        head(S, labels, Q, np.vstack([S, Q]))
+
+
 class TestMsp:
     def test_negative_iterations_rejected(self):
         pool = np.random.default_rng(4).normal(size=(20, 4))
