@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tafssl.linalg import as_matrix, check_widths, pairwise_sqdist, softmax_rows, warn_numerical
+from tafssl.linalg import as_matrices, as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
 
 __all__ = [
     "Prototypes",
@@ -85,9 +85,8 @@ def nn_classify(queries, prototypes: Prototypes) -> tuple[np.ndarray, np.ndarray
     softmax(-d^2), computed with max-subtraction, so the argmax of each
     posterior row equals the nearest-prototype decision.
     """
-    queries = as_matrix(queries, "queries")
-    check_widths(queries=queries, prototypes=prototypes.vectors)
-    sq = pairwise_sqdist(queries, prototypes.vectors)
+    queries, vectors = as_matrices(queries=queries, prototypes=prototypes.vectors)
+    sq = pairwise_sqdist(queries, vectors)
     return prototypes.class_ids[np.argmin(sq, axis=1)], softmax_rows(-sq)
 
 
@@ -108,7 +107,7 @@ def nn(support, support_labels, queries, pool, seed) -> np.ndarray:
 def sub(support, support_labels, queries, pool, seed) -> np.ndarray:
     """The ``sub`` head: :func:`_normalized_nn` after centering support and
     queries on their joint mean."""
-    check_widths(support=np.asarray(support), queries=np.asarray(queries))
+    support, queries = as_matrices(support=support, queries=queries)
     mu = np.vstack([support, queries]).mean(axis=0)
     return _normalized_nn(support - mu, support_labels, queries - mu)
 
@@ -116,8 +115,8 @@ def sub(support, support_labels, queries, pool, seed) -> np.ndarray:
 def sub_star(support, support_labels, queries, pool, seed) -> np.ndarray:
     """The ``sub-star`` head: :func:`_normalized_nn` after centering support
     and queries each on its own mean."""
-    check_widths(support=np.asarray(support), queries=np.asarray(queries))
-    return _normalized_nn(support - np.mean(support, axis=0), support_labels, queries - np.mean(queries, axis=0))
+    support, queries = as_matrices(support=support, queries=queries)
+    return _normalized_nn(support - support.mean(axis=0), support_labels, queries - queries.mean(axis=0))
 
 
 def _normalized_nn(S, y_s, Q) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tafssl.classify import Prototypes, _class_ids, build_prototypes, nn_classify
-from tafssl.linalg import as_matrix, check_widths, pairwise_sqdist, softmax_rows, warn_numerical
+from tafssl.linalg import as_matrices, as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
 
 __all__ = ["Clustering", "MspResult", "bkm", "bkm_from_centroids", "bkm_predict", "kmeans", "msp", "msp_predict"]
 
@@ -126,10 +126,7 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
     final posterior marginalizes over clusters by the query's own
     memberships.  Rows sum to one.
     """
-    support = as_matrix(support, "support")
-    queries = as_matrix(queries, "queries")
-    centroids = as_matrix(centroids, "centroids")
-    check_widths(support=support, queries=queries, centroids=centroids)
+    support, queries, centroids = as_matrices(support=support, queries=queries, centroids=centroids)
     labels = np.asarray(support_labels)
     class_ids = _class_ids(labels, support.shape[0])
 
@@ -166,8 +163,7 @@ def bkm(support, support_labels, queries, pool, k: int = BKM_DEFAULT_CLUSTERS, s
     is never computed.  Returns a queries x classes posterior matrix whose
     rows sum to one; predictions are the row argmax.
     """
-    support, queries, pool = as_matrix(support, "support"), as_matrix(queries, "queries"), as_matrix(pool, "pool")
-    check_widths(support=support, queries=queries, pool=pool)
+    support, queries, pool = as_matrices(support=support, queries=queries, pool=pool)
     clustering = kmeans(pool, k, seed)
     return bkm_from_centroids(support, support_labels, queries, clustering.centroids)
 
@@ -213,10 +209,7 @@ def msp(
     # make every round K = 0 and msp silently nn.
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    support = as_matrix(support, "support")
-    queries = as_matrix(queries, "queries")
-    pool = as_matrix(pool, "pool")
-    check_widths(support=support, queries=queries, pool=pool)
+    support, queries, pool = as_matrices(support=support, queries=queries, pool=pool)
     protos = build_prototypes(support, support_labels)
     vectors = protos.vectors
     n_classes = protos.n

@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from tafssl.classify import _class_ids
 from tafssl.linalg import as_matrix
 
 __all__ = [
@@ -325,13 +326,14 @@ def mutual_information_diagnostic(features, labels=None, bins: int = 32) -> np.n
         raise ValueError("labels are required unless features is a FeatureStore")
     X = as_matrix(features, "features")
     y = np.asarray(labels)
-    if y.shape[0] != X.shape[0]:
+    if y.ndim == 1 and y.shape[0] != X.shape[0]:
         raise ValueError("labels length must match feature rows")
+    ids = _class_ids(y, X.shape[0])
     if bins < 2:
         raise ValueError("bins must be >= 2")
 
-    _, y_idx = np.unique(y, return_inverse=True)
-    n_labels = y_idx.max() + 1
+    y_idx = np.searchsorted(ids, y)
+    n_labels = len(ids)
     h_label = _entropy(np.bincount(y_idx))
     n = X.shape[0]
 

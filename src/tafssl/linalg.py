@@ -68,22 +68,25 @@ def as_matrix(x, name: str = "matrix", dtype=np.float64) -> np.ndarray:
     return X
 
 
-def check_widths(**sets: np.ndarray) -> None:
-    """Raise a ValueError if the 2-D ``sets`` differ in width, naming the
-    first set and the first that differs from it."""
-    (first, A), *rest = sets.items()
+def as_matrices(**sets) -> list[np.ndarray]:
+    """Validate each of ``sets`` with :func:`as_matrix`, named by its
+    keyword, and return them in order; raise a ValueError if they differ in
+    width, naming the first set and the first that differs from it."""
+    matrices = [as_matrix(x, name) for name, x in sets.items()]
+    (first, A), *rest = zip(sets, matrices)
     for name, B in rest:
         if B.shape[1] != A.shape[1]:
             raise ValueError(f"dimension mismatch: {A.shape[1]} columns in {first}, {B.shape[1]} in {name}")
+    return matrices
 
 
 def sym_eig(C) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as orthonormal columns.  Each
-    eigenvector is flipped so that its largest-magnitude entry is positive,
-    making the output deterministic up to degenerate eigenvalues.
+    Returns ``(eigenvalues, eigenvectors)``, eigenvectors as orthonormal
+    columns, in ``eigh``'s ascending order reversed: eigenvalues descend.
+    Each eigenvector is flipped so that its largest-magnitude entry is
+    positive, making the output deterministic up to degenerate eigenvalues.
 
     Input must be symmetric within 1e-8 (relative to its largest entry);
     it is symmetrized via (C + C^T)/2 before decomposition.  A 0 x 0 input
@@ -98,10 +101,7 @@ def sym_eig(C) -> tuple[np.ndarray, np.ndarray]:
     if float(np.abs(C - C.T).max()) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
     evals, evecs = np.linalg.eigh((C + C.T) / 2.0)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    return evals, flip_signs(evecs)
+    return evals[::-1], flip_signs(evecs[:, ::-1])
 
 
 def flip_signs(V: np.ndarray) -> np.ndarray:

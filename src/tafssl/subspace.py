@@ -7,7 +7,7 @@ a low-dimensional linear map on that pool alone.  The fitted
 subspace where classification happens.
 
 Every projection of a pool derives from one decomposition of it
-(:class:`PoolDecomposition`): ``eigh`` of the smaller of the pool's two
+(:class:`PoolDecomposition`): ``sym_eig`` of the smaller of the pool's two
 squared matrices, the n x n Gram matrix when it has more columns m than
 rows n, the m x m scatter matrix otherwise.  No projection takes an SVD; a
 thin SVD is only the tests' oracle for the decomposition.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tafssl.linalg import as_matrix, flip_signs, warn_numerical
+from tafssl.linalg import as_matrices, as_matrix, flip_signs, sym_eig, warn_numerical
 
 __all__ = [
     "ICA_DEFAULT_DIM",
@@ -69,36 +69,32 @@ class SubspaceProjection:
 
     def apply(self, X) -> np.ndarray:
         """Project rows of ``X`` (shape rows x m) into the subspace."""
-        X = as_matrix(X)
-        if X.shape[1] != self.m:
-            raise ValueError(f"dimension mismatch: projection expects {self.m} columns, got {X.shape[1]}")
-        return (X - self.center) @ self.W.T
+        W, X = as_matrices(projection=self.W, X=X)
+        return (X - self.center) @ W.T
 
 
 def _decompose(Xc: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Return (eigenvalues desc, leading axes as rows) of the centered pool ``Xc``.
 
     The eigenvalues are all min(n, m) eigenvalues of the divisor-n
-    covariance, from ``eigh`` of the smaller squared matrix: the n x n Gram
+    covariance, from ``sym_eig`` of the smaller squared matrix, which is
+    exactly symmetric, so its symmetrization changes nothing: the n x n Gram
     matrix when m > n, with axes ``Xc^T U / s``, else the m x m scatter
-    matrix.  An eigenvalue counts as zero (returned as 0) unless it exceeds
-    ``RANK_EPS`` times the largest: the cut is relative, so a pool's rank
-    does not depend on its units, and it exceeds ``eigh``'s rounding noise
-    (eps * max(n, m) times the largest) while max(n, m) < 450,000.  At most
-    ``r`` sign-fixed axes are returned; the Gram route stops at the last
-    non-zero eigenvalue.
+    matrix, whose eigenvectors are the axes.  An eigenvalue counts as zero
+    (returned as 0) unless it exceeds ``RANK_EPS`` times the largest: the
+    cut is relative, so a pool's rank does not depend on its units, and it
+    exceeds ``eigh``'s rounding noise (eps * max(n, m) times the largest)
+    while max(n, m) < 450,000.  At most ``r`` sign-fixed axes are returned;
+    the Gram route stops at the last non-zero eigenvalue.
     """
     n, m = Xc.shape
     gram = m > n
-    w, V = np.linalg.eigh(Xc @ Xc.T if gram else Xc.T @ Xc)
-    w, V = w[::-1], V[:, ::-1]
+    w, V = sym_eig(Xc @ Xc.T if gram else Xc.T @ Xc)
     w = np.where(w > w[0] * RANK_EPS, w, 0.0)
-    if gram:
-        k = min(r, np.count_nonzero(w))
-        vecs = (Xc.T @ V[:, :k]) / np.sqrt(w[:k])
-    else:
-        vecs = V[:, :r]
-    return w / n, flip_signs(vecs).T
+    if not gram:
+        return w / n, V[:, :r].T
+    k = min(r, np.count_nonzero(w))
+    return w / n, flip_signs((Xc.T @ V[:, :k]) / np.sqrt(w[:k])).T
 
 
 class PoolDecomposition:

@@ -144,6 +144,37 @@ class TestNnClassify:
             head(rng.normal(size=(5, 4)), np.arange(5) % 5, rng.normal(size=(10, 3)), None, 0)
         assert not recwarn.list
 
+    @pytest.mark.parametrize("head", [sub, sub_star])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"support": np.ones(4)}, r"^support must be 2-dimensional, got shape \(4,\)$"),
+            ({"queries": np.ones(4)}, r"^queries must be 2-dimensional, got shape \(4,\)$"),
+            ({"support": np.where(np.arange(20).reshape(5, 4) == 9, np.nan, 1.0)}, "^non-finite value in support, row 2$"),
+            ({"queries": np.where(np.arange(40).reshape(10, 4) == 13, np.inf, 1.0)}, "^non-finite value in queries, row 3$"),
+        ],
+        ids=["1-d-support", "1-d-queries", "nan-support", "inf-queries"],
+    )
+    def test_sub_heads_name_a_bad_set(self, head, bad, message, recwarn):
+        rng = np.random.default_rng(0)
+        sets = {"support": rng.normal(size=(5, 4)), "queries": rng.normal(size=(10, 4))} | bad
+        with pytest.raises(ValueError, match=message):
+            head(sets["support"], np.arange(5), sets["queries"], None, 0)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "vectors,message",
+        [
+            (np.array([0.0, 1.0]), r"^prototypes must be 2-dimensional, got shape \(2,\)$"),
+            (np.array([[0.0, 0.0], [np.nan, 1.0]]), "^non-finite value in prototypes, row 1$"),
+        ],
+        ids=["1-d", "nan"],
+    )
+    def test_hand_built_prototypes_are_checked(self, vectors, message):
+        # Unchecked, a NaN prototype wins every query: argmin picks a NaN distance.
+        with pytest.raises(ValueError, match=message):
+            nn_classify([[5.0, 5.0], [0.1, 0.0]], classify.Prototypes(vectors, np.array([0, 1])))
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6))
     def test_posterior_hygiene_fuzz(self, seed):

@@ -312,6 +312,18 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="^labels length must match feature rows$"):
             mutual_information_diagnostic(np.ones((4, 1)), [0, 1, 0])
 
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ((np.arange(6) % 3)[:, None], r"^labels must be 1-dimensional, got shape \(6, 1\)$"),
+            (np.array([0.0, 1.0, 2.0, np.nan, 1.0, 2.0]), "^labels must not contain NaN$"),
+        ],
+        ids=["2-d", "nan"],
+    )
+    def test_bad_labels_are_named(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            mutual_information_diagnostic(np.arange(12.0).reshape(6, 2), labels)
+
     def test_rejects_few_bins(self):
         with pytest.raises(ValueError, match="bins"):
             mutual_information_diagnostic(np.ones((4, 1)), [0, 0, 1, 1], bins=1)

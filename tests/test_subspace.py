@@ -121,7 +121,7 @@ class TestPca:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(9)
         p = fit_pca(rng.standard_normal((10, 4)), 2)
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match="^dimension mismatch: 4 columns in projection, 5 in X$"):
             p.apply(np.zeros((3, 5)))
 
 
@@ -229,13 +229,24 @@ def ill_conditioned_pool(seed, n, m, scale):
 
 
 class TestDecompositionRoutes:
-    """The pool decomposition takes eigh of the smaller squared matrix; the
-    thin SVD is the oracle it must match."""
+    """The pool decomposition takes sym_eig of the smaller squared matrix;
+    the thin SVD is the oracle it must match."""
 
     @pytest.mark.parametrize("shape,route", ROUTE_SHAPES)
     def test_shape_picks_route(self, monkeypatch, shape, route):
         X = wide_pool(6, *shape)
         assert decomposition_route(monkeypatch, X - X.mean(axis=0)) == route
+
+    @pytest.mark.parametrize("shape,route", ROUTE_SHAPES)
+    def test_each_pool_decomposition_is_one_sym_eig(self, monkeypatch, shape, route):
+        seen = []
+        sym_eig = subspace.sym_eig
+        monkeypatch.setattr(subspace, "sym_eig", lambda C: seen.append(C) or sym_eig(C))
+        d = PoolDecomposition(wide_pool(6, *shape), 10)
+        (C,) = seen
+        Xc = d.centered
+        np.testing.assert_array_equal(C, Xc @ Xc.T if route == "gram" else Xc.T @ Xc)
+        assert C.shape == (min(shape),) * 2
 
     @pytest.mark.parametrize("route,shape", [(route, shape) for shape, route in SVD_SHAPES])
     def test_eigenvalues_and_distances_match_svd(self, monkeypatch, route, shape):
