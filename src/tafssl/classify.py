@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tafssl.linalg import as_matrices, as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
+from tafssl.linalg import as_labels, as_matrices, as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
 
 __all__ = [
     "Prototypes",
@@ -43,37 +43,14 @@ class Prototypes:
         return self.vectors.shape[0]
 
 
-def _class_ids(labels: np.ndarray, rows: int) -> np.ndarray:
-    """The sorted distinct ``labels``, after checking they label ``rows``
-    support rows: 1-D, one per row, no NaN.
-
-    Equal to ``np.unique(labels)`` in values and dtype, but sorted here:
-    numpy >= 2.3's ``np.unique`` imports ``numpy.ma``, which would add
-    1.6 MB of RSS to every run for this one call.
-    """
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-dimensional, got shape {labels.shape}")
-    if labels.shape[0] != rows:
-        raise ValueError("labels length must match support rows")
-    ids = np.sort(labels)
-    # NaN sorts last, and would be a class of its own with no member.
-    if ids.dtype.kind in "fc" and np.isnan(ids[-1:]).any():
-        raise ValueError("labels must not contain NaN")
-    first = np.empty(ids.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=first[1:])
-    return ids[first]
-
-
 def build_prototypes(support, labels) -> Prototypes:
     """Average the support rows of each class into a prototype; the classes
     are the sorted distinct labels."""
     support = as_matrix(support, "support")
-    labels = np.asarray(labels)
-    class_ids = _class_ids(labels, support.shape[0])
+    class_ids, index = as_labels(labels, support.shape[0])
     vectors = np.empty((len(class_ids), support.shape[1]))
-    for i, c in enumerate(class_ids):
-        vectors[i] = support[labels == c].mean(axis=0)
+    for i in range(len(class_ids)):
+        vectors[i] = support[index == i].mean(axis=0)
     return Prototypes(vectors=vectors, class_ids=class_ids)
 
 
@@ -86,6 +63,7 @@ def nn_classify(queries, prototypes: Prototypes) -> tuple[np.ndarray, np.ndarray
     posterior row equals the nearest-prototype decision.
     """
     queries, vectors = as_matrices(queries=queries, prototypes=prototypes.vectors)
+    as_labels(prototypes.class_ids, vectors.shape[0], "prototype")
     sq = pairwise_sqdist(queries, vectors)
     return prototypes.class_ids[np.argmin(sq, axis=1)], softmax_rows(-sq)
 
@@ -116,13 +94,14 @@ def sub_star(support, support_labels, queries, pool, seed) -> np.ndarray:
     """The ``sub-star`` head: :func:`_normalized_nn` after centering support
     and queries each on its own mean."""
     support, queries = as_matrices(support=support, queries=queries)
+    as_labels(support_labels, support.shape[0])  # labels first: an empty support has no mean
     return _normalized_nn(support - support.mean(axis=0), support_labels, queries - queries.mean(axis=0))
 
 
 def _normalized_nn(S, y_s, Q) -> np.ndarray:
     """``nn`` after L2-normalizing the support rows, then the queries; the
-    prototypes are means of unit rows.  Zero rows stay unnormalized, with a
-    NumericalWarning."""
-    S = l2_normalize_rows(S)
-    Q = l2_normalize_rows(Q)
-    return nn_classify(Q, build_prototypes(S, y_s))[0]
+    prototypes are means of unit rows, built before the queries are
+    normalized, so bad labels fail before a query warns.  Zero rows stay
+    unnormalized, with a NumericalWarning."""
+    prototypes = build_prototypes(l2_normalize_rows(S), y_s)
+    return nn_classify(l2_normalize_rows(Q), prototypes)[0]

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tafssl.classify import Prototypes, _class_ids, build_prototypes, nn_classify
-from tafssl.linalg import as_matrices, as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
+from tafssl.classify import Prototypes, build_prototypes, nn_classify
+from tafssl.linalg import as_labels, as_matrices, as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
 
 __all__ = ["Clustering", "MspResult", "bkm", "bkm_from_centroids", "bkm_predict", "kmeans", "msp", "msp_predict"]
 
@@ -127,8 +127,7 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
     memberships.  Rows sum to one.
     """
     support, queries, centroids = as_matrices(support=support, queries=queries, centroids=centroids)
-    labels = np.asarray(support_labels)
-    class_ids = _class_ids(labels, support.shape[0])
+    class_ids, index = as_labels(support_labels, support.shape[0])
 
     q_sq = (queries * queries).sum(axis=1)
     member_q = softmax_rows(-pairwise_sqdist(queries, centroids, q_sq))  # queries x k
@@ -140,7 +139,7 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
     affinity = np.exp(neg_sq - neg_sq.max(axis=1, keepdims=True))  # queries x supports
 
     denom = affinity @ member_s  # queries x k
-    numer = np.stack([affinity[:, labels == c] @ member_s[labels == c] for c in class_ids], axis=1)
+    numer = np.stack([affinity[:, index == i] @ member_s[index == i] for i in range(len(class_ids))], axis=1)
     # queries x classes x k
 
     degenerate = denom <= 0.0
@@ -170,8 +169,9 @@ def bkm(support, support_labels, queries, pool, k: int = BKM_DEFAULT_CLUSTERS, s
 
 def bkm_predict(support, support_labels, queries, pool, seed) -> np.ndarray:
     """The ``bkm`` head: each query's most probable class under :func:`bkm`."""
-    labels = np.asarray(support_labels)
-    return _class_ids(labels, len(support))[np.argmax(bkm(support, labels, queries, pool, seed=seed), axis=1)]
+    support = as_matrix(support, "support")
+    class_ids = as_labels(support_labels, support.shape[0])[0]
+    return class_ids[np.argmax(bkm(support, support_labels, queries, pool, seed=seed), axis=1)]
 
 
 def _nearest_confidence(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

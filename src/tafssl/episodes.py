@@ -24,8 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from tafssl.classify import _class_ids
-from tafssl.linalg import as_matrix
+from tafssl.linalg import as_labels, as_matrix
 
 __all__ = [
     "Episode",
@@ -325,14 +324,10 @@ def mutual_information_diagnostic(features, labels=None, bins: int = 32) -> np.n
     elif labels is None:
         raise ValueError("labels are required unless features is a FeatureStore")
     X = as_matrix(features, "features")
-    y = np.asarray(labels)
-    if y.ndim == 1 and y.shape[0] != X.shape[0]:
-        raise ValueError("labels length must match feature rows")
-    ids = _class_ids(y, X.shape[0])
+    ids, y_idx = as_labels(labels, X.shape[0], "feature")
     if bins < 2:
         raise ValueError("bins must be >= 2")
 
-    y_idx = np.searchsorted(ids, y)
     n_labels = len(ids)
     h_label = _entropy(np.bincount(y_idx))
     n = X.shape[0]

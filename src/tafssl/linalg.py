@@ -80,6 +80,30 @@ def as_matrices(**sets) -> list[np.ndarray]:
     return matrices
 
 
+def as_labels(labels, rows: int, name: str = "support") -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``labels`` as the labels of ``rows`` rows of ``name`` (at
+    least one row; 1-D, one per row, no NaN) and return ``(classes,
+    index)``: the sorted distinct labels and each row's position among them.
+
+    Equal to ``np.unique(labels, return_inverse=True)`` in values and dtype,
+    but sorted here: numpy >= 2.3's ``np.unique`` imports ``numpy.ma``,
+    which would add 1.6 MB of RSS to every run for this one call.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-dimensional, got shape {labels.shape}")
+    if labels.shape[0] != rows:
+        raise ValueError(f"labels length must match {name} rows")
+    if not rows:
+        raise ValueError(f"no {name} rows")
+    ids = np.sort(labels)
+    # NaN sorts last, and would be a class of its own with no member.
+    if ids.dtype.kind in "fc" and np.isnan(ids[-1]):
+        raise ValueError("labels must not contain NaN")
+    classes = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+    return classes, np.searchsorted(classes, labels)
+
+
 def sym_eig(C) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 

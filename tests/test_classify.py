@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tafssl import classify
 from tafssl.classify import build_prototypes, l2_normalize_rows, nn_classify, sub, sub_star
-from tafssl.linalg import NumericalWarning
+from tafssl.linalg import NumericalWarning, as_labels
 
 
 def random_instance(seed, n_classes=4, d=6, n_queries=9):
@@ -63,9 +63,14 @@ class TestBuildPrototypes:
         )
     )
     def test_class_ids_equal_np_unique(self, labels):
-        got, expected = classify._class_ids(labels, labels.shape[0]), np.unique(labels)
+        if not labels.size:
+            with pytest.raises(ValueError, match="^no support rows$"):
+                as_labels(labels, 0)
+            return
+        (got, index), (expected, inverse) = as_labels(labels, labels.shape[0]), np.unique(labels, return_inverse=True)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+        assert np.array_equal(index, inverse)
 
     def test_five_shot_concentration(self):
         # Prototype error shrinks like sigma/sqrt(shots); allow a wide margin.
@@ -163,17 +168,20 @@ class TestNnClassify:
         assert not recwarn.list
 
     @pytest.mark.parametrize(
-        "vectors,message",
+        "vectors,class_ids,message",
         [
-            (np.array([0.0, 1.0]), r"^prototypes must be 2-dimensional, got shape \(2,\)$"),
-            (np.array([[0.0, 0.0], [np.nan, 1.0]]), "^non-finite value in prototypes, row 1$"),
+            (np.array([0.0, 1.0]), np.array([0, 1]), r"^prototypes must be 2-dimensional, got shape \(2,\)$"),
+            (np.array([[0.0, 0.0], [np.nan, 1.0]]), np.array([0, 1]), "^non-finite value in prototypes, row 1$"),
+            (np.zeros((2, 2)), np.array([0]), "^labels length must match prototype rows$"),
+            (np.zeros((2, 2)), np.array([[0, 1]]), r"^labels must be 1-dimensional, got shape \(1, 2\)$"),
         ],
-        ids=["1-d", "nan"],
+        ids=["1-d", "nan", "short-ids", "2-d-ids"],
     )
-    def test_hand_built_prototypes_are_checked(self, vectors, message):
-        # Unchecked, a NaN prototype wins every query: argmin picks a NaN distance.
+    def test_hand_built_prototypes_are_checked(self, vectors, class_ids, message):
+        # Unchecked, a NaN prototype wins every query (argmin picks a NaN
+        # distance), and a query nearest a row without an id indexes past them.
         with pytest.raises(ValueError, match=message):
-            nn_classify([[5.0, 5.0], [0.1, 0.0]], classify.Prototypes(vectors, np.array([0, 1])))
+            nn_classify([[5.0, 5.0], [0.1, 0.0]], classify.Prototypes(vectors, class_ids))
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6))

@@ -189,6 +189,35 @@ def test_bad_labels_are_named(head, labels, message):
         head(S, labels, Q, np.vstack([S, Q]))
 
 
+@pytest.mark.parametrize(
+    "head",
+    [
+        lambda S, y, Q: build_prototypes(S, y),
+        lambda S, y, Q: classify.nn(S, y, Q, Q, 0),
+        lambda S, y, Q: classify.sub(S, y, Q, Q, 0),
+        lambda S, y, Q: classify.sub_star(S, y, Q, Q, 0),
+        lambda S, y, Q: msp(S, y, Q, Q),
+        lambda S, y, Q: bkm(S, y, Q, Q),
+        lambda S, y, Q: bkm_predict(S, y, Q, Q, 0),
+        lambda S, y, Q: bkm_from_centroids(S, y, Q, Q[:2]),
+    ],
+    ids=["build_prototypes", "nn", "sub", "sub_star", "msp", "bkm", "bkm_predict", "bkm_from_centroids"],
+)
+def test_an_empty_support_is_named(head):
+    # Centered, these queries are zero rows: sub and sub_star must fail on
+    # the support before they normalize (and warn about) the queries.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^no support rows$"):
+            head(np.zeros((0, 3)), [], np.ones((6, 3)))
+
+
+def test_bkm_predict_checks_the_support_before_its_labels():
+    Q = np.random.default_rng(11).normal(size=(6, 3))
+    with pytest.raises(ValueError, match=r"^support must be 2-dimensional, got shape \(\)$"):
+        bkm_predict(5.0, [0], Q, Q, 0)
+
+
 class TestMsp:
     def test_negative_iterations_rejected(self):
         pool = np.random.default_rng(4).normal(size=(20, 4))
