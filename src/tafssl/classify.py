@@ -95,7 +95,8 @@ def sub_star(support, support_labels, queries, pool, seed) -> np.ndarray:
     and queries each on its own mean."""
     support, queries = as_matrices(support=support, queries=queries)
     as_labels(support_labels, support.shape[0])  # labels first: an empty support has no mean
-    return _normalized_nn(support - support.mean(axis=0), support_labels, queries - queries.mean(axis=0))
+    centered = queries - queries.mean(axis=0) if queries.shape[0] else queries  # no queries have no mean
+    return _normalized_nn(support - support.mean(axis=0), support_labels, centered)
 
 
 def _normalized_nn(S, y_s, Q) -> np.ndarray:

@@ -325,8 +325,8 @@ def mutual_information_diagnostic(features, labels=None, bins: int = 32) -> np.n
         raise ValueError("labels are required unless features is a FeatureStore")
     X = as_matrix(features, "features")
     ids, y_idx = as_labels(labels, X.shape[0], "feature")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    if not isinstance(bins, (int, np.integer)) or bins < 2:
+        raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
 
     n_labels = len(ids)
     h_label = _entropy(np.bincount(y_idx))

@@ -9,12 +9,12 @@ episode's subspace views, shared by every pipeline that asks for the same
 one, and the pipeline's head, a library function, decides.  The harness
 samples episodes from a feature store, runs every requested pipeline on
 each episode, scores the query predictions against the held-back labels
-(classifiers never see them), and aggregates per-episode accuracies into a
-mean with a 0.95 normal-approximation confidence interval, then formats or
-writes them.  :func:`run_ablation` is the one driver: it runs every row of
-a table on one BLAS thread and, with ``workers`` > 1, in one pool; only a
-run that starts a pool imports the pool machinery (``multiprocessing``).
-:func:`run_benchmark` is its table of one row.
+(classifiers never see them), keeps each method's per-episode accuracies in
+a :class:`RunReport`, then formats or writes the reports.  :func:`run_ablation`
+is the one driver: it runs every row of a table on one BLAS thread and,
+with ``workers`` > 1, in one pool; only a run that starts a pool imports
+the pool machinery (``multiprocessing``).  :func:`run_benchmark` is its
+table of one row.
 
 Determinism contract: (config, seed) fully determines every number in the
 reports and in the CSV output, independent of the worker count.  Episode i
@@ -53,26 +53,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RunReport:
-    """Aggregated accuracy of one method over one episode batch."""
+    """One method over one episode batch.  ``per_episode`` holds each
+    episode's fraction of correct queries, in episode order; ``accuracy``
+    is their mean and ``ci95`` the 0.95 normal-approximation half-width
+    1.96 * std / sqrt(episodes), both in percent, with the population std,
+    so a single episode reports a zero-width interval."""
 
     method: str
     mode: str
-    episodes: int
-    accuracy: float  # percent
-    ci95: float  # percent, half-width 1.96 * std / sqrt(episodes)
+    per_episode: tuple[float, ...]
     seconds_per_episode: float
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def episodes(self) -> int:
+        return len(self.per_episode)
 
-def _confidence_interval(per_episode: np.ndarray) -> tuple[float, float]:
-    """Mean accuracy and 0.95 CI half-width, in percent.
+    @property
+    def accuracy(self) -> float:
+        return float(np.asarray(self.per_episode).mean()) * 100.0
 
-    The spread estimate is the population std of per-episode accuracies, so
-    a single episode reports a zero-width interval.
-    """
-    mean = float(per_episode.mean()) * 100.0
-    half = float(1.96 * per_episode.std(ddof=0) / np.sqrt(len(per_episode)) * 100.0)
-    return mean, half
+    @property
+    def ci95(self) -> float:
+        return float(1.96 * np.asarray(self.per_episode).std(ddof=0) / np.sqrt(self.episodes) * 100.0)
 
 
 class EpisodeProjections:
@@ -229,9 +232,8 @@ def run_ablation(config: BenchmarkConfig, store: FeatureStore | None = None) -> 
             acc, times, warns = (np.array(column) for column in zip(*results))  # each episodes x methods
             reports = []
             for j, pipeline in enumerate(pipes):
-                mean, half = _confidence_interval(acc[:, j])
                 metadata = {**{key: getattr(cfg, key) for key in ("seed", *PROTOCOL_FIELDS)}, "dim": pipeline.r, "warnings": int(warns[:, j].sum())}
-                reports.append(RunReport(pipeline.name, cfg.mode, cfg.episodes, mean, half, float(times[:, j].mean()), metadata))
+                reports.append(RunReport(pipeline.name, cfg.mode, tuple(acc[:, j].tolist()), float(times[:, j].mean()), metadata))
             table.append((value, reports))
     return table
 

@@ -112,6 +112,8 @@ class PoolDecomposition:
         X = as_matrix(X)
         if X.shape[0] < 2:
             raise ValueError("insufficient samples")
+        if r < 1:
+            raise ValueError("r must be >= 1")
         self.mean = X.mean(axis=0)
         self.centered = X - self.mean
         self.eigenvalues, self.axes = _decompose(self.centered, r)

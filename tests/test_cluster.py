@@ -212,6 +212,19 @@ def test_an_empty_support_is_named(head):
             head(np.zeros((0, 3)), [], np.ones((6, 3)))
 
 
+@pytest.mark.parametrize(
+    "head",
+    [classify.nn, classify.sub, classify.sub_star, bkm_predict, cluster.msp_predict],
+    ids=["nn", "sub", "sub_star", "bkm_predict", "msp_predict"],
+)
+def test_an_empty_query_set_gets_no_predictions(head):
+    S = np.random.default_rng(12).normal(size=(6, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = head(S, [0, 0, 1, 1, 2, 2], np.zeros((0, 3)), S, 0)
+    assert got.shape == (0,)
+
+
 def test_bkm_predict_checks_the_support_before_its_labels():
     Q = np.random.default_rng(11).normal(size=(6, 3))
     with pytest.raises(ValueError, match=r"^support must be 2-dimensional, got shape \(\)$"):

@@ -328,6 +328,18 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="bins"):
             mutual_information_diagnostic(np.ones((4, 1)), [0, 0, 1, 1], bins=1)
 
+    @pytest.mark.parametrize("bins", [3.0, np.float64(32.0), "32"])
+    def test_rejects_bins_that_are_not_integers(self, bins):
+        X = np.arange(8.0)[:, None]
+        with pytest.raises(ValueError, match=r"^bins must be an integer >= 2, got "):
+            mutual_information_diagnostic(X, [0, 0, 0, 0, 1, 1, 1, 1], bins=bins)
+
+    @pytest.mark.parametrize("bins", [np.int64(4), np.int32(4)])
+    def test_accepts_python_and_numpy_integer_bins(self, bins):
+        y = np.repeat(np.arange(4), 10)
+        mi = mutual_information_diagnostic(y[:, None].astype(float), y, bins=bins)
+        np.testing.assert_allclose(mi, [1.0], atol=1e-12)
+
     def test_a_matrix_without_labels_is_rejected(self):
         with pytest.raises(ValueError, match="labels are required unless features is a FeatureStore"):
             mutual_information_diagnostic(np.ones((4, 1)))

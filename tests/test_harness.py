@@ -369,6 +369,19 @@ def in_process_pools(monkeypatch):
     return started
 
 
+class TestRunReport:
+    def test_figures_derive_from_per_episode(self):
+        rep = harness.RunReport("nn", "transductive", (1.0, 0.0), 0.001)
+        assert (rep.episodes, rep.accuracy, rep.ci95) == (2, 50.0, 1.96 * 0.5 / np.sqrt(2) * 100)
+
+    def test_one_episode_has_a_zero_width_interval(self):
+        rep = harness.RunReport("nn", "transductive", (0.6,), 0.001)
+        assert (rep.episodes, rep.ci95) == (1, 0.0)
+
+    def test_the_figures_are_not_fields(self):
+        assert [f.name for f in fields(harness.RunReport)] == ["method", "mode", "per_episode", "seconds_per_episode", "metadata"]
+
+
 class TestRunBenchmark:
     def test_separable_store_is_perfect(self):
         cfg = BenchmarkConfig(method="nn", episodes=1, seed=0)
@@ -405,7 +418,17 @@ class TestRunBenchmark:
         got = run_benchmark(BenchmarkConfig(method="nn,bkm", episodes=episodes, seed=1, workers=workers), store=store)
         assert in_process_pools == pools
         serial = run_benchmark(BenchmarkConfig(method="nn,bkm", episodes=episodes, seed=1), store=store)
-        assert [(r.accuracy, r.ci95, r.metadata) for r in got] == [(r.accuracy, r.ci95, r.metadata) for r in serial]
+        assert [(r.per_episode, r.accuracy, r.ci95, r.metadata) for r in got] == [(r.per_episode, r.accuracy, r.ci95, r.metadata) for r in serial]
+
+    def test_per_episode_is_each_episodes_score_in_order(self):
+        cfg = BenchmarkConfig(method="nn,pca-msp", episodes=6, seed=3)
+        store = noisy_store()
+        reports = run_benchmark(cfg, store=store)
+        for rep, pipeline in zip(reports, cfg.pipelines()):
+            assert rep.episodes == len(rep.per_episode) == 6
+            for i, got in enumerate(rep.per_episode):
+                ep = sample_episode(store, cfg.episode_spec(i))
+                assert got == float((evaluate_episode(ep, pipeline, seed=(cfg.seed, i)) == ep.query_labels).mean())
 
     def test_semi_mode(self):
         cfg = BenchmarkConfig(method="msp", mode="semi", unlabeled=6, distractors=1, episodes=4, seed=2)
@@ -900,7 +923,7 @@ class TestOutputs:
 
     def test_format_reports_names_methods_that_warned(self):
         def report(method, warned):
-            return harness.RunReport(method, "transductive", 3, 50.0, 1.0, 0.001, {"warnings": warned})
+            return harness.RunReport(method, "transductive", (0.5, 0.5, 0.5), 0.001, {"warnings": warned})
 
         text = format_reports([(None, [report("nn", 0), report("ica-nn", 4), report("ica-msp", 2)])])
         assert text.splitlines()[-1] == "warnings: ica-nn 4, ica-msp 2"

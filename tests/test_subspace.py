@@ -294,6 +294,11 @@ class TestDecompositionRoutes:
         with pytest.raises(ValueError, match="holds 10 axes, 11 requested"):
             shared.project("pca", 11)
 
+    @pytest.mark.parametrize("shape,r", [((10, 4), 0), ((10, 4), -1), ((5, 40), -2)])
+    def test_a_decomposition_below_one_axis_is_rejected(self, shape, r):
+        with pytest.raises(ValueError, match="^r must be >= 1$"):
+            PoolDecomposition(wide_pool(3, *shape), r)
+
     def test_unknown_projection_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown projection 'ica'; choose from pca, whiten"):
             PoolDecomposition(wide_pool(2, 80, 64), 4).project("ica", 4)
