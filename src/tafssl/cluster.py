@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tafssl.classify import Prototypes, build_prototypes, nn_classify
-from tafssl.linalg import as_labels, as_matrices, as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
+from tafssl.linalg import as_count, as_labels, as_matrices, as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
 
 __all__ = ["Clustering", "MspResult", "bkm", "bkm_from_centroids", "bkm_predict", "kmeans", "msp", "msp_predict"]
 
@@ -64,14 +64,15 @@ def _farthest_point_init(X: np.ndarray, k: int, rng: np.random.Generator, x_sq: 
     returned are distinct rows of ``X``.  ``x_sq`` is ``X``'s squared row
     norms."""
     chosen = [int(rng.integers(X.shape[0]))]
-    min_sq = pairwise_sqdist(X, X[chosen[-1]][None, :], x_sq)[:, 0]
+    min_sq = np.full(X.shape[0], np.inf)
     while len(chosen) < k:
+        # Only a seed that is not the last needs its distances.
+        min_sq = np.minimum(min_sq, pairwise_sqdist(X, X[chosen[-1]][None, :], x_sq)[:, 0])
         far = int(np.argmax(min_sq))
         # Compared exactly: the expanded distance of a row to itself need not be 0.
         if (X[chosen] == X[far]).all(axis=1).any():
             break
         chosen.append(far)
-        min_sq = np.minimum(min_sq, pairwise_sqdist(X, X[far][None, :], x_sq)[:, 0])
     return X[chosen]
 
 
@@ -84,13 +85,13 @@ def kmeans(pool, k: int, seed: int = 0) -> Clustering:
     ``meta["k_reduced"] = {"requested": k, "used": ...}``.  A cluster that no
     pool row is nearest to keeps its centroid for that round, as an MSP
     round with K = 0 keeps its prototypes.  It is not re-seeded: a re-seed
-    put two clusters that emptied in the same round on the same row.
+    put two clusters that emptied in the same round on the same row.  ``k``
+    is an integer >= 1; a non-integer raises ValueError.
     """
     pool = as_matrix(pool, "pool")
     if pool.shape[0] < 1:
         raise ValueError("empty pool")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    as_count(k, "k", 1)
     pool_sq = (pool * pool).sum(axis=1)
     centroids = _farthest_point_init(pool, k, np.random.default_rng(seed), pool_sq)
     meta: dict = {}
@@ -124,9 +125,11 @@ def bkm_from_centroids(support, support_labels, queries, centroids) -> np.ndarra
     a cluster, the class posterior of a query weighs every support sample by
     exp(-|q - s|^2) times that support's membership in the cluster; the
     final posterior marginalizes over clusters by the query's own
-    memberships.  Rows sum to one.
+    memberships.  Rows sum to one.  At least one centroid is required.
     """
     support, queries, centroids = as_matrices(support=support, queries=queries, centroids=centroids)
+    if not centroids.shape[0]:
+        raise ValueError("no centroid rows")
     class_ids, index = as_labels(support_labels, support.shape[0])
 
     q_sq = (queries * queries).sum(axis=1)
@@ -201,10 +204,10 @@ def msp(
     each prototype with the mean of its K most confident samples (ties by
     pool index).  A round with K = 0 keeps all prototypes unchanged.  The
     final posterior is the nearest-prototype softmax for the queries.
-    ``threshold`` must lie in [0, 1).
+    ``iterations`` is an integer >= 0 (a non-integer raises) and
+    ``threshold`` lies in [0, 1).
     """
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    as_count(iterations, "iterations")
     # A confidence is at most 1, so a threshold of 1 or more (or NaN) would
     # make every round K = 0 and msp silently nn.
     if not 0.0 <= threshold < 1.0:

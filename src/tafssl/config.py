@@ -14,6 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from tafssl.classify import nn, sub, sub_star
 from tafssl.cluster import bkm_predict, msp_predict
 from tafssl.episodes import EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store
+from tafssl.linalg import as_count
 from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM
 
 __all__ = [
@@ -77,12 +78,13 @@ class MethodPipeline:
 
 
 def parse_method(name: str, dim: int | None = None) -> MethodPipeline:
-    """Build a pipeline from a CLI method name like ``pca-bkm``; ``dim``
-    overrides the default subspace size of its projection."""
+    """Build a pipeline from a CLI method name like ``pca-bkm``; ``dim``, an
+    integer >= 1 (a non-integer raises), overrides the default subspace size
+    of its projection."""
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)}")
-    if dim is not None and dim < 1:
-        raise ValueError("dim must be >= 1")
+    if dim is not None:
+        as_count(dim, "dim", 1)
     projection, head = METHODS[name]
     r = None if projection == "none" else dim or _DEFAULT_DIMS[projection]
     return MethodPipeline(name, projection, r, head)
@@ -121,10 +123,10 @@ class BenchmarkConfig:
     def pipelines(self) -> list[MethodPipeline]:
         """The configured pipelines.  This is the one check a config gets
         before the feature source is read: it raises ValueError for any
-        setting the run would reject on any store."""
-        for name, bound in (("episodes", 1), ("workers", 1), ("seed", 0)):
-            if getattr(self, name) < bound:
-                raise ValueError(f"{name} must be >= {bound}")
+        setting the run would reject on any store, a count that is not an
+        integer among them."""
+        for name, low in (("episodes", 1), ("workers", 1), ("seed", 0)):
+            as_count(getattr(self, name), name, low)
         if self.sweep is not None and self.sweep not in SWEEP_VALUES:
             raise ValueError(f"unknown sweep {self.sweep!r}; choose from {', '.join(SWEEP_VALUES)}")
         self.episode_spec(0)  # EpisodeSpec holds the protocol and mode rules

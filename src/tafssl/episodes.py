@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from tafssl.linalg import as_labels, as_matrix
+from tafssl.linalg import as_count, as_labels, as_matrix
 
 __all__ = [
     "Episode",
@@ -79,9 +79,7 @@ class FeatureStore:
             dims.add(X.shape[1])
         if len(dims) != 1:
             raise ValueError(f"classes disagree on feature dimension: {sorted(dims)}")
-        m = dims.pop()
-        if m < 1:
-            raise ValueError(f"feature dimension m must be >= 1, got {m}")
+        as_count(dims.pop(), "feature dimension m", 1)
         object.__setattr__(self, "classes", validated)
 
     @property
@@ -103,7 +101,9 @@ class EpisodeSpec:
 
     ``unbalanced_r`` adds a per-class uniform[0, R] extra query count.  In
     transductive mode the queries double as the unlabeled pool, so
-    ``unlabeled`` and ``distractors`` must be zero there.
+    ``unlabeled`` and ``distractors`` must be zero there.  Every count, and
+    ``seed`` or each part of a ``seed`` tuple, is an integer at or above its
+    bound (``seed`` >= 0); a non-integer raises ValueError.
     """
 
     ways: int = 5
@@ -116,9 +116,10 @@ class EpisodeSpec:
     seed: int | tuple = 0
 
     def __post_init__(self):
-        for name, bound in (("ways", 2), ("shots", 1), ("queries", 1), ("distractors", 0), ("unbalanced_r", 0)):
-            if getattr(self, name) < bound:
-                raise ValueError(f"{name} must be >= {bound}")
+        for name, low in (("ways", 2), ("shots", 1), ("queries", 1), ("unlabeled", 0), ("distractors", 0), ("unbalanced_r", 0)):
+            as_count(getattr(self, name), name, low)
+        for part in self.seed if isinstance(self.seed, tuple) else (self.seed,):
+            as_count(part, "seed")
         if self.mode not in ("transductive", "semi"):
             raise ValueError(f"unknown mode {self.mode!r}; choose from transductive, semi")
         if self.mode == "transductive" and (self.unlabeled or self.distractors):
@@ -171,6 +172,7 @@ class MoGSpec:
     a sample draws from N(class_mean, sigma_signal^2) where class_mean was
     drawn once per (class, dim) from N(0, sigma_between^2); otherwise, and
     on every pure-noise dimension, it draws from N(mu_noise, sigma_noise^2).
+    ``m`` and ``signal_dims`` are integers; a non-integer raises ValueError.
     """
 
     m: int
@@ -182,10 +184,9 @@ class MoGSpec:
     sigma_signal: float = 1.0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"feature dimension m must be >= 1, got {self.m}")
-        if not 0 <= self.signal_dims <= self.m:
+        if not as_count(self.m, "feature dimension m", 1) >= self.signal_dims >= 0:
             raise ValueError("signal_dims must lie in [0, m]")
+        as_count(self.signal_dims, "signal_dims")
         if not 0.0 <= self.rho_signal <= 1.0:
             raise ValueError("rho_signal must lie in [0, 1]")
         for name in ("sigma_noise", "sigma_between", "sigma_signal"):
@@ -220,10 +221,11 @@ def generate_mog_store(
     With ``return_class_means`` the realized (class x signal_dim) mean matrix
     is returned alongside the store, which lets variance checks compare the
     empirical moments against the exact generating parameters.
+    ``classes`` and ``per_class`` are integers >= 1 and ``seed`` one >= 0; a
+    non-integer raises ValueError.
     """
-    for name, value, bound in (("classes", classes, 1), ("per_class", per_class, 1), ("seed", seed, 0)):
-        if value < bound:
-            raise ValueError(f"{name} must be >= {bound}")
+    for name, value, low in (("classes", classes, 1), ("per_class", per_class, 1), ("seed", seed, 0)):
+        as_count(value, name, low)
     rng = np.random.default_rng(seed)
     s = spec.signal_dims
     class_means = rng.normal(0.0, spec.sigma_between, size=(classes, s))
@@ -315,7 +317,8 @@ def mutual_information_diagnostic(features, labels=None, bins: int = 32) -> np.n
     Each dimension is discretized into equal-width bins over its observed
     range; MI(label; bin) is normalized by min(H(label), H(bin)), giving
     values in [0, 1].  A constant dimension scores 0.  Accepts either a
-    FeatureStore or an explicit (features, labels) pair.
+    FeatureStore or an explicit (features, labels) pair.  ``bins`` is an
+    integer >= 2; a non-integer raises ValueError.
     """
     if isinstance(features, FeatureStore):
         if labels is not None:
@@ -325,8 +328,7 @@ def mutual_information_diagnostic(features, labels=None, bins: int = 32) -> np.n
         raise ValueError("labels are required unless features is a FeatureStore")
     X = as_matrix(features, "features")
     ids, y_idx = as_labels(labels, X.shape[0], "feature")
-    if not isinstance(bins, (int, np.integer)) or bins < 2:
-        raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
+    as_count(bins, "bins", 2)
 
     n_labels = len(ids)
     h_label = _entropy(np.bincount(y_idx))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import operator
 import os
 import sys
 import warnings
@@ -78,6 +79,17 @@ def as_matrices(**sets) -> list[np.ndarray]:
         if B.shape[1] != A.shape[1]:
             raise ValueError(f"dimension mismatch: {A.shape[1]} columns in {first}, {B.shape[1]} in {name}")
     return matrices
+
+
+def as_count(value, name: str, low: int = 0) -> int:
+    """``value``, a Python or numpy integer of at least ``low``, as an int; anything else raises a ValueError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}, got {count}")
+    return count
 
 
 def as_labels(labels, rows: int, name: str = "support") -> tuple[np.ndarray, np.ndarray]:

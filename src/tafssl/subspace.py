@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tafssl.linalg import as_matrices, as_matrix, flip_signs, sym_eig, warn_numerical
+from tafssl.linalg import as_count, as_matrices, as_matrix, flip_signs, sym_eig, warn_numerical
 
 __all__ = [
     "ICA_DEFAULT_DIM",
@@ -90,7 +90,8 @@ def _decompose(Xc: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     n, m = Xc.shape
     gram = m > n
     w, V = sym_eig(Xc @ Xc.T if gram else Xc.T @ Xc)
-    w = np.where(w > w[0] * RANK_EPS, w, 0.0)
+    # w[:1]: a pool with no columns has no eigenvalue, and so no rank.
+    w = np.where(w > w[:1] * RANK_EPS, w, 0.0)
     if not gram:
         return w / n, V[:, :r].T
     k = min(r, np.count_nonzero(w))
@@ -106,17 +107,16 @@ class PoolDecomposition:
     :meth:`project` is the one place a projection is made from them: a PCA
     or whitening projection of any dimension up to ``r``, without touching
     the pool again; ``centered @ P.W.T`` is ``P.apply(pool)`` bit for bit.
+    ``r`` is an integer >= 1; a non-integer raises ValueError.
     """
 
     def __init__(self, X, r: int):
         X = as_matrix(X)
         if X.shape[0] < 2:
             raise ValueError("insufficient samples")
-        if r < 1:
-            raise ValueError("r must be >= 1")
         self.mean = X.mean(axis=0)
         self.centered = X - self.mean
-        self.eigenvalues, self.axes = _decompose(self.centered, r)
+        self.eigenvalues, self.axes = _decompose(self.centered, as_count(r, "r", 1))
 
     def project(self, kind: str, r: int) -> SubspaceProjection:
         """The ``kind`` projection onto the top ``r`` axes: ``"pca"`` is
@@ -128,17 +128,15 @@ class PoolDecomposition:
         reduction in ``meta["r_reduced"]`` rather than failing the episode.
         Raises when fewer eigenvalues than that ``r`` are non-zero.  A
         whitening to r = n - 1 warns (:class:`NumericalWarning`); a PCA
-        projection to r = n - 1 does not.
+        projection to r = n - 1 does not.  A non-integer ``r`` raises.
         """
         if kind not in ("pca", "whiten"):
             raise ValueError(f"unknown projection {kind!r}; choose from pca, whiten")
         n = self.centered.shape[0]
         meta: dict = {}
-        if r > n - 1:
+        if as_count(r, "r", 1) > n - 1:
             meta["r_reduced"] = {"requested": r, "used": n - 1}
             r = n - 1
-        if r < 1:
-            raise ValueError("r must be >= 1")
         available = np.count_nonzero(self.eigenvalues)
         if r > available:
             raise ValueError(f"rank deficient: requested {r}, available {available}")
@@ -166,7 +164,7 @@ def whiten(X, r: int) -> tuple[np.ndarray, SubspaceProjection]:
     than that ``r`` exceed ``RANK_EPS`` times the largest; the cut is
     relative, so whether it raises does not depend on the units of ``X``:
     scaling ``X`` by c divides ``W`` by c and leaves the output unchanged up
-    to rounding.
+    to rounding.  A non-integer ``r`` raises.
     """
     d = PoolDecomposition(X, r)
     proj = d.project("whiten", r)
@@ -179,7 +177,7 @@ def fit_pca(X, r: int = PCA_DEFAULT_DIM) -> SubspaceProjection:
     Rows of ``W`` are the orthonormal eigenvectors of the divisor-n
     covariance, ordered by descending eigenvalue; the training data
     projected through the result has per-dimension variance equal to those
-    eigenvalues.
+    eigenvalues.  A non-integer ``r`` raises.
     """
     return PoolDecomposition(X, r).project("pca", r)
 
@@ -233,7 +231,8 @@ def fit_ica(X, r: int = ICA_DEFAULT_DIM, seed: int = 0) -> SubspaceProjection:
     the projected training data.  If the fixed point does not converge
     within the iteration budget the best iterate is returned with
     ``meta["converged"] = False``.  On a small pool ``r`` shrinks as in
-    :func:`whiten`, whose ``meta["r_reduced"]`` it carries.
+    :func:`whiten`, whose ``meta["r_reduced"]`` it carries.  A non-integer
+    ``r`` raises.
     """
     Z, white = whiten(X, r)
     meta = {"r_reduced": white.meta["r_reduced"]} if "r_reduced" in white.meta else {}

@@ -44,20 +44,20 @@ def feature_file(tmp_path):
 
 # Each flag's bad value, the one error line it gives, and the settings that line names.
 BAD_SETTINGS = [
-    (("--ways", "1"), "ways must be >= 2", ["ways"]),
-    (("--shots", "0"), "shots must be >= 1", ["shots"]),
-    (("--queries", "0"), "queries must be >= 1", ["queries"]),
-    (("--distractors", "-1"), "distractors must be >= 0", ["distractors"]),
-    (("--unbalanced-r", "-1"), "unbalanced_r must be >= 0", ["unbalanced_r"]),
+    (("--ways", "1"), "ways must be >= 2, got 1", ["ways"]),
+    (("--shots", "0"), "shots must be >= 1, got 0", ["shots"]),
+    (("--queries", "0"), "queries must be >= 1, got 0", ["queries"]),
+    (("--distractors", "-1"), "distractors must be >= 0, got -1", ["distractors"]),
+    (("--unbalanced-r", "-1"), "unbalanced_r must be >= 0, got -1", ["unbalanced_r"]),
     (("--mode", "semi"), "semi mode needs unlabeled >= 1", ["mode", "unlabeled"]),
     (
         ("--unlabeled", "5"),
         "transductive mode uses queries as the unlabeled pool; unlabeled and distractors must be 0",
         ["mode", "queries", "unlabeled", "distractors"],
     ),
-    (("--episodes", "0"), "episodes must be >= 1", ["episodes"]),
-    (("--workers", "0"), "workers must be >= 1", ["workers"]),
-    (("--seed", "-1"), "seed must be >= 0", ["seed"]),
+    (("--episodes", "0"), "episodes must be >= 1, got 0", ["episodes"]),
+    (("--workers", "0"), "workers must be >= 1, got 0", ["workers"]),
+    (("--seed", "-1"), "seed must be >= 0, got -1", ["seed"]),
 ]
 
 
@@ -117,12 +117,12 @@ class TestCli:
     def test_negative_unbalance_exits_1_naming_the_setting(self):
         r = run_cli("--synthetic", "reference", "--method", "nn", "--episodes", "1", "--unbalanced-r", "-3")
         assert r.returncode == 1
-        assert r.stderr.strip() == "error: unbalanced_r must be >= 0"
+        assert r.stderr.strip() == "error: unbalanced_r must be >= 0, got -3"
 
     def test_negative_seed_exits_1_before_the_source_is_read(self):
         r = run_cli("--features", "/nonexistent/path.feats", "--method", "nn", "--episodes", "1", "--seed", "-1")
         assert r.returncode == 1
-        assert r.stderr.strip() == "error: seed must be >= 0"
+        assert r.stderr.strip() == "error: seed must be >= 0, got -1"
 
     @pytest.mark.parametrize("flags,message,named", BAD_SETTINGS, ids=[f"{flag[2:]}={value}" for (flag, value), _, _ in BAD_SETTINGS])
     def test_a_bad_setting_names_its_flag_before_the_source_is_read(self, flags, message, named):

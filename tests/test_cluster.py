@@ -161,6 +161,12 @@ class TestBkm:
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_no_centroids_is_named():
+    S = np.random.default_rng(8).normal(size=(4, 3))
+    with pytest.raises(ValueError, match="^no centroid rows$"):
+        bkm_from_centroids(S, [0, 0, 1, 1], S, np.zeros((0, 3)))
+
+
 @pytest.mark.parametrize(
     "head,third", [(msp, "pool"), (bkm, "pool"), (bkm_from_centroids, "centroids")], ids=["msp", "bkm", "bkm_from_centroids"]
 )

@@ -115,10 +115,14 @@ class TestSampleEpisode:
         with pytest.raises(ValueError, match="transductive"):
             EpisodeSpec(unlabeled=3)
 
-    @pytest.mark.parametrize("setting", ["distractors", "unbalanced_r"])
+    @pytest.mark.parametrize("setting", ["distractors", "unbalanced_r", "seed"])
     def test_negative_counts_rejected(self, setting):
         with pytest.raises(ValueError, match=f"{setting} must be >= 0"):
             EpisodeSpec(mode="semi", unlabeled=2, **{setting: -1})
+
+    def test_a_negative_seed_part_is_rejected_when_the_spec_is_built(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            EpisodeSpec(seed=(0, -1))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="^unknown mode 'x'; choose from transductive, semi$"):

@@ -5,7 +5,9 @@ import pytest
 
 from tafssl import linalg
 from tafssl.classify import sub
-from tafssl.cluster import bkm
+from tafssl.cluster import bkm, kmeans, msp
+from tafssl.config import BenchmarkConfig, parse_method
+from tafssl.episodes import EpisodeSpec, MoGSpec, generate_mog_store, mutual_information_diagnostic, sample_episode
 from tafssl.linalg import (
     BlasThreadWarning,
     NumericalWarning,
@@ -17,7 +19,7 @@ from tafssl.linalg import (
     softmax_rows,
     sym_eig,
 )
-from tafssl.subspace import PoolDecomposition, fit_ica, whiten
+from tafssl.subspace import PoolDecomposition, fit_ica, fit_pca, whiten
 
 
 class TestSymEig:
@@ -91,6 +93,50 @@ class TestHelpers:
         X[6, 0] = np.nan  # a later bad row does not hide the first
         with pytest.raises(ValueError, match=rf"^non-finite value in pool, row {row}$"):
             as_matrix(X, "pool")
+
+
+_POOL = np.random.default_rng(3).normal(size=(12, 4))
+_SPEC = MoGSpec(m=4, signal_dims=2)
+_MIX = (_POOL[:4], [0, 0, 1, 1], _POOL[4:8], _POOL)
+
+# Every public count parameter: (call with the count, the name its error
+# gives, a valid count).
+COUNTS = {
+    "EpisodeSpec-ways": (lambda v: EpisodeSpec(ways=v), "ways", 3),
+    "EpisodeSpec-shots": (lambda v: EpisodeSpec(shots=v), "shots", 2),
+    "EpisodeSpec-queries": (lambda v: EpisodeSpec(queries=v), "queries", 2),
+    "EpisodeSpec-unlabeled": (lambda v: EpisodeSpec(mode="semi", unlabeled=v), "unlabeled", 2),
+    "EpisodeSpec-distractors": (lambda v: EpisodeSpec(mode="semi", unlabeled=1, distractors=v), "distractors", 1),
+    "EpisodeSpec-unbalanced_r": (lambda v: EpisodeSpec(unbalanced_r=v), "unbalanced_r", 2),
+    "EpisodeSpec-seed": (lambda v: sample_episode(generate_mog_store(_SPEC, 6, 20), EpisodeSpec(seed=v)), "seed", 3),
+    "EpisodeSpec-seed-part": (lambda v: sample_episode(generate_mog_store(_SPEC, 6, 20), EpisodeSpec(seed=(1, v))), "seed", 3),
+    "MoGSpec-m": (lambda v: MoGSpec(m=v, signal_dims=1), "m", 3),
+    "MoGSpec-signal_dims": (lambda v: MoGSpec(m=4, signal_dims=v), "signal_dims", 2),
+    "generate_mog_store-classes": (lambda v: generate_mog_store(_SPEC, v, 3), "classes", 2),
+    "generate_mog_store-per_class": (lambda v: generate_mog_store(_SPEC, 2, v), "per_class", 3),
+    "generate_mog_store-seed": (lambda v: generate_mog_store(_SPEC, 2, 3, v), "seed", 3),
+    "mutual_information_diagnostic-bins": (lambda v: mutual_information_diagnostic(_POOL, [0, 1] * 6, bins=v), "bins", 4),
+    "BenchmarkConfig-episodes": (lambda v: BenchmarkConfig(episodes=v).pipelines(), "episodes", 2),
+    "BenchmarkConfig-workers": (lambda v: BenchmarkConfig(workers=v).pipelines(), "workers", 2),
+    "BenchmarkConfig-seed": (lambda v: BenchmarkConfig(seed=v).pipelines(), "seed", 3),
+    "parse_method-dim": (lambda v: parse_method("pca-nn", v), "dim", 3),
+    "kmeans-k": (lambda v: kmeans(_POOL, v), "k", 2),
+    "bkm-k": (lambda v: bkm(*_MIX, k=v), "k", 2),
+    "msp-iterations": (lambda v: msp(*_MIX, iterations=v), "iterations", 2),
+    "PoolDecomposition-r": (lambda v: PoolDecomposition(_POOL, v), "r", 2),
+    "project-r": (lambda v: PoolDecomposition(_POOL, 3).project("pca", v), "r", 2),
+    "fit_pca-r": (lambda v: fit_pca(_POOL, v), "r", 2),
+    "whiten-r": (lambda v: whiten(_POOL, v), "r", 2),
+    "fit_ica-r": (lambda v: fit_ica(_POOL, v), "r", 2),
+}
+
+
+@pytest.mark.parametrize("case", COUNTS)
+def test_a_count_that_is_not_an_integer_is_named(case):
+    call, name, valid = COUNTS[case]
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer >= \d+, got 2\.5$"):
+        call(2.5)
+    call(np.int64(valid))
 
 
 # softmax_rows in its plainest form, with numpy's own row max: the oracle

@@ -115,7 +115,7 @@ class TestPca:
         assert p.meta["r_reduced"] == {"requested": 8, "used": 3}
 
     def test_r_below_one_rejected(self):
-        with pytest.raises(ValueError, match="^r must be >= 1$"):
+        with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
             fit_pca(np.random.default_rng(1).normal(size=(10, 4)), 0)
 
     def test_dimension_mismatch(self):
@@ -296,8 +296,17 @@ class TestDecompositionRoutes:
 
     @pytest.mark.parametrize("shape,r", [((10, 4), 0), ((10, 4), -1), ((5, 40), -2)])
     def test_a_decomposition_below_one_axis_is_rejected(self, shape, r):
-        with pytest.raises(ValueError, match="^r must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^r must be >= 1, got {r}$"):
             PoolDecomposition(wide_pool(3, *shape), r)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [lambda X: PoolDecomposition(X, 2).project("pca", 2), lambda X: fit_pca(X, 2), lambda X: whiten(X, 2), lambda X: fit_ica(X, 2)],
+        ids=["PoolDecomposition", "fit_pca", "whiten", "fit_ica"],
+    )
+    def test_a_pool_without_columns_has_no_rank(self, fit):
+        with pytest.raises(ValueError, match="^rank deficient: requested 2, available 0$"):
+            fit(np.zeros((5, 0)))
 
     def test_unknown_projection_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown projection 'ica'; choose from pca, whiten"):
