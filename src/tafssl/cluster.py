@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tafssl.classify import Prototypes, build_prototypes, nn_classify
-from tafssl.linalg import as_count, as_labels, as_matrices, as_matrix, pairwise_sqdist, softmax_rows, warn_numerical
+from tafssl.linalg import as_count, as_labels, as_matrices, as_matrix, as_real, pairwise_sqdist, softmax_rows, warn_numerical
 
 __all__ = ["Clustering", "MspResult", "bkm", "bkm_from_centroids", "bkm_predict", "kmeans", "msp", "msp_predict"]
 
@@ -204,14 +204,11 @@ def msp(
     each prototype with the mean of its K most confident samples (ties by
     pool index).  A round with K = 0 keeps all prototypes unchanged.  The
     final posterior is the nearest-prototype softmax for the queries.
-    ``iterations`` is an integer >= 0 (a non-integer raises) and
-    ``threshold`` lies in [0, 1).
+    ``iterations`` is an integer >= 0 and ``threshold`` a finite real number in [0, 1),
+    else a ValueError: no confidence exceeds 1, so above it msp would silently be nn.
     """
     as_count(iterations, "iterations")
-    # A confidence is at most 1, so a threshold of 1 or more (or NaN) would
-    # make every round K = 0 and msp silently nn.
-    if not 0.0 <= threshold < 1.0:
-        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
+    threshold = as_real(threshold, "threshold", "[0, 1)")
     support, queries, pool = as_matrices(support=support, queries=queries, pool=pool)
     protos = build_prototypes(support, support_labels)
     vectors = protos.vectors

@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from tafssl.classify import nn, sub, sub_star
 from tafssl.cluster import bkm_predict, msp_predict
 from tafssl.episodes import EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store
-from tafssl.linalg import as_count
+from tafssl.linalg import as_choice, as_count
 from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM
 
 __all__ = [
@@ -81,8 +81,7 @@ def parse_method(name: str, dim: int | None = None) -> MethodPipeline:
     """Build a pipeline from a CLI method name like ``pca-bkm``; ``dim``, an
     integer >= 1 (a non-integer raises), overrides the default subspace size
     of its projection."""
-    if name not in METHODS:
-        raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)}")
+    as_choice(name, "method", METHODS)
     if dim is not None:
         as_count(dim, "dim", 1)
     projection, head = METHODS[name]
@@ -118,7 +117,7 @@ class BenchmarkConfig:
     workers: int = _setting(1, "parallel episode workers")
 
     def methods(self) -> list[str]:
-        return [m.strip() for m in self.method.split(",") if m.strip()]
+        return [m.strip() for m in self.method.split(",") if m.strip()] if isinstance(self.method, str) else [self.method]
 
     def pipelines(self) -> list[MethodPipeline]:
         """The configured pipelines.  This is the one check a config gets
@@ -127,8 +126,8 @@ class BenchmarkConfig:
         integer among them."""
         for name, low in (("episodes", 1), ("workers", 1), ("seed", 0)):
             as_count(getattr(self, name), name, low)
-        if self.sweep is not None and self.sweep not in SWEEP_VALUES:
-            raise ValueError(f"unknown sweep {self.sweep!r}; choose from {', '.join(SWEEP_VALUES)}")
+        if self.sweep is not None:
+            as_choice(self.sweep, "sweep", SWEEP_VALUES)
         self.episode_spec(0)  # EpisodeSpec holds the protocol and mode rules
         names = self.methods()
         for name in names:

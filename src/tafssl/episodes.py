@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from tafssl.linalg import as_count, as_labels, as_matrix
+from tafssl.linalg import as_choice, as_count, as_labels, as_matrix, as_real
 
 __all__ = [
     "Episode",
@@ -120,8 +120,7 @@ class EpisodeSpec:
             as_count(getattr(self, name), name, low)
         for part in self.seed if isinstance(self.seed, tuple) else (self.seed,):
             as_count(part, "seed")
-        if self.mode not in ("transductive", "semi"):
-            raise ValueError(f"unknown mode {self.mode!r}; choose from transductive, semi")
+        as_choice(self.mode, "mode", ("transductive", "semi"))
         if self.mode == "transductive" and (self.unlabeled or self.distractors):
             raise ValueError("transductive mode uses queries as the unlabeled pool; unlabeled and distractors must be 0")
         if self.mode == "semi" and self.unlabeled < 1:
@@ -172,7 +171,8 @@ class MoGSpec:
     a sample draws from N(class_mean, sigma_signal^2) where class_mean was
     drawn once per (class, dim) from N(0, sigma_between^2); otherwise, and
     on every pure-noise dimension, it draws from N(mu_noise, sigma_noise^2).
-    ``m`` and ``signal_dims`` are integers; a non-integer raises ValueError.
+    ``m`` >= 1 and ``signal_dims`` in [0, m] are integers, ``rho_signal`` a finite real number in
+    [0, 1], each sigma one > 0 and ``mu_noise`` any; anything else raises a ValueError naming it.
     """
 
     m: int
@@ -184,14 +184,14 @@ class MoGSpec:
     sigma_signal: float = 1.0
 
     def __post_init__(self):
-        if not as_count(self.m, "feature dimension m", 1) >= self.signal_dims >= 0:
+        m = as_count(self.m, "feature dimension m", 1)
+        if isinstance(self.signal_dims, (int, np.integer)) and not m >= self.signal_dims >= 0:
             raise ValueError("signal_dims must lie in [0, m]")
         as_count(self.signal_dims, "signal_dims")
-        if not 0.0 <= self.rho_signal <= 1.0:
-            raise ValueError("rho_signal must lie in [0, 1]")
+        as_real(self.rho_signal, "rho_signal", "[0, 1]")
+        as_real(self.mu_noise, "mu_noise")
         for name in ("sigma_noise", "sigma_between", "sigma_signal"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ValueError(f"{name} must be > 0")
+            as_real(getattr(self, name), name, "(0, inf)")
 
 
 # Desk-scale reference benchmark: a store calibrated so the subspace methods

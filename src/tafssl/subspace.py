@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tafssl.linalg import as_count, as_matrices, as_matrix, flip_signs, sym_eig, warn_numerical
+from tafssl.linalg import as_choice, as_count, as_matrices, as_matrix, flip_signs, sym_eig, warn_numerical
 
 __all__ = [
     "ICA_DEFAULT_DIM",
@@ -130,8 +130,7 @@ class PoolDecomposition:
         whitening to r = n - 1 warns (:class:`NumericalWarning`); a PCA
         projection to r = n - 1 does not.  A non-integer ``r`` raises.
         """
-        if kind not in ("pca", "whiten"):
-            raise ValueError(f"unknown projection {kind!r}; choose from pca, whiten")
+        as_choice(kind, "projection", ("pca", "whiten"))
         n = self.centered.shape[0]
         meta: dict = {}
         if as_count(r, "r", 1) > n - 1:

@@ -291,7 +291,7 @@ class TestMsp:
         # At 1.5 or NaN no confidence passes: every round would have K = 0
         # and msp would silently be nn.
         pool = np.random.default_rng(4).normal(size=(20, 4))
-        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\)"):
+        with pytest.raises(ValueError, match=r"^threshold must be a finite real number in \[0, 1\), got "):
             msp(pool[:4], [0, 0, 1, 1], pool[4:8], pool, threshold=threshold)
 
     def test_refinement_beats_one_shot_on_blobs(self):

@@ -218,8 +218,8 @@ class TestMoGGenerator:
         [
             ({"signal_dims": -1}, "signal_dims must lie in [0, m]"),
             ({"signal_dims": 5}, "signal_dims must lie in [0, m]"),
-            ({"rho_signal": -0.1}, "rho_signal must lie in [0, 1]"),
-            ({"rho_signal": 1.5}, "rho_signal must lie in [0, 1]"),
+            ({"rho_signal": -0.1}, "rho_signal must be a finite real number in [0, 1], got -0.1"),
+            ({"rho_signal": 1.5}, "rho_signal must be a finite real number in [0, 1], got 1.5"),
         ],
         ids=["signal-below", "signal-above", "rho-below", "rho-above"],
     )

@@ -1048,12 +1048,15 @@ class TestMixtureConfigFile:
         [
             ("classes=0", "classes must be >= 1"),
             ("per_class=0", "per_class must be >= 1"),
-            ("sigma_signal=nan", "sigma_signal must be > 0"),
+            ("sigma_signal=nan", "sigma_signal must be a finite real number in (0, inf), got nan"),
+            ("sigma_noise=inf", "sigma_noise must be a finite real number in (0, inf), got inf"),
+            ("sigma_between=inf", "sigma_between must be a finite real number in (0, inf), got inf"),
+            ("mu_noise=nan", "mu_noise must be a finite real number in (-inf, inf), got nan"),
             ("m=0\nsignal_dims=0", "feature dimension m must be >= 1, got 0"),
             ("m=-1\nsignal_dims=0", "feature dimension m must be >= 1, got -1"),
             ("seed=-2", "seed must be >= 0"),
         ],
-        ids=["classes", "per_class", "sigma_signal", "m=0", "m=-1", "seed"],
+        ids=["classes", "per_class", "sigma_signal", "sigma_noise", "sigma_between", "mu_noise", "m=0", "m=-1", "seed"],
     )
     def test_bad_value_names_path_and_key(self, tmp_path, line, message):
         # ``line`` replaces the base value of each key it sets: a file may not repeat a key.

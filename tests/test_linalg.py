@@ -1,5 +1,7 @@
 """Unit and property tests for the dense linear-algebra primitives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,36 @@ def test_a_count_that_is_not_an_integer_is_named(case):
     with pytest.raises(ValueError, match=rf"\b{name} must be an integer >= \d+, got 2\.5$"):
         call(2.5)
     call(np.int64(valid))
+
+
+# Every real and every name setting, and signal_dims, a count compared with
+# m: (call with the value, the name its error gives, a valid value, numpy
+# for a real, the wrong values).
+_REAL = (None, "0.5", np.nan, np.inf)
+_NAME = (None, ["nn"])
+SETTINGS = {
+    "MoGSpec-signal_dims": (lambda v: MoGSpec(m=4, signal_dims=v), "signal_dims", np.int64(2), (None,)),
+    "MoGSpec-rho_signal": (lambda v: MoGSpec(m=4, signal_dims=1, rho_signal=v), "rho_signal", np.float32(0.5), _REAL),
+    "MoGSpec-mu_noise": (lambda v: MoGSpec(m=4, signal_dims=1, mu_noise=v), "mu_noise", np.int64(-2), _REAL),
+    "MoGSpec-sigma_noise": (lambda v: MoGSpec(m=4, signal_dims=1, sigma_noise=v), "sigma_noise", np.float32(0.5), _REAL),
+    "MoGSpec-sigma_between": (lambda v: MoGSpec(m=4, signal_dims=1, sigma_between=v), "sigma_between", np.int64(2), _REAL),
+    "MoGSpec-sigma_signal": (lambda v: MoGSpec(m=4, signal_dims=1, sigma_signal=v), "sigma_signal", np.float32(2.0), _REAL),
+    "msp-threshold": (lambda v: msp(*_MIX, threshold=v), "threshold", np.float32(0.5), _REAL),
+    "parse_method-name": (lambda v: parse_method(v), "method", "pca-nn", _NAME),
+    "BenchmarkConfig-method": (lambda v: BenchmarkConfig(method=v).pipelines(), "method", "nn", _NAME),
+    "BenchmarkConfig-sweep": (lambda v: BenchmarkConfig(sweep=v).pipelines(), "sweep", "queries", (["nn"],)),  # None is no sweep
+    "EpisodeSpec-mode": (lambda v: EpisodeSpec(mode=v), "mode", "transductive", _NAME),
+    "project-kind": (lambda v: PoolDecomposition(_POOL, 3).project(v, 2), "projection", "whiten", _NAME),
+}
+_WRONG_KIND = [(case, value) for case, (*_, wrong) in SETTINGS.items() for value in wrong]
+
+
+@pytest.mark.parametrize("case,value", _WRONG_KIND, ids=[f"{case}-{value!r}" for case, value in _WRONG_KIND])
+def test_a_setting_of_the_wrong_kind_is_named(case, value):
+    call, name, valid, _ = SETTINGS[case]
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*{re.escape(repr(value))}"):
+        call(value)
+    call(valid)
 
 
 # softmax_rows in its plainest form, with numpy's own row max: the oracle
