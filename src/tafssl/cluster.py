@@ -91,7 +91,7 @@ def kmeans(pool, k: int, seed: int = 0) -> Clustering:
     pool = as_matrix(pool, "pool")
     if pool.shape[0] < 1:
         raise ValueError("empty pool")
-    as_count(k, "k", 1)
+    k = as_count(k, "k", 1)
     pool_sq = (pool * pool).sum(axis=1)
     centroids = _farthest_point_init(pool, k, np.random.default_rng(seed), pool_sq)
     meta: dict = {}
@@ -207,7 +207,7 @@ def msp(
     ``iterations`` is an integer >= 0 and ``threshold`` a finite real number in [0, 1),
     else a ValueError: no confidence exceeds 1, so above it msp would silently be nn.
     """
-    as_count(iterations, "iterations")
+    iterations = as_count(iterations, "iterations")
     threshold = as_real(threshold, "threshold", "[0, 1)")
     support, queries, pool = as_matrices(support=support, queries=queries, pool=pool)
     protos = build_prototypes(support, support_labels)

@@ -83,7 +83,7 @@ def parse_method(name: str, dim: int | None = None) -> MethodPipeline:
     of its projection."""
     as_choice(name, "method", METHODS)
     if dim is not None:
-        as_count(dim, "dim", 1)
+        dim = as_count(dim, "dim", 1)
     projection, head = METHODS[name]
     r = None if projection == "none" else dim or _DEFAULT_DIMS[projection]
     return MethodPipeline(name, projection, r, head)
@@ -100,13 +100,13 @@ class BenchmarkConfig:
     flag of the same name (``-`` for ``_``), both parsed by :func:`field_parsers`."""
 
     method: str = _setting("nn", f"comma-separated list from: {', '.join(METHODS)}")
-    mode: str = _setting("transductive", "unlabeled pool source: transductive or semi")
-    ways: int = _setting(5, "classes per episode")
-    shots: int = _setting(1, "support samples per class")
-    queries: int = _setting(15, "query samples per class")
-    unlabeled: int = _setting(0, "semi mode: unlabeled samples per class")
-    distractors: int = _setting(0, "semi mode: extra unlabeled-only classes")
-    unbalanced_r: int = _setting(0, "per-class extra queries ~ uniform[0,R]")
+    mode: str = _setting(EpisodeSpec.mode, "unlabeled pool source: transductive or semi")
+    ways: int = _setting(EpisodeSpec.ways, "classes per episode")
+    shots: int = _setting(EpisodeSpec.shots, "support samples per class")
+    queries: int = _setting(EpisodeSpec.queries, "query samples per class")
+    unlabeled: int = _setting(EpisodeSpec.unlabeled, "semi mode: unlabeled samples per class")
+    distractors: int = _setting(EpisodeSpec.distractors, "semi mode: extra unlabeled-only classes")
+    unbalanced_r: int = _setting(EpisodeSpec.unbalanced_r, "per-class extra queries ~ uniform[0,R]")
     episodes: int = _setting(10000, "episode count")
     seed: int = _setting(0, "master seed")
     dim: int | None = _setting(None, f"subspace dimension; when unset, pca {PCA_DEFAULT_DIM} and ica {ICA_DEFAULT_DIM}")

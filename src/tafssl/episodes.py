@@ -224,8 +224,7 @@ def generate_mog_store(
     ``classes`` and ``per_class`` are integers >= 1 and ``seed`` one >= 0; a
     non-integer raises ValueError.
     """
-    for name, value, low in (("classes", classes, 1), ("per_class", per_class, 1), ("seed", seed, 0)):
-        as_count(value, name, low)
+    classes, per_class, seed = as_count(classes, "classes", 1), as_count(per_class, "per_class", 1), as_count(seed, "seed")
     rng = np.random.default_rng(seed)
     s = spec.signal_dims
     class_means = rng.normal(0.0, spec.sigma_between, size=(classes, s))
@@ -328,7 +327,7 @@ def mutual_information_diagnostic(features, labels=None, bins: int = 32) -> np.n
         raise ValueError("labels are required unless features is a FeatureStore")
     X = as_matrix(features, "features")
     ids, y_idx = as_labels(labels, X.shape[0], "feature")
-    as_count(bins, "bins", 2)
+    bins = as_count(bins, "bins", 2)
 
     n_labels = len(ids)
     h_label = _entropy(np.bincount(y_idx))

@@ -82,9 +82,9 @@ def as_matrices(**sets) -> list[np.ndarray]:
 
 
 def as_count(value, name: str, low: int = 0) -> int:
-    """``value``, a Python or numpy integer of at least ``low``, as an int; anything else raises a ValueError naming ``name``."""
+    """``value``, a Python or numpy integer of at least ``low``, as an int; anything else, a bool too, raises a ValueError naming ``name``."""
     try:
-        count = operator.index(value)
+        count = operator.index(None if isinstance(value, (bool, np.bool_)) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}") from None
     if count < low:
@@ -93,9 +93,13 @@ def as_count(value, name: str, low: int = 0) -> int:
 
 
 def as_real(value, name: str, interval: str = "(-inf, inf)") -> float:
-    """``value``, a finite Python or numpy real number in ``interval``, such as ``"[0, 1)"``, as a float; else a ValueError naming ``name``."""
+    """``value``, a finite Python or numpy real number in ``interval``, such as ``"[0, 1)"``, as a float; anything
+    else, a bool or an int beyond float range too, raises a ValueError naming ``name``."""
     low, high = map(float, interval[1:-1].split(","))
-    x = float(value) if isinstance(value, (int, float, np.integer, np.floating)) else np.nan
+    try:
+        x = float(value) if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool) else np.nan
+    except OverflowError:
+        x = np.nan
     if not (np.isfinite(x) and (low <= x if interval[0] == "[" else low < x) and (x <= high if interval[-1] == "]" else x < high)):
         raise ValueError(f"{name} must be a finite real number in {interval}, got {value!r}")
     return x

@@ -133,7 +133,8 @@ class PoolDecomposition:
         as_choice(kind, "projection", ("pca", "whiten"))
         n = self.centered.shape[0]
         meta: dict = {}
-        if as_count(r, "r", 1) > n - 1:
+        r = as_count(r, "r", 1)
+        if r > n - 1:
             meta["r_reduced"] = {"requested": r, "used": n - 1}
             r = n - 1
         available = np.count_nonzero(self.eigenvalues)

@@ -1067,22 +1067,6 @@ class TestMixtureConfigFile:
             load_store(BenchmarkConfig(synthetic=str(p)))
 
 
-class TestShippedConfigs:
-    """The files under ``configs/`` stay runnable and mean what they say."""
-
-    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-    def test_reference_mixture_is_the_reference_store(self):
-        store = config.read_mixture_file(self.CONFIGS / "reference_mog.cfg")
-        expected = reference_store()
-        assert list(store.classes) == list(expected.classes)
-        assert all(np.array_equal(store.classes[c], expected.classes[c]) for c in expected.classes)
-
-    def test_example_run_parses_into_its_pipelines(self):
-        config = BenchmarkConfig(**parse_config_file(self.CONFIGS / "example_run.cfg"))
-        assert [p.name for p in config.pipelines()] == ["pca-nn", "ica-msp"]
-
-
 class TestLabelHygiene:
     def test_inference_never_sees_query_labels(self):
         # The inference path receives the episode minus its query labels;

@@ -1,6 +1,8 @@
 """Unit and property tests for the dense linear-algebra primitives."""
 
 import re
+import reprlib
+import warnings
 
 import numpy as np
 import pytest
@@ -141,10 +143,19 @@ def test_a_count_that_is_not_an_integer_is_named(case):
     call(np.int64(valid))
 
 
+@pytest.mark.parametrize("case", COUNTS)
+@pytest.mark.parametrize("flag", [True, np.True_], ids=repr)
+def test_a_bool_is_not_a_count(case, flag):
+    call, name, _ = COUNTS[case]
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer >= \d+, got {re.escape(repr(flag))}$"):
+        call(flag)
+
+
 # Every real and every name setting, and signal_dims, a count compared with
 # m: (call with the value, the name its error gives, a valid value, numpy
-# for a real, the wrong values).
-_REAL = (None, "0.5", np.nan, np.inf)
+# for a real, the wrong values).  A real's wrong values include a bool and
+# ints beyond float range.
+_REAL = (None, "0.5", np.nan, np.inf, True, 10**400, -(10**400))
 _NAME = (None, ["nn"])
 SETTINGS = {
     "MoGSpec-signal_dims": (lambda v: MoGSpec(m=4, signal_dims=v), "signal_dims", np.int64(2), (None,)),
@@ -163,12 +174,14 @@ SETTINGS = {
 _WRONG_KIND = [(case, value) for case, (*_, wrong) in SETTINGS.items() for value in wrong]
 
 
-@pytest.mark.parametrize("case,value", _WRONG_KIND, ids=[f"{case}-{value!r}" for case, value in _WRONG_KIND])
+@pytest.mark.parametrize("case,value", _WRONG_KIND, ids=[f"{case}-{reprlib.repr(value)}" for case, value in _WRONG_KIND])
 def test_a_setting_of_the_wrong_kind_is_named(case, value):
     call, name, valid, _ = SETTINGS[case]
     with pytest.raises(ValueError, match=rf"\b{name}\b.*{re.escape(repr(value))}"):
         call(value)
-    call(valid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a valid value, np.float32 too, passes with no warning
+        call(valid)
 
 
 # softmax_rows in its plainest form, with numpy's own row max: the oracle
