@@ -103,7 +103,8 @@ class EpisodeSpec:
     transductive mode the queries double as the unlabeled pool, so
     ``unlabeled`` and ``distractors`` must be zero there.  Every count, and
     ``seed`` or each part of a ``seed`` tuple, is an integer at or above its
-    bound (``seed`` >= 0); a non-integer raises ValueError.
+    bound (``seed`` >= 0), kept as a Python int; a non-integer raises
+    ValueError.
     """
 
     ways: int = 5
@@ -117,9 +118,9 @@ class EpisodeSpec:
 
     def __post_init__(self):
         for name, low in (("ways", 2), ("shots", 1), ("queries", 1), ("unlabeled", 0), ("distractors", 0), ("unbalanced_r", 0)):
-            as_count(getattr(self, name), name, low)
-        for part in self.seed if isinstance(self.seed, tuple) else (self.seed,):
-            as_count(part, "seed")
+            object.__setattr__(self, name, as_count(getattr(self, name), name, low))
+        seed = tuple(as_count(part, "seed") for part in self.seed) if isinstance(self.seed, tuple) else as_count(self.seed, "seed")
+        object.__setattr__(self, "seed", seed)
         as_choice(self.mode, "mode", ("transductive", "semi"))
         if self.mode == "transductive" and (self.unlabeled or self.distractors):
             raise ValueError("transductive mode uses queries as the unlabeled pool; unlabeled and distractors must be 0")
@@ -173,6 +174,7 @@ class MoGSpec:
     on every pure-noise dimension, it draws from N(mu_noise, sigma_noise^2).
     ``m`` >= 1 and ``signal_dims`` in [0, m] are integers, ``rho_signal`` a finite real number in
     [0, 1], each sigma one > 0 and ``mu_noise`` any; anything else raises a ValueError naming it.
+    Each field keeps its checked value, a Python int or float.
     """
 
     m: int
@@ -187,11 +189,15 @@ class MoGSpec:
         m = as_count(self.m, "feature dimension m", 1)
         if isinstance(self.signal_dims, (int, np.integer)) and not m >= self.signal_dims >= 0:
             raise ValueError("signal_dims must lie in [0, m]")
-        as_count(self.signal_dims, "signal_dims")
-        as_real(self.rho_signal, "rho_signal", "[0, 1]")
-        as_real(self.mu_noise, "mu_noise")
-        for name in ("sigma_noise", "sigma_between", "sigma_signal"):
-            as_real(getattr(self, name), name, "(0, inf)")
+        checked = {
+            "m": m,
+            "signal_dims": as_count(self.signal_dims, "signal_dims"),
+            "rho_signal": as_real(self.rho_signal, "rho_signal", "[0, 1]"),
+            "mu_noise": as_real(self.mu_noise, "mu_noise"),
+            **{name: as_real(getattr(self, name), name, "(0, inf)") for name in ("sigma_noise", "sigma_between", "sigma_signal")},
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 # Desk-scale reference benchmark: a store calibrated so the subspace methods

@@ -230,9 +230,9 @@ def run_ablation(config: BenchmarkConfig, store: FeatureStore | None = None) -> 
                 results = list(pool.map(_pool_eval, [(cfg, pipes, i) for i in indices], chunksize=max(1, cfg.episodes // (4 * workers))))
             # Both loops return results in episode order.
             acc, times, warns = (np.array(column) for column in zip(*results))  # each episodes x methods
-            reports = []
+            spec, reports = cfg.episode_spec(0), []  # holds the checked settings; cfg keeps the caller's values
             for j, pipeline in enumerate(pipes):
-                metadata = {**{key: getattr(cfg, key) for key in ("seed", *PROTOCOL_FIELDS)}, "dim": pipeline.r, "warnings": int(warns[:, j].sum())}
+                metadata = {"seed": spec.seed[0], **{key: getattr(spec, key) for key in PROTOCOL_FIELDS}, "dim": pipeline.r, "warnings": int(warns[:, j].sum())}
                 reports.append(RunReport(pipeline.name, cfg.mode, tuple(acc[:, j].tolist()), float(times[:, j].mean()), metadata))
             table.append((value, reports))
     return table

@@ -151,6 +151,20 @@ class TestCli:
         assert r.stderr.splitlines() == ["error: ways + distractors = 30, but the store has 20 classes"]
         assert r.stdout == ""
 
+    def test_a_sweep_the_store_cannot_supply_exits_1_before_its_first_value(self):
+        r = run_cli("--synthetic", "reference", "--mode", "semi", "--unlabeled", "60", "--sweep", "queries", "--episodes", "1")
+        assert r.returncode == 1
+        assert r.stderr == "error: shots + queries + unbalanced_r + unlabeled = 111, but the store's smallest class has 100 samples\n"
+        assert r.stdout == ""
+
+    def test_a_dim_sweep_the_store_cannot_hold_exits_1_before_its_first_value(self, tmp_path):
+        mixture = tmp_path / "m12.cfg"
+        mixture.write_text("m=12\nsignal_dims=4\nclasses=10\nper_class=60\nseed=4\n")
+        r = run_cli("--synthetic", str(mixture), "--method", "pca-nn", "--sweep", "dim", "--episodes", "1")
+        assert r.returncode == 1
+        assert r.stderr == "error: pca-nn projects to dim = 15, but the store's features have 12 dimensions\n"
+        assert r.stdout == ""
+
     def test_a_dim_the_store_cannot_hold_exits_1_before_it_starts(self):
         r = run_cli("--synthetic", "reference", "--method", "pca-nn", "--dim", "100", "--episodes", "2")
         assert r.returncode == 1
