@@ -152,8 +152,7 @@ def sym_eig(C) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"matrix must be square, got shape {C.shape}")
     if not C.size:
         return np.zeros(0), np.zeros((0, 0))
-    scale = max(1.0, float(np.abs(C).max()))
-    if float(np.abs(C - C.T).max()) > 1e-8 * scale:
+    if float(np.abs(C - C.T).max()) > 1e-8 * float(np.abs(C).max()):
         raise ValueError("matrix is not symmetric")
     evals, evecs = np.linalg.eigh((C + C.T) / 2.0)
     return evals[::-1], flip_signs(evecs[:, ::-1])

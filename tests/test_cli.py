@@ -1,10 +1,19 @@
-"""End-to-end CLI tests: flags, config files, CSV output, exit codes."""
+"""End-to-end CLI tests: flags, config files, CSV output, exit codes.
+
+Each row of ``TestCli::test_determinism_across_workers`` runs one CLI
+command at ``--workers 1`` and ``--workers 2`` and asserts the same CSV
+bytes: every head, a queries sweep that crosses m = n, a pool smaller than
+dim + 1, a degenerate mixture and a semi-mode feature file, whose CSV twin
+must write the same bytes as the binary file.  Other tests run the shipped
+example config, a store scaled by 2^-20 against its unit-scale twin, and a
+non-finite feature file in both formats."""
 
 import os
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +21,7 @@ import pytest
 import tafssl
 from tafssl import cli
 from tafssl.cli import build_parser, config_from_args
-from tafssl.episodes import MoGSpec, generate_mog_store
+from tafssl.episodes import MoGSpec, generate_mog_store, reference_mog_spec
 from tafssl.features_io import save_features
 from tafssl.config import BenchmarkConfig, field_parsers
 
@@ -20,6 +29,7 @@ from tafssl.config import BenchmarkConfig, field_parsers
 # The CLI runs in a child process, which must import the same package as
 # the tests, installed or not.
 SRC = str(Path(tafssl.__file__).resolve().parents[1])
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_python(*args):
@@ -35,11 +45,76 @@ def run_cli(*args):
     return run_python("-m", "tafssl.cli", *args)
 
 
-@pytest.fixture
-def feature_file(tmp_path):
+def small_feature_file(tmp_path):
     p = tmp_path / "store.feats"
     save_features(generate_mog_store(MoGSpec(m=8, signal_dims=4), 8, 40, seed=2), p)
     return p
+
+
+@pytest.fixture
+def feature_file(tmp_path):
+    return small_feature_file(tmp_path)
+
+
+def mixture_file(tmp_path, name, text):
+    p = tmp_path / f"{name}.cfg"
+    p.write_text(text)
+    return p
+
+
+ALL_HEADS = "nn,sub,sub-star,pca-nn,ica-nn,pca-bkm,ica-bkm,pca-msp,ica-msp,bkm,msp"
+# One mixture at its default scales, and with each sigma times 2^-20.
+UNIT_MIXTURE = "m=64\nsignal_dims=8\nclasses=20\nper_class=100\nseed=7\n"
+TINY_MIXTURE = (
+    "m=64\nsignal_dims=8\nsigma_noise=9.5367431640625e-07\nsigma_signal=9.5367431640625e-07\n"
+    "sigma_between=2.86102294921875e-06\nclasses=20\nper_class=100\nseed=7\n"
+)
+DEGENERATE_MIXTURE = "m=4\nsignal_dims=0\nmu_noise=100000000\nsigma_noise=0.0001\nclasses=6\nper_class=20\nseed=0\n"
+
+
+def reference_semi_files(tmp_path):
+    """A 20 x 600 store of the reference mixture, as a binary file and its CSV twin."""
+    store = generate_mog_store(reference_mog_spec(), 20, 600, 0)
+    paths = [tmp_path / "store.feats", tmp_path / "store.csv"]
+    for p in paths:
+        save_features(store, p)
+    return [("--features", str(p)) for p in paths]
+
+
+# Each row: the sources to run (every one must write the first one's CSV
+# bytes), the flags, and a line that stdout holds at both worker counts.
+WORKER_RUNS = {
+    "small-feature-file": (
+        lambda tmp_path: [("--features", str(small_feature_file(tmp_path)))],
+        ("--method", "nn,msp", "--episodes", "8", "--seed", "3"),
+        None,
+    ),
+    "every-head": (
+        lambda tmp_path: [("--synthetic", "reference")],
+        ("--method", ALL_HEADS, "--episodes", "20", "--shots", "3"),
+        None,
+    ),
+    "queries-sweep-crosses-m-eq-n": (
+        lambda tmp_path: [("--synthetic", "reference")],
+        ("--method", "pca-nn,ica-nn,pca-msp", "--sweep", "queries", "--episodes", "5"),
+        None,
+    ),
+    "pool-smaller-than-dim": (
+        lambda tmp_path: [("--synthetic", "reference")],
+        ("--ways", "2", "--queries", "2", "--dim", "12", "--method", "pca-nn,ica-nn,pca-bkm,ica-msp", "--episodes", "20"),
+        "warnings: ica-nn 20",
+    ),
+    "degenerate-mixture": (
+        lambda tmp_path: [("--synthetic", str(mixture_file(tmp_path, "degenerate", DEGENERATE_MIXTURE)))],
+        ("--method", "bkm,pca-bkm", "--episodes", "20"),
+        None,
+    ),
+    "semi-feature-file-and-csv-twin": (
+        reference_semi_files,
+        ("--mode", "semi", "--unlabeled", "100", "--distractors", "3", "--method", "bkm,msp,pca-bkm,pca-msp", "--episodes", "20"),
+        None,
+    ),
+}
 
 
 # Each flag's bad value, the one error line it gives, and the settings that line names.
@@ -232,21 +307,53 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.startswith("error: ")
 
-    def test_determinism_across_workers(self, feature_file, tmp_path):
+    @pytest.mark.parametrize("name", WORKER_RUNS)
+    def test_determinism_across_workers(self, name, tmp_path):
+        make_sources, flags, stdout_line = WORKER_RUNS[name]
+        first, *twins = make_sources(tmp_path)
+        runs = [(first, "1"), (first, "2"), *((source, "1") for source in twins)]
         outs = []
-        for i, workers in enumerate(("1", "2")):
+        for i, (source, workers) in enumerate(runs):
             out = tmp_path / f"r{i}.csv"
+            r = run_cli(*source, *flags, "--workers", workers, "--out", str(out))
+            assert r.returncode == 0, r.stderr
+            if stdout_line:
+                assert stdout_line in r.stdout.splitlines()
+            outs.append(out.read_bytes())
+        assert outs == outs[:1] * len(runs)
+
+    def test_the_example_config_runs_to_a_csv(self, tmp_path):
+        out = tmp_path / "example.csv"
+        r = run_cli("--config", str(CONFIGS / "example_run.cfg"), "--episodes", "20", "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == ["pca-nn", "ica-msp"]
+
+    def test_a_store_scaled_by_2_pow_minus_20_writes_the_unit_scale_csv(self, tmp_path):
+        outs = []
+        for name, text in (("unit", UNIT_MIXTURE), ("tiny", TINY_MIXTURE)):
+            out = tmp_path / f"scale_{name}.csv"
             r = run_cli(
-                "--features", str(feature_file),
-                "--method", "nn,msp",
-                "--episodes", "8",
-                "--seed", "3",
-                "--workers", workers,
+                "--synthetic", str(mixture_file(tmp_path, name, text)),
+                "--method", "nn,sub,sub-star,pca-nn,ica-nn,ica-bkm,ica-msp",
+                "--episodes", "300",
                 "--out", str(out),
             )
             assert r.returncode == 0, r.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_a_non_finite_feature_file_fails_the_same_way_in_both_formats(self, tmp_path):
+        classes = dict(generate_mog_store(reference_mog_spec(), 20, 600, 0).classes)
+        classes[3] = classes[3].copy()
+        classes[3][7, 0] = np.nan
+        errors = []
+        for ext in ("feats", "csv"):
+            path = tmp_path / f"bad.{ext}"
+            save_features(SimpleNamespace(classes=classes, m=64), path)  # a FeatureStore refuses the NaN
+            r = run_cli("--features", str(path), "--method", "nn", "--episodes", "1")
+            assert r.returncode == 1
+            errors.append(r.stderr)
+        assert errors == ["error: non-finite value in class 3, row 7\n"] * 2
 
     def test_a_serial_run_loads_no_process_pool(self):
         # The last run starts a pool, so the check is seen to find the modules.

@@ -595,10 +595,10 @@ class TestBkmMatchesLoopReference:
         assert np.array_equal(post, bkm_from_centroids(support, labels, queries, made[0].centroids))
 
 
-class TestMatchesParent:
-    """The MSP round's decisions are bit-identical to the round as it stood
-    before msp stopped building the pool x classes posterior
-    (``_ref_nearest_confidence``), and msp builds no such posterior."""
+class TestMspRoundMatchesOracle:
+    """The MSP round's decisions are bit-identical to the oracle
+    ``_ref_nearest_confidence``, the round as it stood before msp stopped
+    building the pool x classes posterior, and msp builds no such posterior."""
 
     def assert_round_matches(self, sq):
         predicted, confidence = _nearest_confidence(sq)

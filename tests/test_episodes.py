@@ -193,7 +193,7 @@ class TestMoGGenerator:
         ],
         ids=["reference", "wide", "no-signal", "all-signal"],
     )
-    def test_matches_parent_generator_bit_for_bit(self, spec, n_classes, per_class, seed):
+    def test_matches_oracle_generator_bit_for_bit(self, spec, n_classes, per_class, seed):
         store, means = generate_mog_store(spec, n_classes, per_class, seed, return_class_means=True)
         expected, expected_means = _ref_generate_mog_store(spec, n_classes, per_class, seed)
         assert means.tobytes() == expected_means.tobytes()

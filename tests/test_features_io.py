@@ -99,7 +99,11 @@ FAULTY_FILES = {
 }
 
 
-class TestBinaryLoaderMatchesParent:
+class TestBinaryLoaderMatchesOracle:
+    """load_features matches the oracle ``_ref_load_binary`` in values,
+    shapes, order and error messages, and holds its classes as row views of
+    one float32 buffer."""
+
     @pytest.mark.parametrize("name", VALID_FILES)
     def test_values_dtype_shapes_and_order(self, name, tmp_path):
         path = tmp_path / "a.feats"
@@ -126,7 +130,7 @@ class TestBinaryLoaderMatchesParent:
             row += X.shape[0]
 
     @pytest.mark.parametrize("name", FAULTY_FILES)
-    def test_each_fault_raises_the_parent_message(self, name, tmp_path):
+    def test_each_fault_raises_the_oracle_message(self, name, tmp_path):
         path = tmp_path / "a.feats"
         path.write_bytes(FAULTY_FILES[name])
         with pytest.raises(ValueError) as expected:

@@ -55,6 +55,17 @@ class TestSymEig:
         with pytest.raises(ValueError, match="not symmetric"):
             sym_eig([[1.0, 2.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    def test_symmetry_is_checked_relative_to_the_largest_entry(self, scale):
+        # Scaling a matrix changes no verdict; scale 1 is the test above.
+        sym_eig(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_eig(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_zero_matrix_is_symmetric(self):
+        evals, _ = sym_eig(np.zeros((2, 2)))
+        assert np.array_equal(evals, [0.0, 0.0])
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             sym_eig(np.ones((2, 3)))
@@ -193,15 +204,14 @@ def _ref_softmax_rows(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-class TestRowMax:
-    """softmax_rows is bit-identical to the reference above, at the pool
-    shapes the heads see and at widths on both sides of numpy's 8-column
-    summation change.  The class keeps the name of ``row_max``, a transposed
-    row max that softmax_rows used until no benchmarked shape paid for it."""
+class TestSoftmaxRowsMatchesOracle:
+    """softmax_rows is bit-identical to the oracle ``_ref_softmax_rows``, at
+    the pool shapes the heads see and at widths on both sides of numpy's
+    8-column summation change."""
 
     @pytest.mark.parametrize("n, m", [(805, 64), (805, 4), (80, 1024), (80, 10)])
     @pytest.mark.parametrize("width", [1, 2, 5, 7, 8, 9, 12, 16, 33])
-    def test_softmax_rows_matches_parent(self, n, m, width):
+    def test_pool_shapes(self, n, m, width):
         rng = np.random.default_rng((n, m, width))
         pool = rng.normal(size=(n, m))
         for scale in (0.1, 1.0, 30.0):  # at 30 most rows underflow to one-hot
