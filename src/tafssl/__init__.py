@@ -22,8 +22,9 @@ from tafssl.episodes import (
     sample_episode,
 )
 from tafssl.features_io import load_features, save_features
-from tafssl.harness import RunReport, run_ablation, run_benchmark
+from tafssl.harness import run_ablation, run_benchmark
 from tafssl.linalg import NumericalWarning, sym_eig
+from tafssl.report import RunReport
 from tafssl.subspace import SubspaceProjection, fit_ica, fit_pca, whiten
 
 __version__ = "0.1.0"

@@ -3,19 +3,20 @@
 Each ``BenchmarkConfig`` field is one flag, generated from the field: its
 name with ``-`` for ``_``, the config file's parser for that key, and the
 field's help text and default.  Values given on the command line override
-the file.  Exit status is 0 on success and 1 on any error, with a single
-``error: ...`` line on stderr.
+the file.  The run checks its settings, ``--out`` among them, and writes
+the CSV; the CLI prints the table.  Exit status is 0 on success and 1 on
+any error, with a single ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 
 from tafssl.config import BenchmarkConfig, field_parsers, parse_config_file
-from tafssl.harness import format_reports, run_ablation, write_csv
+from tafssl.harness import run_ablation
+from tafssl.report import format_reports
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,18 +53,13 @@ def config_from_args(args: argparse.Namespace) -> BenchmarkConfig:
 
 
 def main(argv=None) -> int:
+    """Run the flags' config and print its table.  The run writes ``--out``
+    first, so a failed write prints no table and no ``wrote`` line."""
     try:
         config = config_from_args(build_parser().parse_args(argv))
-        if config.out:  # a bad path fails now, not after the whole run
-            folder = os.path.dirname(config.out) or "."
-            if os.path.isdir(config.out):
-                raise ValueError(f"out: {config.out} is a directory")
-            if not os.path.isdir(folder):
-                raise ValueError(f"out: no such directory: {folder}")
         table = run_ablation(config)
         print(format_reports(table, config.sweep))
         if config.out:
-            write_csv(config.out, table, config.sweep)
             print(f"wrote {config.out}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

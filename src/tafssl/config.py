@@ -8,6 +8,7 @@ before the feature source is read; once the store is loaded,
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -122,8 +123,14 @@ class BenchmarkConfig:
     def pipelines(self) -> list[MethodPipeline]:
         """The configured pipelines.  This is the one check a config gets
         before the feature source is read: it raises ValueError for any
-        setting the run would reject on any store, a count that is not an
-        integer among them."""
+        setting the run would reject on any store, among them a count that
+        is not an integer and an ``out`` that is a folder or in a missing one."""
+        if self.out:  # a bad path fails now, not after the whole run
+            folder = os.path.dirname(self.out) or "."
+            if os.path.isdir(self.out):
+                raise ValueError(f"out: {self.out} is a directory")
+            if not os.path.isdir(folder):
+                raise ValueError(f"out: no such directory: {folder}")
         for name, low in (("episodes", 1), ("workers", 1), ("seed", 0)):
             as_count(getattr(self, name), name, low)
         if self.sweep is not None:

@@ -1,34 +1,27 @@
-"""Benchmark harness: pipeline staging, the episode loop, statistics and output.
+"""Benchmark harness: pipeline staging and the episode loop.
 
-The settings of a run, its table of sweep values and every check it gets
-before episode 0 live in ``tafssl.config``: :meth:`BenchmarkConfig.table`
-builds and checks the rows, and :meth:`BenchmarkConfig.check_store` checks
-each row against the loaded store.  A pipeline runs in two
-stages, project then infer: :class:`EpisodeProjections` stages the
-episode's subspace views, shared by every pipeline that asks for the same
-one, and the pipeline's head, a library function, decides.  The harness
-samples episodes from a feature store, runs every requested pipeline on
-each episode, scores the query predictions against the held-back labels
-(classifiers never see them), keeps each method's per-episode accuracies in
-a :class:`RunReport`, then formats or writes the reports.  :func:`run_ablation`
-is the one driver: it runs every row of a table on one BLAS thread and,
-with ``workers`` > 1, in one pool; only a run that starts a pool imports
-the pool machinery (``multiprocessing``).  :func:`run_benchmark` is its
-table of one row.
+A pipeline runs in two stages, project then infer: :class:`EpisodeProjections`
+stages the episode's subspace views, shared by every pipeline that asks for
+the same one, and the pipeline's head, a library function, decides.  The
+harness samples episodes from a feature store, runs every requested pipeline
+on each episode and scores the query predictions against the held-back
+labels (classifiers never see them).  :func:`run_ablation` is the one
+driver: it runs every row of a config's table on one BLAS thread and, with
+``workers`` > 1, in one pool; only a run that starts a pool imports the pool
+machinery (``multiprocessing``).  :func:`run_benchmark` is its table of one
+row.
 
 Determinism contract: (config, seed) fully determines every number in the
-reports and in the CSV output, independent of the worker count.  Episode i
-draws its randomness from (seed, i) alone, per-episode results are
-aggregated in episode order, and wall-clock timings stay out of the CSV.
+reports, independent of the worker count.  Episode i draws its randomness
+from (seed, i) alone, and per-episode results are aggregated in episode
+order.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,46 +29,17 @@ from tafssl.config import PROTOCOL_FIELDS, BenchmarkConfig, MethodPipeline, read
 from tafssl.episodes import Episode, FeatureStore, reference_store, sample_episode
 from tafssl.features_io import load_features
 from tafssl.linalg import set_blas_threads, single_blas_thread
+from tafssl.report import RunReport, write_csv
 # ``fit_ica`` is not called here; perfbench's tracer test patches it as ``harness.fit_ica``.
 from tafssl.subspace import PoolDecomposition, fit_ica
 
 __all__ = [
     "EpisodeProjections",
-    "RunReport",
     "evaluate_episode",
-    "format_reports",
     "load_store",
     "run_ablation",
     "run_benchmark",
-    "write_csv",
 ]
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """One method over one episode batch.  ``per_episode`` holds each
-    episode's fraction of correct queries, in episode order; ``accuracy``
-    is their mean and ``ci95`` the 0.95 normal-approximation half-width
-    1.96 * std / sqrt(episodes), both in percent, with the population std,
-    so a single episode reports a zero-width interval."""
-
-    method: str
-    mode: str
-    per_episode: tuple[float, ...]
-    seconds_per_episode: float
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def episodes(self) -> int:
-        return len(self.per_episode)
-
-    @property
-    def accuracy(self) -> float:
-        return float(np.asarray(self.per_episode).mean()) * 100.0
-
-    @property
-    def ci95(self) -> float:
-        return float(1.96 * np.asarray(self.per_episode).std(ddof=0) / np.sqrt(self.episodes) * 100.0)
 
 
 class EpisodeProjections:
@@ -207,7 +171,7 @@ def run_ablation(config: BenchmarkConfig, store: FeatureStore | None = None) -> 
     value, of at most ``episodes`` workers when ``workers`` > 1, so a run of
     one episode starts none.  Only a run that starts a pool imports the pool
     machinery.  The process's BLAS thread count is restored when the run
-    ends.
+    ends.  A finished run writes its table to ``config.out``, if set.
     """
     rows = config.table()
     if store is None:
@@ -235,69 +199,6 @@ def run_ablation(config: BenchmarkConfig, store: FeatureStore | None = None) -> 
                 metadata = {"seed": spec.seed[0], **{key: getattr(spec, key) for key in PROTOCOL_FIELDS}, "dim": pipeline.r, "warnings": int(warns[:, j].sum())}
                 reports.append(RunReport(pipeline.name, cfg.mode, tuple(acc[:, j].tolist()), float(times[:, j].mean()), metadata))
             table.append((value, reports))
+    if config.out:
+        write_csv(config.out, table, config.sweep)
     return table
-
-
-def format_reports(table: list[tuple[int | None, list[RunReport]]], sweep: str | None = None) -> str:
-    """Human-readable aligned table; one row per (sweep value, method),
-    then a line naming each report that counted warnings, if any did."""
-    rows = [("sweep", "value", "method", "mode", "episodes", "accuracy", "ci95", "s/episode")]
-    for value, reports in table:
-        for rep in reports:
-            rows.append(
-                (
-                    sweep or "-",
-                    "-" if value is None else str(value),
-                    rep.method,
-                    rep.mode,
-                    str(rep.episodes),
-                    f"{rep.accuracy:.2f}",
-                    f"±{rep.ci95:.2f}",
-                    f"{rep.seconds_per_episode:.4f}",
-                )
-            )
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    if sweep == "dim":
-        best: dict = {}  # method -> (accuracy, dim), ties to the larger dim
-        for value, reports in table:
-            for rep in reports:
-                best[rep.method] = max(best.get(rep.method, (rep.accuracy, value)), (rep.accuracy, value))
-        if best:
-            lines.append(f"best dim by accuracy: {', '.join(f'{m} {v} ({a:.2f}%)' for m, (a, v) in best.items())}")
-    # The episode loop records every warning, so this line is where they show.
-    warned = [
-        f"{rep.method}{'' if value is None else f' ({sweep} {value})'} {rep.metadata['warnings']}"
-        for value, reports in table
-        for rep in reports
-        if rep.metadata.get("warnings")
-    ]
-    if warned:
-        lines.append(f"warnings: {', '.join(warned)}")
-    return "\n".join(lines)
-
-
-CSV_COLUMNS = ["sweep", "value", "method", "mode", *PROTOCOL_FIELDS, "episodes", "seed", "dim", "accuracy", "ci95"]
-
-
-def write_csv(path, table: list[tuple[int | None, list[RunReport]]], sweep: str | None = None) -> None:
-    """Machine-readable results.  Contains only deterministic fields, so two
-    runs with the same config and seed produce byte-identical files
-    regardless of the worker count.  ``None`` (no sweep, no value, no
-    subspace) is written as an empty field."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
-        for value, reports in table:
-            for rep in reports:
-                row = {
-                    **rep.metadata,
-                    "sweep": sweep,
-                    "value": value,
-                    "method": rep.method,
-                    "mode": rep.mode,
-                    "episodes": rep.episodes,
-                    "accuracy": f"{rep.accuracy:.6f}",
-                    "ci95": f"{rep.ci95:.6f}",
-                }
-                writer.writerow([row[column] for column in CSV_COLUMNS])

@@ -63,10 +63,6 @@ class SubspaceProjection:
     def r(self) -> int:
         return self.W.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.W.shape[1]
-
     def apply(self, X) -> np.ndarray:
         """Project rows of ``X`` (shape rows x m) into the subspace."""
         W, X = as_matrices(projection=self.W, X=X)

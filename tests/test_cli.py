@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import tafssl
-from tafssl import cli
+from tafssl import cli, harness
 from tafssl.cli import build_parser, config_from_args
 from tafssl.episodes import MoGSpec, generate_mog_store, reference_mog_spec
 from tafssl.features_io import save_features
@@ -262,7 +262,7 @@ class TestCli:
         def never(*args, **kwargs):
             raise AssertionError("the run started")
 
-        monkeypatch.setattr(cli, "run_ablation", never)
+        monkeypatch.setattr(harness, "load_store", never)
         path = os.path.join(tmp_path, out) if out else str(tmp_path)
         assert cli.main(["--synthetic", "reference", "--method", "nn", "--episodes", "300", "--out", path]) == 1
         captured = capsys.readouterr()

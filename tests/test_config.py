@@ -6,7 +6,7 @@ config files."""
 import json
 import pickle
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +15,11 @@ import pytest
 from tafssl import config, harness
 from tafssl.classify import nn, sub, sub_star
 from tafssl.cluster import bkm, bkm_predict, kmeans, msp, msp_predict
-from tafssl.config import PROTOCOL_FIELDS, BenchmarkConfig, parse_config_file, parse_method
+from tafssl.config import PROTOCOL_FIELDS, SWEEP_VALUES, BenchmarkConfig, parse_config_file, parse_method
 from tafssl.episodes import EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_store, sample_episode
-from tafssl.harness import EpisodeProjections, evaluate_episode, load_store, run_ablation, run_benchmark, write_csv
+from tafssl.harness import EpisodeProjections, evaluate_episode, load_store, run_ablation, run_benchmark
+from tafssl.report import write_csv
+from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM
 
 from stores import noisy_store, separable_store
 
@@ -206,6 +208,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="method 'nn' is given more than once"):
             run_benchmark(cfg)
 
+    @pytest.mark.parametrize(
+        "out,message",
+        [("missing/dir/x.csv", "out: no such directory: {tmp}/missing/dir"), ("", "out: {tmp} is a directory")],
+        ids=["no-such-directory", "a-directory"],
+    )
+    def test_a_bad_out_path_checked_before_store_loads(self, tmp_path, out, message):
+        cfg = BenchmarkConfig(method="nn", out=str(tmp_path / out), features=str(tmp_path / "missing.feats"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(tmp=tmp_path))}$"):
+            run_benchmark(cfg)
+
     def test_protocol_fields_are_the_episode_spec_fields(self):
         spec_defaults = {f.name: f.default for f in fields(EpisodeSpec)}
         config_defaults = {f.name: f.default for f in fields(BenchmarkConfig)}
@@ -225,6 +237,27 @@ class TestConfigValidation:
     def test_sweep_rules_are_checked_with_the_other_settings(self, settings, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             BenchmarkConfig(**settings).pipelines()
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("sweep,field", [("queries", "queries"), ("noise", "distractors"), ("dim", "dim"), ("unbalance", "unbalanced_r")])
+    def test_table_sets_the_swept_field_to_each_value(self, sweep, field):
+        base = BenchmarkConfig(method="pca-nn,ica-nn", mode="semi", unlabeled=5, sweep=sweep)
+        table = base.table()
+        assert [value for value, _, _ in table] == SWEEP_VALUES[sweep]
+        for value, cfg, pipes in table:
+            assert cfg == replace(base, **{field: value})
+            assert [p.r for p in pipes] == ([value, value] if sweep == "dim" else [PCA_DEFAULT_DIM, ICA_DEFAULT_DIM])
+
+    def test_table_without_a_sweep_is_the_config_itself(self):
+        cfg = BenchmarkConfig(method="nn,pca-bkm")
+        [(value, row, pipes)] = cfg.table()
+        assert value is None and row is cfg and pipes == cfg.pipelines()
+
+    def test_default_sweep_values(self):
+        assert SWEEP_VALUES["queries"] == [2, 5, 10, 15, 20, 30, 50]
+        assert SWEEP_VALUES["noise"] == list(range(8))
+        assert SWEEP_VALUES["unbalance"] == [0, 10, 20, 30, 40, 50]
 
 
 def short_class_store():

@@ -10,7 +10,8 @@ from tafssl import features_io
 from tafssl.config import BenchmarkConfig
 from tafssl.episodes import EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, mutual_information_diagnostic, sample_episode
 from tafssl.features_io import CLASS_HEADER, HEADER, MAGIC, VERSION, load_features, save_features
-from tafssl.harness import run_benchmark, write_csv
+from tafssl.harness import run_benchmark
+from tafssl.report import write_csv
 
 
 @pytest.fixture

@@ -1,12 +1,9 @@
-"""Tests for the harness: episode staging, the run loop, sweeps, and output
-(the report table and the CSV)."""
+"""Tests for the harness: episode staging, the run loop and sweeps, each
+run's reports, and the CSV a run writes to ``out``."""
 
-import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
-from hashlib import sha256
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,22 +13,14 @@ from hypothesis import strategies as st
 from tafssl import cluster, harness
 from tafssl.config import SWEEP_VALUES, BenchmarkConfig, MethodPipeline, parse_method
 from tafssl.episodes import Episode, EpisodeSpec, FeatureStore, MoGSpec, generate_mog_store, reference_mog_spec, reference_store, sample_episode
-from tafssl.harness import (
-    EpisodeProjections,
-    evaluate_episode,
-    format_reports,
-    load_store,
-    run_ablation,
-    run_benchmark,
-    write_csv,
-)
+from tafssl.harness import EpisodeProjections, evaluate_episode, run_ablation, run_benchmark
 from tafssl import linalg
 from tafssl.linalg import BlasThreadWarning, blas_threads, set_blas_threads
 from tafssl import subspace
 from tafssl.classify import build_prototypes, nn_classify, sub
 from tafssl.cluster import bkm, msp
-from tafssl.features_io import save_features
-from tafssl.subspace import ICA_DEFAULT_DIM, PCA_DEFAULT_DIM, PoolDecomposition, fit_ica
+from tafssl.report import write_csv
+from tafssl.subspace import PoolDecomposition, fit_ica
 
 from stores import noisy_store, separable_store
 
@@ -144,19 +133,6 @@ def in_process_pools(monkeypatch):
     return started
 
 
-class TestRunReport:
-    def test_figures_derive_from_per_episode(self):
-        rep = harness.RunReport("nn", "transductive", (1.0, 0.0), 0.001)
-        assert (rep.episodes, rep.accuracy, rep.ci95) == (2, 50.0, 1.96 * 0.5 / np.sqrt(2) * 100)
-
-    def test_one_episode_has_a_zero_width_interval(self):
-        rep = harness.RunReport("nn", "transductive", (0.6,), 0.001)
-        assert (rep.episodes, rep.ci95) == (1, 0.0)
-
-    def test_the_figures_are_not_fields(self):
-        assert [f.name for f in fields(harness.RunReport)] == ["method", "mode", "per_episode", "seconds_per_episode", "metadata"]
-
-
 class TestRunBenchmark:
     def test_separable_store_is_perfect(self):
         cfg = BenchmarkConfig(method="nn", episodes=1, seed=0)
@@ -164,6 +140,12 @@ class TestRunBenchmark:
         assert rep.accuracy == 100.0
         assert rep.ci95 == 0.0
         assert rep.episodes == 1
+
+    def test_out_is_written_with_the_reports(self, tmp_path):
+        out, expected = tmp_path / "run.csv", tmp_path / "expected.csv"
+        reports = run_benchmark(BenchmarkConfig(method="nn,pca-msp", episodes=3, seed=4, out=str(out)), store=noisy_store())
+        write_csv(expected, [(None, reports)])
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_reports_per_method(self):
         cfg = BenchmarkConfig(method="nn,pca-nn", episodes=5, seed=0)
@@ -599,18 +581,6 @@ class TestSweeps:
         with pytest.raises(ValueError, match="projection"):
             run_ablation(replace(cfg, sweep="dim"))
 
-    def test_dim_sweep_reports_argmax(self):
-        for method in ("pca-nn", "pca-nn,ica-nn"):
-            cfg = BenchmarkConfig(method=method, episodes=3, seed=0, synthetic="reference")
-            table = run_ablation(replace(cfg, sweep="dim"))
-            text = format_reports(table, "dim")
-            # One entry per method: its own best dim, not the best over all methods.
-            entries = []
-            for name in cfg.methods():
-                accuracy, dim = max((rep.accuracy, value) for value, reports in table for rep in reports if rep.method == name)
-                entries.append(f"{name} {dim} ({accuracy:.2f}%)")
-            assert text.splitlines()[-1] == f"best dim by accuracy: {', '.join(entries)}"
-
     def test_noise_sweep_requires_semi(self):
         cfg = BenchmarkConfig(method="nn", episodes=2, seed=0)
         with pytest.raises(ValueError, match="semi"):
@@ -648,103 +618,11 @@ class TestSweeps:
         # Equal but for the wall-clock timing.
         assert [replace(r, seconds_per_episode=0.0) for r in reports] == [replace(r, seconds_per_episode=0.0) for r in expected]
 
-    @pytest.mark.parametrize("sweep,field", [("queries", "queries"), ("noise", "distractors"), ("dim", "dim"), ("unbalance", "unbalanced_r")])
-    def test_table_sets_the_swept_field_to_each_value(self, sweep, field):
-        base = BenchmarkConfig(method="pca-nn,ica-nn", mode="semi", unlabeled=5, sweep=sweep)
-        table = base.table()
-        assert [value for value, _, _ in table] == SWEEP_VALUES[sweep]
-        for value, cfg, pipes in table:
-            assert cfg == replace(base, **{field: value})
-            assert [p.r for p in pipes] == ([value, value] if sweep == "dim" else [PCA_DEFAULT_DIM, ICA_DEFAULT_DIM])
-
-    def test_table_without_a_sweep_is_the_config_itself(self):
-        cfg = BenchmarkConfig(method="nn,pca-bkm")
-        [(value, row, pipes)] = cfg.table()
-        assert value is None and row is cfg and pipes == cfg.pipelines()
-
-    def test_default_sweep_values(self):
-        assert SWEEP_VALUES["queries"] == [2, 5, 10, 15, 20, 30, 50]
-        assert SWEEP_VALUES["noise"] == list(range(8))
-        assert SWEEP_VALUES["unbalance"] == [0, 10, 20, 30, 40, 50]
-
-
-class TestOutputs:
-    def test_csv_deterministic_across_worker_counts(self, tmp_path):
-        store = noisy_store()
-        paths = []
-        for i, workers in enumerate((1, 3)):
-            cfg = BenchmarkConfig(method="nn,ica-msp", episodes=10, seed=5, workers=workers)
-            table = [(None, run_benchmark(cfg, store=store))]
-            p = tmp_path / f"out{i}.csv"
-            write_csv(p, table)
-            paths.append(p.read_bytes())
-        assert paths[0] == paths[1]
-
-    def test_csv_columns(self, tmp_path):
-        cfg = BenchmarkConfig(method="nn", episodes=2, seed=0)
-        table = [(None, run_benchmark(cfg, store=separable_store()))]
-        p = tmp_path / "o.csv"
-        write_csv(p, table)
-        lines = p.read_text().splitlines()
-        assert lines[0].startswith("sweep,value,method,mode,ways,shots")
-        assert len(lines) == 2
-
-    def test_format_reports_is_aligned_table(self):
-        cfg = BenchmarkConfig(method="nn", episodes=2, seed=0)
-        text = format_reports([(None, run_benchmark(cfg, store=separable_store()))])
-        lines = text.splitlines()
-        assert lines[0].startswith("sweep")
-        assert "nn" in lines[1]
-
-    def test_format_reports_names_methods_that_warned(self):
-        def report(method, warned):
-            return harness.RunReport(method, "transductive", (0.5, 0.5, 0.5), 0.001, {"warnings": warned})
-
-        text = format_reports([(None, [report("nn", 0), report("ica-nn", 4), report("ica-msp", 2)])])
-        assert text.splitlines()[-1] == "warnings: ica-nn 4, ica-msp 2"
-        text = format_reports([(8, [report("ica-nn", 0)]), (9, [report("ica-nn", 5)])], "dim")
-        assert text.splitlines()[-1] == "warnings: ica-nn (dim 9) 5"
-        assert "warnings" not in format_reports([(None, [report("nn", 0), report("pca-nn", 0)])])
-
-    def test_simplex_warning_is_charged_to_the_first_pipeline_of_the_view(self):
-        # 5-way 1-shot with 1 query per class: 10-row pools, whitened to 9 = n - 1.
-        cfg = BenchmarkConfig(method="pca-nn,ica-nn,ica-msp", queries=1, dim=9, episodes=6, seed=0)
-        reports = run_benchmark(cfg, store=reference_store())
-        assert [r.metadata["warnings"] for r in reports] == [0, 6, 0]
-        assert format_reports([(None, reports)]).splitlines()[-1] == "warnings: ica-nn 6"
-
-
-    def test_reference_rounds_match_the_benchmark_digests(self, tmp_path):
-        # Every round of the benchmark's ``reference`` workload, recomputed:
-        # 16 input sets of 8 seeded 10-episode runs on the reference store.
-        table = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())["reference"]
-        assert (table["episodes"], table["rounds_per_set"]) == (10, 8)
-        store, path = reference_store(), tmp_path / "round.csv"
-        for i, digests in table["digests"].items():
-            for r, digest in enumerate(digests):
-                cfg = BenchmarkConfig(synthetic="reference", method="nn,pca-nn,ica-nn,ica-msp", episodes=10, seed=1000 * int(i) + r)
-                write_csv(path, [(None, run_benchmark(cfg, store=store))])
-                assert sha256(path.read_bytes()).hexdigest() == digest, f"input set {i}, round {r}"
-
-    @pytest.mark.parametrize("group,input_set", [("semi", 0), ("semi", 5), ("wide", 0)])
-    def test_loaded_and_generated_stores_match_the_benchmark_digests(self, group, input_set, tmp_path):
-        # The benchmark's ``semi`` rounds read a 20 x 600 reference-spec store
-        # back from a binary file; its ``wide`` rounds build an m = 1024 store
-        # from a mixture config file.  Each input set has 8 seeded rounds.
-        table = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())[group]
-        if group == "semi":
-            source = tmp_path / "semi.feats"
-            save_features(generate_mog_store(reference_mog_spec(), 20, 600, input_set), source)
-            cfg = BenchmarkConfig(features=str(source), method="bkm,msp,pca-bkm,pca-msp", mode="semi", unlabeled=100, distractors=3, episodes=10)
-        else:
-            source = tmp_path / "wide_store.cfg"
-            source.write_text(f"m=1024\nsignal_dims=32\nsigma_between=2.0\nclasses=20\nper_class=100\nseed={input_set}\n")
-            cfg = BenchmarkConfig(synthetic=str(source), method="nn,pca-nn,pca-bkm,ica-bkm", episodes=4)
-        assert (table["episodes"], table["rounds_per_set"]) == (cfg.episodes, 8)
-        store, path = load_store(cfg), tmp_path / "round.csv"
-        for r, digest in enumerate(table["digests"][str(input_set)]):
-            write_csv(path, [(None, run_benchmark(replace(cfg, seed=1000 * input_set + r), store=store))])
-            assert sha256(path.read_bytes()).hexdigest() == digest, f"input set {input_set}, round {r}"
+    def test_a_sweep_writes_its_table_to_out(self, tmp_path):
+        out, expected = tmp_path / "sweep.csv", tmp_path / "expected.csv"
+        table = run_ablation(BenchmarkConfig(method="nn,pca-nn", episodes=2, seed=0, sweep="queries", out=str(out)), store=noisy_store())
+        write_csv(expected, table, "queries")
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestLabelHygiene:
