@@ -1,6 +1,6 @@
 """Feature store file formats: a compact binary layout and a CSV twin.
 
-Binary layout (little-endian):
+Binary layout (little-endian), which the loader reads in one pass:
 
     magic "TAFS" | version u32 = 1 | m u32 | class_count u32
     then per class, in ascending class id order:
@@ -77,20 +77,20 @@ def _save_binary(store: FeatureStore, path: Path) -> None:
         for cid in ids:
             X = _float32_rows(store, cid)
             f.write(CLASS_HEADER.pack(cid, X.shape[0]))
-            f.write(X.tobytes())
+            f.write(X)
 
 
 def _load_binary(path: Path) -> FeatureStore:
-    """Two passes over the file.  The first reads the headers, seeking past
-    every payload, and checks the sizes against the file size; the second
-    reads each class's float32 payload straight into that class's rows of
-    the store's single float32 buffer, with no staging buffer and no
-    widening copy, so peak memory is the store, about the size of the file.
-    ``FeatureStore`` then checks the values for finiteness.  Every
-    structural check runs before any payload is read, so a file with both a
-    structural fault (truncation, trailing data, a duplicate class id) and a
-    non-finite value reports the structural fault."""
-    with open(path, "rb") as f:
+    """One pass over an unbuffered file, never seeking back.  The store's
+    single float32 buffer is sized from the file size, as a well-formed
+    file's payload bytes are exactly its rows; each class's payload is read
+    straight into its rows once its header passes the size and duplicate
+    checks, so peak memory is the store, at most the file's size.  A class
+    claiming more rows than the buffer has left is skipped unread; a later
+    check then fails.  ``FeatureStore`` checks finiteness last, so a
+    structural fault (truncation, trailing data, a duplicate class id) is
+    reported before a non-finite value."""
+    with open(path, "rb", buffering=0) as f:
         size = os.fstat(f.fileno()).st_size
         if size < HEADER.size:
             raise ValueError(f"truncated file: expected at least {HEADER.size} header bytes, got {size}")
@@ -99,33 +99,33 @@ def _load_binary(path: Path) -> FeatureStore:
             raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise ValueError(f"unsupported version {version}, expected {VERSION}")
-        offset = HEADER.size
-        layout: dict[int, tuple[int, int]] = {}  # class id -> (payload offset, count), in file order
+        X = np.empty((max(size - HEADER.size - n_classes * CLASS_HEADER.size, 0) // (4 * m) if m else 0, m), dtype="<f4")
+        classes: dict[int, np.ndarray] = {}
+        offset, row = HEADER.size, 0
         for _ in range(n_classes):
             if size < offset + CLASS_HEADER.size:
                 raise ValueError(f"truncated file: expected {offset + CLASS_HEADER.size} bytes, got {size}")
-            f.seek(offset)
             cid, count = CLASS_HEADER.unpack(f.read(CLASS_HEADER.size))
             offset += CLASS_HEADER.size
             nbytes = count * m * 4
             if size < offset + nbytes:
                 raise ValueError(f"truncated file: expected {offset + nbytes} bytes, got {size}")
-            if cid in layout:
+            if cid in classes:
                 raise ValueError(f"duplicate class id {cid}")
-            layout[cid] = (offset, count)
+            # A zero-width file holds no values, and FeatureStore rejects it.
+            classes[cid] = rows = X[row : row + count] if m else np.empty((count, 0), dtype="<f4")
+            row += count
             offset += nbytes
+            if len(rows) < count:
+                f.seek(nbytes, os.SEEK_CUR)
+            elif nbytes:
+                view = memoryview(rows).cast("B")
+                while view:  # a raw read comes back short above about 2 GiB
+                    if not (got := f.readinto(view)):
+                        raise ValueError(f"truncated file: class {cid} payload ended early")
+                    view = view[got:]
         if offset != size:
             raise ValueError(f"trailing data: expected {offset} bytes, got {size}")
-
-        X = np.empty((sum(count for _, count in layout.values()), m), dtype="<f4")
-        classes: dict[int, np.ndarray] = {}
-        row = 0
-        for cid, (payload, count) in layout.items():
-            classes[cid] = X[row : row + count]
-            row += count
-            f.seek(payload)
-            if f.readinto(classes[cid]) != classes[cid].nbytes:
-                raise ValueError(f"truncated file: class {cid} payload ended early")
     return FeatureStore(classes=classes)
 
 

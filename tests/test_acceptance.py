@@ -19,8 +19,9 @@ from tafssl.classify import build_prototypes, nn_classify
 from tafssl.cluster import bkm, msp
 from tafssl.episodes import EpisodeSpec, MoGSpec, generate_mog_store, mutual_information_diagnostic, reference_store, sample_episode
 from tafssl.config import BenchmarkConfig, parse_method
-from tafssl.harness import evaluate_episode, run_benchmark, write_csv
+from tafssl.harness import evaluate_episode, run_benchmark
 from tafssl.linalg import sym_eig
+from tafssl.report import write_csv
 from tafssl.subspace import fit_ica, whiten
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "reference_benchmark.json").read_text())

@@ -1,5 +1,6 @@
 """Round-trip and error-contract tests for the feature file formats."""
 
+import io
 import re
 from types import SimpleNamespace
 
@@ -26,9 +27,9 @@ def stores_equal(a: FeatureStore, b: FeatureStore) -> bool:
 
 
 def _ref_load_binary(path):
-    """The binary loader in its plainest form, one pass over the whole file
-    that checks each class's values as it reads them: the oracle for the
-    two-pass loader's values and messages."""
+    """The binary loader in its plainest form, reading the whole file into
+    memory and checking each class's values as it reads them: the oracle for
+    the loader's values and messages."""
     blob = path.read_bytes()
     if len(blob) < HEADER.size:
         raise ValueError(f"truncated file: expected at least {HEADER.size} header bytes, got {len(blob)}")
@@ -78,6 +79,15 @@ def with_nan(X, row):
     return X
 
 
+def overclaiming_file(m):
+    """Three classes of 3, 2 and 2 rows, where class 0 claims 8: more rows
+    than the file holds once the later class headers are counted, though for
+    m <= 4 its claimed payload still ends inside the file."""
+    blob = bytearray(binary_file([(0, rows(14, 3, m)), (1, rows(15, 2, m)), (2, rows(16, 2, m))], m))
+    CLASS_HEADER.pack_into(blob, HEADER.size, 0, 8)
+    return bytes(blob)
+
+
 EXTREMES = np.array([[-0.0, 3.4028235e38, -3.4028235e38, 1e-45, -1e-45, 1.0]], dtype=np.float32)  # ±0, ±max, subnormals
 VALID_FILES = {
     "one-class": binary_file([(3, rows(0, 5, 4))], 4),
@@ -97,6 +107,8 @@ FAULTY_FILES = {
     "nan-row": binary_file([BASE[0], (1, with_nan(BASE[1][1], 3)), BASE[2]], 5),
     "no-classes": binary_file([], 5),
     "empty-class": binary_file([BASE[0], (7, np.empty((0, 5)))], 5),
+    "overclaiming-class-m=1": overclaiming_file(1),
+    "overclaiming-class-m=2": overclaiming_file(2),
 }
 
 
@@ -151,7 +163,7 @@ class TestBinaryLoaderMatchesOracle:
     )
     def test_structural_errors_come_before_non_finite_values(self, blob, message, tmp_path):
         # The oracle checks each class's values as it goes, so it names the
-        # NaN in class 0; the loader runs every structural check before any payload is read.
+        # NaN in class 0; the loader reports the structural fault instead.
         path = tmp_path / "a.feats"
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="non-finite value in class 0, row 0"):
@@ -164,10 +176,23 @@ class TestBinaryLoaderMatchesOracle:
         path = tmp_path / "a.feats"
         full = binary_file(BASE, 5)
         path.write_bytes(full[:-10])
-        # The first pass is told the file's full size; the second pass then reads short.
+        # The size checks are told the file's full size; the last payload then reads short.
         monkeypatch.setattr(features_io.os, "fstat", lambda fd: SimpleNamespace(st_size=len(full)))
         with pytest.raises(ValueError, match="truncated file: class 2 payload ended early"):
             load_features(path)
+
+    def test_short_reads_still_load_the_whole_store(self, tmp_path, monkeypatch):
+        # A raw read may return fewer bytes than asked for (above about 2 GiB
+        # it always does); the loader reads on until each payload is full.
+        class Trickle(io.FileIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer).cast("B")[:300])
+
+        path = tmp_path / "a.feats"
+        path.write_bytes(binary_file([(5, rows(17, 40, 64)), (2, rows(18, 1, 64)), (9, rows(19, 25, 64))], 64))
+        expected = load_features(path)
+        monkeypatch.setattr(features_io, "open", lambda file, mode, **kwargs: Trickle(file, mode), raising=False)
+        assert stores_equal(load_features(path), expected)
 
 
 class TestBinary:
